@@ -4,7 +4,7 @@
 //   1. processor p1 owns a leaf and a copy of its replicated parent n;
 //   2. p1's leaf splits -> p1 performs the pointer insert on its copy of
 //      n; the relays to n's other copies are *in flight* (held in the
-//      piggyback buffer — §1.1 says relays may be arbitrarily delayed);
+//      processor's outbox — §1.1 says relays may be arbitrarily delayed);
 //   3. processor p3 receives a leaf under n and joins copies(n): the PC
 //      grants a snapshot that does NOT contain the insert;
 //   4. the delayed relay finally reaches the PC with a version that
@@ -44,8 +44,9 @@ std::map<NodeId, std::pair<ProcessorId, KeyRange>> Leaves(
   return leaves;
 }
 
-/// Pumps the base sim network dry WITHOUT flushing piggyback buffers
-/// (Settle would flush them — that is the step we are delaying).
+/// Pumps the sim network dry WITHOUT flushing the relays held in the
+/// processors' outboxes (Settle would flush them — that is the step we
+/// are delaying).
 void PumpBase(Cluster& cluster) {
   while (cluster.sim()->Step()) {
   }
@@ -58,7 +59,7 @@ void ConstructedRace() {
   o.transport = TransportKind::kSim;
   o.seed = 1;
   o.tree.max_entries = 4;
-  o.piggyback_window = 100000;  // relays stay buffered until we say so
+  o.piggyback_window = 100000;  // relays stay held until we say so
   o.tree.track_history = true;
   Cluster cluster(o);
   cluster.Start();
@@ -87,15 +88,16 @@ void ConstructedRace() {
 
   // Step 2: fill p1's leaf until it splits. The parent pointer insert
   // executes at p1's local parent copy; its relays to the other parent
-  // copies enter the piggyback buffer and STAY there (no flush).
+  // copies are held in p1's outbox and STAY there (no flush).
   Key probe = moved_range.low;
   for (int i = 0; i < 8; ++i) {
     cluster.InsertAsync(1, probe + 1 + i, 7, [](const OpResult&) {});
   }
   PumpBase(cluster);
-  const size_t buffered = static_cast<net::PiggybackNetwork&>(
-                              cluster.network())
-                              .Buffered();
+  size_t buffered = 0;
+  for (ProcessorId id = 0; id < cluster.size(); ++id) {
+    buffered += cluster.processor(id).out().deferred();
+  }
 
   // Step 3: a p0-hosted leaf just left of the moved one (same parent)
   // migrates to p3, which joins that parent; the PC's grant snapshot

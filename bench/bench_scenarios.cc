@@ -17,9 +17,11 @@
 // Reported per row: ops/sec, p50/p95/p99/p999 latency (µs — wall clock on
 // threads, simulated time on sim), remote msgs/op, combined actions/op,
 // fast-path hops/op, not_found/failed counts. `--json PATH` additionally
-// emits the machine-readable battery (BENCH_PR7.json via the
-// `lazytree_bench` target) including the 1→16-thread ycsb-c scaling grid
-// and the combine/fastpath ablation. `--smoke` is the CI-sized run.
+// emits the machine-readable battery (bench_scenarios.json in the build
+// directory via the `lazytree_bench` target) including the 1→16-thread
+// ycsb-c scaling grid. `--smoke` is the CI-sized run. Either run fails if
+// a hotspot-shift row finds more than 1% of its reads missing: its keys
+// are all loaded, so misses mean it measures the wrong path.
 
 #include <algorithm>
 #include <atomic>
@@ -58,27 +60,35 @@ const Spec kSpecs[] = {
     {"churn", 0.50, 0.00, 0.25, 0.00, 0.00, 0.25, "uniform"},
 };
 
-/// Hotspot whose hot 5% region jumps to the far half of the key space
-/// once half the run's operations have completed — the skew-migration
-/// stressor (ROADMAP item 2): the replicas that were hot go cold and a
-/// cold path must absorb the herd.
+/// Hotspot whose hot 5% window of the loaded records jumps to the far
+/// half of them once half the run's operations have completed — the
+/// skew-migration stressor (ROADMAP item 2): the replicas that were hot go
+/// cold and a cold path must absorb the herd. The window is drawn over
+/// the zipfian ranks the load phase inserted (`zipf.KeyForRank`), so
+/// every read addresses a loaded record.
 class ShiftingHotspotDist : public workload::KeyDistribution {
  public:
-  ShiftingHotspotDist(Key space, const std::atomic<uint64_t>* progress,
+  ShiftingHotspotDist(const workload::ZipfianDist* zipf, uint64_t records,
+                      const std::atomic<uint64_t>* progress,
                       uint64_t total_ops)
-      : space_(space), progress_(progress), total_ops_(total_ops) {}
+      : zipf_(zipf),
+        records_(records),
+        progress_(progress),
+        total_ops_(total_ops) {}
   Key Next(Rng& rng) override {
-    const Key span = space_ / 20;
+    const uint64_t span = std::max<uint64_t>(1, records_ / 20);
     const bool shifted =
         progress_->load(std::memory_order_relaxed) >= total_ops_ / 2;
-    const Key base = shifted ? space_ / 2 : 1;
-    if (rng.Chance(0.9)) return base + rng.Below(span);
-    return 1 + rng.Below(space_ - 1);
+    const uint64_t base = shifted ? records_ / 2 + 1 : 1;
+    const uint64_t rank = rng.Chance(0.9) ? base + rng.Below(span)
+                                          : 1 + rng.Below(records_);
+    return zipf_->KeyForRank(rank);
   }
   const char* name() const override { return "hotspot-shift"; }
 
  private:
-  Key space_;
+  const workload::ZipfianDist* zipf_;
+  uint64_t records_;
   const std::atomic<uint64_t>* progress_;
   uint64_t total_ops_;
 };
@@ -105,7 +115,7 @@ struct ScenarioCtx {
         zipf(rec, kSpace),
         latest(kSpace),
         uniform(s.dist == std::string("uniform") ? rec * 2 : kSpace),
-        shift(kSpace, &progress, n) {}
+        shift(&zipf, rec, &progress, n) {}
 
   Key NextKey(Rng& rng) {
     if (std::strcmp(spec->dist, "zipfian") == 0) return zipf.Next(rng);
@@ -172,15 +182,12 @@ struct Row {
   uint64_t completed = 0, not_found = 0, failed = 0;
 };
 
-ClusterOptions MakeOptions(bool threads, uint32_t procs, uint64_t seed,
-                           int8_t combine = -1, int8_t fastpath = -1) {
+ClusterOptions MakeOptions(bool threads, uint32_t procs, uint64_t seed) {
   ClusterOptions o;
   o.processors = procs;
   o.protocol = ProtocolKind::kSemiSyncSplit;
   o.transport = threads ? TransportKind::kThreads : TransportKind::kSim;
   o.seed = seed;
-  o.combine_ops = combine;
-  o.local_read_fastpath = fastpath;
   o.tree.max_entries = 8;
   o.tree.track_history = false;  // bench mode: no §3 bookkeeping
   o.check_histories = false;
@@ -260,9 +267,8 @@ void ThreadClientLoop(Cluster& cluster, ScenarioCtx& ctx, int client,
 }
 
 Row RunThreadsScenario(const Spec& spec, size_t records, size_t ops,
-                       uint32_t procs, uint64_t seed, int8_t combine = -1,
-                       int8_t fastpath = -1) {
-  Cluster cluster(MakeOptions(true, procs, seed, combine, fastpath));
+                       uint32_t procs, uint64_t seed) {
+  Cluster cluster(MakeOptions(true, procs, seed));
   cluster.Start();
   ScenarioCtx ctx(spec, records, ops);
   Row row;
@@ -452,8 +458,6 @@ struct BatteryResult {
   std::vector<Row> battery;
   std::vector<Row> scaling;   // ycsb-c threads, varying processors
   std::vector<uint32_t> scaling_procs;
-  std::vector<Row> ablation;  // ycsb-c threads x {combine,fastpath}
-  std::vector<std::string> ablation_labels;
 };
 
 void WriteJson(const std::string& path, const BatteryResult& result,
@@ -479,15 +483,6 @@ void WriteJson(const std::string& path, const BatteryResult& result,
     AppendRowJson(out, result.scaling[i], "threads",
                   result.scaling_procs[i], true);
     out += i + 1 < result.scaling.size() ? ",\n" : "\n";
-  }
-  out += "  ],\n  \"ablation_ycsb_c_threads\": [\n";
-  for (size_t i = 0; i < result.ablation.size(); ++i) {
-    out += "    {\"config\": \"" + result.ablation_labels[i] + "\",\n ";
-    std::string row_json;
-    AppendRowJson(row_json, result.ablation[i], nullptr, 0, false);
-    // Merge: drop the row's opening brace, keep its fields.
-    out += row_json.substr(row_json.find('{') + 1);
-    out += i + 1 < result.ablation.size() ? ",\n" : "\n";
   }
   out += "  ]\n}\n";
   std::FILE* f = std::fopen(path.c_str(), "w");
@@ -533,14 +528,15 @@ int Run(int argc, char** argv) {
 
   Banner("E-YCSB", "scenario battery (ROADMAP item 2)",
          "A-F mixes + hotspot-shift + churn on both transports; ycsb-c "
-         "thread-scaling grid and multicore-knob ablation.");
+         "thread-scaling grid.");
   std::printf("records=%zu ops=%zu processors=%u hardware_threads=%u\n\n",
               records, ops, procs, AvailableCpus());
 
   BatteryResult result;
-  const size_t n_specs =
-      smoke ? 3 : sizeof(kSpecs) / sizeof(kSpecs[0]);
-  const Spec* smoke_specs[] = {&kSpecs[0], &kSpecs[2], &kSpecs[3]};
+  const Spec* smoke_specs[] = {&kSpecs[0], &kSpecs[2], &kSpecs[3],
+                               &kSpecs[6]};
+  const size_t n_specs = smoke ? sizeof(smoke_specs) / sizeof(smoke_specs[0])
+                               : sizeof(kSpecs) / sizeof(kSpecs[0]);
   for (size_t i = 0; i < n_specs; ++i) {
     const Spec& spec = smoke ? *smoke_specs[i] : kSpecs[i];
     result.battery.push_back(
@@ -577,38 +573,25 @@ int Run(int argc, char** argv) {
   }
   std::printf("\n");
 
-  // Ablation: what each multicore knob buys on the hot-read mix.
-  if (!smoke) {
-    struct Knobs { const char* label; int8_t combine, fastpath; };
-    const Knobs knobs[] = {
-        {"baseline (both off)", 0, 0},
-        {"combine only", 1, 0},
-        {"fastpath only", 0, 1},
-        {"combine+fastpath", 1, 1},
-    };
-    for (const Knobs& k : knobs) {
-      result.ablation.push_back(RunThreadsScenario(
-          ycsb_c, records, ops, procs, seed, k.combine, k.fastpath));
-      result.ablation_labels.push_back(k.label);
-    }
-    std::printf("ycsb-c threads ablation (%u processors)\n", procs);
-    Table ab({"config", "ops/sec", "rmsg/op", "comb/op", "fast/op",
-              "p99µs"});
-    ab.Header();
-    for (size_t i = 0; i < result.ablation.size(); ++i) {
-      const Row& r = result.ablation[i];
-      ab.Row({result.ablation_labels[i], Fmt("%.0f", r.ops_per_sec),
-              Fmt("%.2f", r.remote_per_op), Fmt("%.2f", r.combined_per_op),
-              Fmt("%.2f", r.fastpath_per_op), Fmt("%.1f", r.p99)});
-    }
-    std::printf("\n");
-  }
-
   if (!json_path.empty()) {
     WriteJson(json_path, result, records, ops, procs, seed);
     std::printf("wrote %s\n", json_path.c_str());
   }
-  return 0;
+  // hotspot-shift reads only loaded keys: a miss rate above 1% means the
+  // row measures the miss path instead of the hotspot.
+  int bad_rows = 0;
+  for (const Row& r : result.battery) {
+    if (r.scenario != "hotspot-shift") continue;
+    const double miss = r.completed > 0 ? static_cast<double>(r.not_found) /
+                                              static_cast<double>(r.completed)
+                                        : 1.0;
+    if (miss > 0.01) {
+      std::fprintf(stderr, "FAILED: hotspot-shift/%s not_found %.1f%%\n",
+                   r.transport.c_str(), miss * 100);
+      ++bad_rows;
+    }
+  }
+  return bad_rows > 0 ? 1 : 0;
 }
 
 }  // namespace

@@ -15,7 +15,6 @@
 #include "src/core/options.h"
 #include "src/history/checker.h"
 #include "src/net/faults.h"
-#include "src/net/piggyback.h"
 #include "src/net/reliable.h"
 #include "src/net/sim_network.h"
 #include "src/net/thread_network.h"
@@ -40,7 +39,7 @@ class Cluster {
   uint32_t size() const { return options_.processors; }
   Processor& processor(ProcessorId id) { return *processors_[id]; }
 
-  /// Outermost network (piggybacking decorator when enabled).
+  /// Outermost network (the reliable or fault decorator when enabled).
   net::Network& network() { return *network_; }
   /// Non-null when the transport is the deterministic simulator.
   net::SimNetwork* sim() { return sim_; }
@@ -71,8 +70,10 @@ class Cluster {
   /// dropped (with a warning) if the node cannot be found.
   void MigrateNode(NodeId node, ProcessorId host_hint, ProcessorId dest);
 
-  /// Drains all in-flight work (for the sim transport this *is* the
-  /// execution loop). Returns false on timeout/livelock.
+  /// Drains all in-flight work, including relays held in the processors'
+  /// outboxes (for the sim transport this *is* the execution loop).
+  /// Returns false on timeout/livelock. With a piggyback window, call it
+  /// only while no client thread submits operations.
   bool Settle(std::chrono::milliseconds timeout =
                   std::chrono::milliseconds(30000));
 
@@ -115,11 +116,17 @@ class Cluster {
 
   net::StatsSnapshot NetStats() { return base_network().stats().Snapshot(); }
 
-  /// The undecorated transport (real message counts under piggybacking).
+  /// The undecorated transport.
   net::Network& base_network();
 
  private:
   void Bootstrap();
+
+  /// Runs one client operation to completion: `submit(callback)` issues
+  /// it; the sim is settled, the threads transport waited on for 30 s.
+  /// A miss is reported as TimedOut("<what> did not settle|stalled").
+  template <typename Submit>
+  OpResult RunSync(const char* what, Submit submit);
 
   /// The always-on §3.1 hook: runs CheckAll at a quiescent point when
   /// options_.check_histories is set, dying on the first violation.
@@ -135,11 +142,10 @@ class Cluster {
   history::HistoryLog history_;
   /// Decorator stack, innermost first (declaration order matters: outer
   /// layers are destroyed before the layers they wrap):
-  ///   base -> faulty -> reliable -> piggyback.
+  ///   base -> faulty -> reliable.
   std::unique_ptr<net::Network> base_network_;
   std::unique_ptr<net::FaultyNetwork> faulty_;
   std::unique_ptr<net::ReliableNetwork> reliable_;
-  std::unique_ptr<net::PiggybackNetwork> piggyback_;
   net::Network* network_ = nullptr;  // outermost
   net::SimNetwork* sim_ = nullptr;
   std::vector<std::unique_ptr<Processor>> processors_;

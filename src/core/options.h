@@ -34,10 +34,6 @@ struct ClusterOptions {
   uint32_t processors = 4;
   ProtocolKind protocol = ProtocolKind::kSemiSyncSplit;
   TransportKind transport = TransportKind::kSim;
-  /// Thread transport only: round-trip every message through the wire
-  /// encoder/decoder instead of the zero-copy fast path (also forced by
-  /// the LAZYTREE_CHECKED_WIRE=1 environment variable).
-  bool checked_wire = false;
   /// Seed for the sim scheduler and all protocol-internal randomness.
   uint64_t seed = 1;
   /// Sim transport only: when > 0, run the simulator in timestamped mode
@@ -46,18 +42,11 @@ struct ClusterOptions {
   /// simulated time (SimNetwork::NowUs).
   uint64_t sim_latency_us = 0;
   uint64_t sim_jitter_us = 0;
-  /// Per-destination relayed-update buffer for piggybacking (§1.1).
-  /// 0 disables piggybacking.
+  /// Piggybacking (§1.1): relayed updates a processor's outbox may hold
+  /// per destination, waiting for direct traffic to ride on, before they
+  /// leave as one message of their own. 0 disables the deferral (the
+  /// outbox still combines each delivery's actions per destination).
   size_t piggyback_window = 0;
-  /// Hot-node op combining (TreeConfig::combine_ops): -1 auto-resolves to
-  /// ON for the threads transport and OFF for sim (keeping every seeded
-  /// sim schedule — and all checked-in explorer traces — byte-stable);
-  /// 0/1 force it. Sim runs with it forced on stay deterministic, just
-  /// under a different (still valid) schedule.
-  int8_t combine_ops = -1;
-  /// Local-replica read fast path (TreeConfig::local_fastpath): same
-  /// tri-state convention as combine_ops.
-  int8_t local_read_fastpath = -1;
   /// Threads transport only: pin each worker thread to a fixed CPU.
   bool pin_threads = true;
   /// Threads transport only: max messages per drained inbox batch (tail-

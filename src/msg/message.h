@@ -13,9 +13,10 @@ namespace lazytree {
 
 /// Envelope carrying one or more actions from one processor to another.
 ///
-/// A message normally carries a single action; the piggybacking layer
-/// (net/piggyback.h) batches buffered relayed updates onto the next direct
-/// message for the same destination, which is why `actions` is a vector —
+/// A message may carry many actions: a processor's outbox (QueueManager)
+/// sends everything one delivery emits toward a destination as one
+/// message, and piggybacks held relayed updates onto the next direct
+/// message for that destination, which is why `actions` is a vector —
 /// exactly the optimization §1.1 describes.
 struct Message {
   /// Reliable-delivery flag bits (net/reliable.h).

@@ -96,7 +96,7 @@ class FaultyNetwork : public Network {
  private:
   // Per ordered (from, to) link: its send index and held messages. Own
   // lock per link so concurrent thread-transport senders only contend
-  // when they share a link (same discipline as PiggybackNetwork).
+  // when they share a link.
   struct Link {
     std::mutex mu;
     uint64_t sends = 0;

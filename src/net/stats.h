@@ -18,8 +18,8 @@ struct StatsSnapshot {
   uint64_t remote_messages = 0;  ///< messages that crossed processors
   uint64_t local_messages = 0;   ///< self-sends (not network traffic)
   uint64_t remote_bytes = 0;
-  uint64_t piggybacked_actions = 0;  ///< actions that rode along for free
-  uint64_t combined_actions = 0;     ///< actions merged by the op combiner
+  uint64_t piggybacked_actions = 0;  ///< relays held past a delivery
+  uint64_t combined_actions = 0;     ///< actions fused into one message
   uint64_t fastpath_reads = 0;  ///< local hops short-circuited by inline descent
   uint64_t retransmits = 0;         ///< messages resent by the reliable layer
   uint64_t duplicates_dropped = 0;  ///< stale/duplicate frames deduped away
@@ -39,6 +39,8 @@ struct StatsSnapshot {
 class NetworkStats {
  public:
   void OnSend(const Message& m, size_t encoded_bytes);
+  /// `action_count` relays were held in an outbox past the end of a
+  /// delivery, to ride on a later message (§1.1 piggybacking).
   void OnPiggyback(size_t action_count);
   /// `action_count` actions left the queue manager fused into an
   /// already-pending message instead of as their own sends.

@@ -1,25 +1,13 @@
 #include "src/net/thread_network.h"
 
-#include <cstdlib>
-
 #include "src/msg/wire.h"
 #include "src/util/affinity.h"
 #include "src/util/logging.h"
 
 namespace lazytree::net {
 
-namespace {
-
-bool CheckedWireFromEnv() {
-  const char* v = std::getenv("LAZYTREE_CHECKED_WIRE");
-  return v != nullptr && v[0] != '\0' && v[0] != '0';
-}
-
-}  // namespace
-
 ThreadNetwork::ThreadNetwork(Options options)
-    : checked_wire_(options.checked_wire || CheckedWireFromEnv()),
-      byte_stats_(options.byte_stats),
+    : byte_stats_(options.byte_stats),
       pin_threads_(options.pin_threads),
       max_batch_(options.max_batch > 0 ? options.max_batch : 1) {}
 
@@ -43,22 +31,13 @@ void ThreadNetwork::Send(Message m) {
   LAZYTREE_CHECK(m.to < stations_.size() && stations_[m.to] != nullptr)
       << "send to unregistered p" << m.to;
   Station& station = *stations_[m.to];
-  if (checked_wire_) {
-    std::vector<uint8_t> encoded = wire::EncodeMessage(m);
-    stats_.OnSend(m, encoded.size());
-    inflight_.fetch_add(1, std::memory_order_relaxed);
-    if (!station.wire_inbox.Push(std::move(encoded))) {
-      // Inbox closed during shutdown: account the message as handled.
-      OnHandled(1);
-    }
-    return;
-  }
   // Opt-in byte counts are exact even though no buffer is materialized;
   // self-sends are never counted as network bytes.
   stats_.OnSend(
       m, byte_stats_ && m.from != m.to ? wire::EncodedSize(m) : 0);
   inflight_.fetch_add(1, std::memory_order_relaxed);
   if (!station.inbox.Push(std::move(m))) {
+    // Inbox closed during shutdown: account the message as handled.
     OnHandled(1);
   }
 }
@@ -83,18 +62,6 @@ void ThreadNetwork::WorkerLoop(Station* station) {
   // it keeps strace/TSan logs quiet.
   if (pin_threads_ && AvailableCpus() > 1) {
     PinCurrentThreadToCpu(static_cast<unsigned>(station->id));
-  }
-  if (checked_wire_) {
-    // Original pipeline: one encoded message per queue round trip,
-    // decoded and retired individually.
-    while (auto encoded = station->wire_inbox.Pop()) {
-      auto decoded = wire::DecodeMessage(*encoded);
-      LAZYTREE_CHECK(decoded.ok())
-          << "wire corruption: " << decoded.status().ToString();
-      station->receiver->Deliver(std::move(*decoded));
-      OnHandled(1);
-    }
-    return;
   }
   std::vector<Message> batch;  // recycled across PopAll swaps
   while (station->inbox.PopAll(batch, max_batch_)) {
@@ -121,10 +88,7 @@ void ThreadNetwork::Stop() {
     return;
   }
   for (auto& station : stations_) {
-    if (station) {
-      station->inbox.Close();
-      station->wire_inbox.Close();
-    }
+    if (station) station->inbox.Close();
   }
   for (auto& station : stations_) {
     if (station && station->worker.joinable()) station->worker.join();

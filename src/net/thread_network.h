@@ -6,16 +6,12 @@
 // processors. FIFO per (from, to) pair holds because a sender enqueues in
 // program order and the inbox is a single FIFO queue.
 //
-// Fast path (default): Send *moves* the Message straight into the
-// destination's batched MPSC inbox — no wire encode/decode — and
-// NetworkStats byte counts come from wire::EncodedSize, so the RPC cost
-// model the benches report is unchanged. The opt-in "checked" mode
-// (constructor option or LAZYTREE_CHECKED_WIRE=1) reproduces the
-// original wire round trip faithfully — encode on Send, per-message
-// handoff through a BlockingQueue of encoded buffers, decode on the
-// worker — keeping the wire format an exercised contract, guaranteeing
-// no mutable state leaks across "processors", and doubling as the
-// before-baseline the transport microbenchmark compares against.
+// Send *moves* the Message straight into the destination's batched MPSC
+// inbox — no wire encode/decode — and NetworkStats byte counts come from
+// wire::EncodedSize, so the RPC cost model the benches report is
+// unchanged. The wire format stays an exercised contract elsewhere: the
+// sim transport round-trips every message through the codec, and the
+// codec has its own fuzz test.
 
 #ifndef LAZYTREE_NET_THREAD_NETWORK_H_
 #define LAZYTREE_NET_THREAD_NETWORK_H_
@@ -30,23 +26,16 @@
 
 #include "src/net/transport.h"
 #include "src/util/mpsc_queue.h"
-#include "src/util/threading.h"
 
 namespace lazytree::net {
 
 class ThreadNetwork : public Network {
  public:
   struct Options {
-    /// Round-trip every message through wire::EncodeMessage/DecodeMessage
-    /// with the pre-zero-copy per-message delivery discipline. The
-    /// LAZYTREE_CHECKED_WIRE=1 environment variable forces this on
-    /// regardless of the option.
-    bool checked_wire = false;
     /// Account NetworkStats::remote_bytes on the fast path (exact, via
     /// wire::EncodedSize — no buffer is materialized). Off by default:
     /// the walk costs real time per snapshot-bearing send and the
     /// RPC-cost benches that consume byte counts run on SimNetwork.
-    /// Checked mode always reports exact bytes (the buffer exists).
     bool byte_stats = false;
     /// Pin each worker thread to a fixed CPU (worker i -> available CPU
     /// i mod n). Best-effort; ignored where affinity is unsupported.
@@ -68,17 +57,12 @@ class ThreadNetwork : public Network {
   void Stop() override;
   bool WaitQuiescent(std::chrono::milliseconds timeout) override;
 
-  bool checked_wire() const { return checked_wire_; }
-
  private:
   struct Station {
     ProcessorId id = 0;
     Receiver* receiver = nullptr;
-    // Fast path: messages moved in whole, drained in batches.
+    // Messages moved in whole, drained in batches.
     MpscBatchQueue<Message> inbox;
-    // Checked mode: encoded wire buffers handed off one message at a
-    // time (the original transport's pipeline, kept bit-faithful).
-    BlockingQueue<std::vector<uint8_t>> wire_inbox;
     std::thread worker;
   };
 
@@ -87,7 +71,6 @@ class ThreadNetwork : public Network {
   // quiescence waiters on the zero transition.
   void OnHandled(int64_t n);
 
-  bool checked_wire_ = false;
   bool byte_stats_ = false;
   bool pin_threads_ = true;
   size_t max_batch_ = 128;

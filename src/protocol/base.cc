@@ -105,7 +105,6 @@ void BaseProtocol::Navigate(Action a) {
       return;
     }
   }
-  const bool inline_descent = p_.config().local_fastpath;
   size_t inline_hops = 0;
   for (;;) {
     Node* n = Local(a.target);
@@ -128,22 +127,13 @@ void BaseProtocol::Navigate(Action a) {
         << n->ToString();
     if (a.key >= n->right_low()) {
       // Misnavigation (the node split under us): chase the right link.
-      if (!inline_descent) {
-        RouteToNode(n->right(), n->level(), std::move(a));
-        return;
-      }
       a.target = n->right();
       a.level = n->level();
       ++inline_hops;
       continue;
     }
     if (!n->is_leaf()) {
-      NodeId child = n->ChildFor(a.key);
-      if (!inline_descent) {
-        RouteToNode(child, n->level() - 1, std::move(a));
-        return;
-      }
-      a.target = child;
+      a.target = n->ChildFor(a.key);
       a.level = n->level() - 1;
       ++inline_hops;
       continue;
@@ -180,7 +170,7 @@ void BaseProtocol::Navigate(Action a) {
 
 void BaseProtocol::SendReturn(Action r) {
   const ProcessorId origin = OpOrigin(r.op);
-  if (p_.config().local_fastpath && origin == p_.id()) {
+  if (origin == p_.id()) {
     p_.CompleteReturnLocal(std::move(r));
     return;
   }

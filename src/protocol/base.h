@@ -79,23 +79,20 @@ class BaseProtocol : public ProtocolHandler {
 
   // --- navigation (kSearch / kInsertOp) ---
   //
-  // Classic mode: one node visit per invocation — every hop, even between
-  // two locally stored copies, is a self-send through the queue manager
-  // (one full inbox round trip per level). With
-  // TreeConfig::local_fastpath the descent instead continues *inline*
-  // while the next node is locally replicated: root-everywhere placement
-  // means a search usually walks root → interior → leaf-home entirely
-  // inside one delivery, and only the final leaf hop (or a misnavigation
-  // onto a remote sibling) crosses the queue manager. Local copies may be
-  // stale — that is exactly the staleness §4.2 side-link recovery
-  // absorbs, so no extra correctness machinery is needed. Atomicity is
-  // unchanged: the whole inline walk runs within one Deliver, and each
-  // node visit still touches one node at a time.
+  // The descent continues *inline* while the next node is locally
+  // replicated: root-everywhere placement means a search usually walks
+  // root → interior → leaf-home entirely inside one delivery, and only
+  // the final leaf hop (or a misnavigation onto a remote sibling) crosses
+  // the queue manager. Local copies may be stale — that is exactly the
+  // staleness §4.2 side-link recovery absorbs, so no extra correctness
+  // machinery is needed. Atomicity is unchanged: the whole inline walk
+  // runs within one Deliver, and each node visit still touches one node
+  // at a time.
   void Navigate(Action a);
 
-  /// Routes a completed kReturnValue to the op's origin. With
-  /// TreeConfig::local_fastpath a reply to *this* processor completes the
-  /// operation directly instead of taking a self-send round trip.
+  /// Routes a completed kReturnValue to the op's origin. A reply to
+  /// *this* processor completes the operation directly instead of taking
+  /// a self-send round trip.
   void SendReturn(Action r);
 
   /// True when reads of this copy must wait (vigorous baseline locks;

@@ -6,13 +6,13 @@ namespace lazytree {
 
 Processor::Processor(ProcessorId id, uint32_t cluster_size,
                      net::Network* network, history::HistoryLog* history,
-                     const TreeConfig& config)
+                     const TreeConfig& config, size_t piggyback_window)
     : id_(id),
       cluster_size_(cluster_size),
       config_(config),
       network_(network),
       history_(history),
-      out_(id, network),
+      out_(id, network, piggyback_window),
       ops_(id) {
   network_->Register(id_, this);
 }
@@ -26,17 +26,13 @@ void Processor::Deliver(Message m) {
   // Scope per message: a coalesced message's actions emit their outputs
   // as one message per destination. Nested inside a DeliverBatch scope
   // this is a no-op (only the outermost EndCombine flushes).
-  if (config_.combine_ops) out_.BeginCombine();
+  out_.BeginCombine();
   for (Action& action : m.actions) HandleAction(action);
-  if (config_.combine_ops) out_.EndCombine();
+  out_.EndCombine();
 }
 
 void Processor::DeliverBatch(std::vector<Message>& batch) {
-  if (!config_.combine_ops) {
-    for (Message& m : batch) Deliver(std::move(m));
-    return;
-  }
-  // One combining scope across the whole drained batch: same-destination
+  // One outbox scope across the whole drained batch: same-destination
   // outputs of *different* inbox messages fuse too (this is where a burst
   // of searches past the root collapses into one upstream message).
   out_.BeginCombine();
@@ -104,6 +100,7 @@ void Processor::Crash() {
   store_.Reset();
   aas_.Reset();
   handler_.reset();  // parked actions and protocol state are volatile too
+  out_.Clear();
   ops_.FailAllPending(Status::Unavailable("processor crashed"));
 }
 

@@ -45,32 +45,23 @@ struct TreeConfig {
   /// joiners. Demonstrates the Fig.-6 incomplete-history failure the
   /// machinery exists to prevent.
   bool ablate_fig6_rerelay = false;
-  /// Hot-node op combining: buffer actions emitted during one delivery
-  /// (or delivery batch) per destination and flush them as one
-  /// multi-action message each — one message carries many ops past the
-  /// hot root replica. Resolved from ClusterOptions::combine_ops.
-  bool combine_ops = false;
-  /// Local-replica read fast path: navigation descends through locally
-  /// replicated copies inline (no queue-manager round trip per hop), and
-  /// kReturnValue to self completes the op directly. Staleness is
-  /// absorbed by §4.2 side-link misnavigation recovery, exactly as for a
-  /// stale remote replica. Resolved from ClusterOptions::local_read_fastpath.
-  bool local_fastpath = false;
 };
 
 class Processor : public net::Receiver {
  public:
+  /// `piggyback_window` sizes the outbox's relay deferral (QueueManager).
   Processor(ProcessorId id, uint32_t cluster_size, net::Network* network,
-            history::HistoryLog* history, const TreeConfig& config);
+            history::HistoryLog* history, const TreeConfig& config,
+            size_t piggyback_window = 0);
 
   /// Installs the protocol strategy. Must happen before the network starts.
   void SetHandler(std::unique_ptr<ProtocolHandler> handler);
 
   // net::Receiver:
   void Deliver(Message m) override;
-  /// Batch delivery with an output-combining scope spanning the whole
-  /// batch (when TreeConfig::combine_ops): all actions the batch emits
-  /// toward one destination leave as a single message.
+  /// Batch delivery with one outbox scope spanning the whole batch: all
+  /// actions the batch emits toward one destination leave as a single
+  /// message.
   void DeliverBatch(std::vector<Message>& batch) override;
 
   /// Completes a kReturnValue action addressed to this processor without
@@ -117,8 +108,8 @@ class Processor : public net::Receiver {
 
   /// Fail-stop crash: every volatile structure is lost — node copies
   /// (their deaths are recorded with the history log), forwarding
-  /// addresses, the root hint, parked/deferred actions, and the protocol
-  /// handler's state. Outstanding client operations fail Unavailable.
+  /// addresses, the root hint, parked/deferred actions, relays held in
+  /// the outbox, and the protocol handler's state. Outstanding client operations fail Unavailable.
   /// The network must already be dropping this processor's inbound
   /// messages (SimNetwork::Crash).
   void Crash();

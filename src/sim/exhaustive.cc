@@ -577,4 +577,116 @@ VerifyResult VerifyExhaustive(const VerifyConfig& config) {
   return result;
 }
 
+VerifyConfig BoundedConfig(ProtocolKind protocol) {
+  VerifyConfig config;
+  config.episode.protocol = protocol;
+  config.episode.processors = 2;
+  config.episode.seed = 1;
+  config.episode.rounds = 1;
+  config.episode.ops_per_round = 4;
+  config.episode.key_space = 16;
+  config.episode.fanout = 3;
+  config.episode.leaf_replication = 2;
+  config.episode.step_budget = 100000;
+  if (protocol == ProtocolKind::kMobile ||
+      protocol == ProtocolKind::kVarCopies) {
+    // §4.2/§4.3: single-copy mobile leaves; shedding makes every split
+    // migrate the fresh sibling, so link-changes (and for varcopies the
+    // join/unjoin membership traffic) are in flight to be reordered.
+    config.episode.leaf_replication = 1;
+    config.episode.shed_threshold = 1;
+  }
+  return config;
+}
+
+std::vector<BatteryItem> VerifyBattery() {
+  // Ops per round and the transition floor per protocol, clean and under
+  // the drop budget. Navigation descends inline through local copies and
+  // replies to self complete without a message, so the episodes carry
+  // more ops than the small config: the floors are the transitions the
+  // battery explored when every hop was a self-send (4 ops clean, 3 under
+  // the drop budget), and each size is the smallest that reaches them.
+  struct Sizing {
+    ProtocolKind protocol;
+    uint32_t ops;
+    uint64_t min_transitions;
+    uint32_t lossy_ops;
+    uint64_t lossy_min_transitions;
+  };
+  const Sizing sizings[] = {
+      {ProtocolKind::kSyncSplit, 6, 17380, 5, 5487},
+      {ProtocolKind::kSemiSyncSplit, 7, 10080, 5, 5487},
+      {ProtocolKind::kMobile, 6, 3675, 4, 1915},
+      {ProtocolKind::kVarCopies, 5, 2622, 4, 1376},
+  };
+  std::vector<BatteryItem> items;
+  for (const Sizing& s : sizings) {
+    BatteryItem item{ProtocolKindName(s.protocol), BoundedConfig(s.protocol)};
+    item.config.episode.ops_per_round = s.ops;
+    item.min_transitions = s.min_transitions;
+    items.push_back(std::move(item));
+  }
+  // Bounded loss: the same protocols with a drop budget of 1 and the
+  // reliable layer recovering every loss. Each DFS frame forks a drop
+  // branch per enabled channel and retransmission deepens schedules, so
+  // the episodes are smaller; every schedule — including every placement
+  // of the drop — must stay §3.1-green and oracle-exact.
+  for (const Sizing& s : sizings) {
+    BatteryItem item{std::string(ProtocolKindName(s.protocol)) + "-drop1",
+                     BoundedConfig(s.protocol)};
+    item.config.episode.ops_per_round = s.lossy_ops;
+    item.config.episode.reliable = true;
+    item.config.drop_budget = 1;
+    item.min_transitions = s.lossy_min_transitions;
+    items.push_back(std::move(item));
+  }
+  {
+    BatteryItem drop{"selftest-drop-relay",
+                     BoundedConfig(ProtocolKind::kSemiSyncSplit),
+                     /*expect_violation=*/true};
+    drop.config.episode.mutation = net::ScheduleMutation::kDropRelay;
+    items.push_back(std::move(drop));
+  }
+  {
+    // The swap mutation needs a qualifying pair queued on one channel: two
+    // same-kind membership registrations (two relayed joins or unjoins of
+    // different members) behind each other on a PC -> bystander channel.
+    // That takes 4 processors (PC + bystander + two join/unjoin-churning
+    // members) and two rounds of membership churn, and the violating
+    // schedules starve the bystander — so the search is directed at them
+    // with starve_victim. Detection, not exhaustion, is the promise here.
+    BatteryItem swap{"selftest-swap-ordered",
+                     BoundedConfig(ProtocolKind::kVarCopies),
+                     /*expect_violation=*/true};
+    swap.config.episode.processors = 4;
+    swap.config.episode.rounds = 2;
+    swap.config.episode.ops_per_round = 6;
+    swap.config.episode.key_space = 32;
+    swap.config.episode.mutation = net::ScheduleMutation::kSwapOrdered;
+    swap.config.starve_victim = 1;
+    swap.config.max_executions = 20000;
+    items.push_back(std::move(swap));
+  }
+  return items;
+}
+
+std::string CheckBatteryItem(const BatteryItem& item,
+                             const VerifyResult& result) {
+  if (!item.expect_violation) {
+    if (!result.ok) return "violation found";
+    if (!result.exhausted) return "space not exhausted within budget";
+    if (result.stats.transitions < item.min_transitions) {
+      return "explored " + std::to_string(result.stats.transitions) +
+             " transitions, below the floor of " +
+             std::to_string(item.min_transitions);
+    }
+    return "";
+  }
+  if (result.ok) return "planted mutation not detected";
+  if (ReplayEpisode(item.config.episode, result.trace).ok) {
+    return "minimized trace does not replay to failure";
+  }
+  return "";
+}
+
 }  // namespace lazytree::sim

@@ -146,6 +146,40 @@ struct VerifyResult {
 /// first violating schedule or when the space (or budget) is exhausted.
 VerifyResult VerifyExhaustive(const VerifyConfig& config);
 
+/// The small per-protocol configuration: 2 processors, one round of 4
+/// ops, fanout 3 (so a leaf splits) and replicated leaves relaying lazy
+/// updates — or, for mobile/varcopies, single-copy leaves shed on every
+/// split so link changes and membership traffic are in flight. The
+/// planted-mutation self-tests and the POR reduction gate run on it.
+VerifyConfig BoundedConfig(ProtocolKind protocol);
+
+/// One entry of the verification battery (`lazytree_verify` with no
+/// flags; tests/exhaustive_verify_test.cc runs the same list).
+struct BatteryItem {
+  std::string label;
+  VerifyConfig config;
+  /// Planted-mutation self-test: a violating schedule must be found.
+  bool expect_violation = false;
+  /// Clean items: the fewest delivery decisions the exhaustive search
+  /// must make. A change that takes schedulable events away (work done
+  /// inline instead of as a message) shrinks the space the verifier
+  /// covers; the floor turns that into a failure instead of a silent
+  /// loss of coverage.
+  uint64_t min_transitions = 0;
+};
+
+/// Every protocol exhausted clean, the same protocols exhausted under a
+/// one-drop budget with the reliable layer on, and the two planted
+/// mutations detected.
+std::vector<BatteryItem> VerifyBattery();
+
+/// Runs one battery item and checks its expected outcome: clean items
+/// must exhaust with no violation and at least `min_transitions`;
+/// self-tests must find a violation whose minimized trace replays to a
+/// failure. Returns the failure reason, empty on success.
+std::string CheckBatteryItem(const BatteryItem& item,
+                             const VerifyResult& result);
+
 }  // namespace lazytree::sim
 
 #endif  // LAZYTREE_SIM_EXHAUSTIVE_H_

@@ -81,8 +81,6 @@ EpisodeResult RunEpisodeImpl(const EpisodeConfig& config,
   options.tree.leaf_replication = config.leaf_replication;
   options.tree.interior_replication = config.interior_replication;
   options.tree.shed_threshold = config.shed_threshold;
-  options.combine_ops = config.combine_ops ? 1 : 0;
-  options.local_read_fastpath = config.local_fastpath ? 1 : 0;
   // The episode's verification battery records violations for the trace /
   // report pipeline; the quiescence hook would abort on the first one.
   options.check_histories = false;
@@ -400,11 +398,7 @@ void FillTraceMeta(const EpisodeConfig& config, EpisodeResult& result) {
   t.meta["leaf_replication"] = std::to_string(config.leaf_replication);
   t.meta["interior_replication"] =
       std::to_string(config.interior_replication);
-  // Written only when on: absent keys read back as 0, and default-config
-  // traces (all checked-in repros predate these knobs) keep serializing
-  // byte-for-byte.
-  if (config.combine_ops) t.meta["combine_ops"] = "1";
-  if (config.local_fastpath) t.meta["local_fastpath"] = "1";
+  // Written only when on: absent keys read back as 0.
   if (config.reliable) t.meta["reliable"] = "1";
   if (config.shed_threshold > 0) {
     t.meta["shed_threshold"] = std::to_string(config.shed_threshold);

@@ -86,13 +86,6 @@ struct EpisodeConfig {
   size_t fanout = 6;
   uint32_t leaf_replication = 1;
   uint32_t interior_replication = 0;
-  /// Multicore execution knobs (TreeConfig::combine_ops /
-  /// local_fastpath), explored on the sim transport so the §3.1 checkers
-  /// and the oracle vet the fused/fast-path histories under adversarial
-  /// schedules. Default off — old recorded traces replay byte-for-byte
-  /// (their meta simply lacks the keys, which reads as 0).
-  bool combine_ops = false;
-  bool local_fastpath = false;
   /// Mobile/varcopies leaf shedding (TreeConfig::shed_threshold): >0 makes
   /// splits migrate fresh siblings, generating the join/unjoin membership
   /// traffic the exhaustive verifier's varcopies configs need.

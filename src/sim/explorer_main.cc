@@ -57,7 +57,6 @@ struct CliOptions {
   std::string record_path;          // save first episode's trace here
   bool minimize = true;
   bool verbose = false;
-  bool multicore = false;  // combine_ops + local_fastpath on (sim vetting)
 };
 
 void Usage() {
@@ -69,7 +68,7 @@ void Usage() {
                "    [--shed=N] [--mutation=drop-relay|swap-ordered]\n"
                "    [--drop=P] [--dup=P] [--reliable] [--crashes=N]\n"
                "    [--trace-out=DIR] [--replay=TRACE] [--record=TRACE]\n"
-               "    [--no-minimize] [--multicore] [--verbose]\n");
+               "    [--no-minimize] [--verbose]\n");
 }
 
 bool ParseFlag(const std::string& arg, const std::string& name,
@@ -106,7 +105,6 @@ bool ParseCli(int argc, char** argv, CliOptions* cli) {
     else if (arg == "--reliable") cli->reliable = true;
     else if (arg == "--no-minimize") cli->minimize = false;
     else if (arg == "--minimize") cli->minimize = true;
-    else if (arg == "--multicore") cli->multicore = true;
     else if (arg == "--verbose") cli->verbose = true;
     else if (arg == "--help" || arg == "-h") { Usage(); return false; }
     else {
@@ -171,8 +169,6 @@ EpisodeConfig BuildConfig(const CliOptions& cli, ProtocolKind protocol,
   config.fanout = cli.fanout;
   config.leaf_replication =
       cli.leaf_replication > 0 ? cli.leaf_replication : 1;
-  config.combine_ops = cli.multicore;
-  config.local_fastpath = cli.multicore;
   config.shed_threshold = cli.shed_threshold;
   config.mutation = net::ParseScheduleMutation(cli.mutation);
   config.drop = cli.drop;
@@ -216,7 +212,6 @@ std::string ReproCommand(const CliOptions& cli, const EpisodeConfig& config,
   cmd += " --keyspace=" + std::to_string(config.key_space);
   cmd += " --fanout=" + std::to_string(config.fanout);
   cmd += " --leaf-replication=" + std::to_string(config.leaf_replication);
-  if (config.combine_ops || config.local_fastpath) cmd += " --multicore";
   if (config.reliable) cmd += " --reliable";
   (void)cli;
   return cmd;

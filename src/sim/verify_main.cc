@@ -104,33 +104,6 @@ bool ParseCli(int argc, char** argv, CliOptions* cli) {
   return true;
 }
 
-/// The per-protocol bounded configurations the battery exhausts. Small on
-/// purpose: the schedule space is exponential in in-flight messages, and
-/// these are sized to finish in seconds while still exercising a split
-/// (fanout 3, more inserts than a leaf holds) with replicated leaves
-/// relaying lazy updates between two processors.
-VerifyConfig BoundedConfig(ProtocolKind protocol) {
-  VerifyConfig config;
-  config.episode.protocol = protocol;
-  config.episode.processors = 2;
-  config.episode.seed = 1;
-  config.episode.rounds = 1;
-  config.episode.ops_per_round = 4;
-  config.episode.key_space = 16;
-  config.episode.fanout = 3;
-  config.episode.leaf_replication = 2;
-  config.episode.step_budget = 100000;
-  if (protocol == ProtocolKind::kMobile ||
-      protocol == ProtocolKind::kVarCopies) {
-    // §4.2/§4.3: single-copy mobile leaves; shedding makes every split
-    // migrate the fresh sibling, so link-changes (and for varcopies the
-    // join/unjoin membership traffic) are in flight to be reordered.
-    config.episode.leaf_replication = 1;
-    config.episode.shed_threshold = 1;
-  }
-  return config;
-}
-
 void PrintResult(const char* label, const VerifyResult& result) {
   std::printf("[%s] %s\n", label, result.Summary().c_str());
   for (const std::string& v : result.violations) {
@@ -138,100 +111,25 @@ void PrintResult(const char* label, const VerifyResult& result) {
   }
 }
 
-/// One battery entry: exhaust the config and demand the expected outcome.
-/// Violation runs must also produce a trace that re-fails under plain
-/// ReplayEpisode — the repro artifact the mutation self-test promises.
-bool RunExpecting(const char* label, const VerifyConfig& config,
-                  bool expect_violation, const std::string& trace_out) {
-  VerifyResult result = VerifyExhaustive(config);
-  PrintResult(label, result);
-  if (!expect_violation) {
-    if (!result.ok) return false;
-    if (!result.exhausted) {
-      std::printf("[%s] FAILED: space not exhausted within budget\n", label);
-      return false;
-    }
-    return true;
-  }
-  if (result.ok) {
-    std::printf("[%s] FAILED: planted mutation not detected\n", label);
-    return false;
-  }
-  EpisodeResult replayed = ReplayEpisode(config.episode, result.trace);
-  if (replayed.ok) {
-    std::printf("[%s] FAILED: minimized trace does not replay to failure\n",
-                label);
-    return false;
-  }
-  std::printf("[%s] minimized trace replays to: %s\n", label,
-              replayed.Signature().c_str());
-  if (!trace_out.empty()) {
-    Status save = result.trace.SaveFile(trace_out);
-    std::printf("[%s] trace: %s\n", label,
-                save.ok() ? trace_out.c_str() : save.ToString().c_str());
-  }
-  return true;
-}
-
+/// Runs the battery (VerifyBattery): clean items must exhaust above their
+/// transition floors, planted mutations must be detected with a minimized
+/// trace that re-fails under plain ReplayEpisode.
 int RunBattery() {
-  struct Item {
-    std::string label;
-    VerifyConfig config;
-    bool expect_violation;
-  };
-  std::vector<Item> items;
-  for (ProtocolKind protocol :
-       {ProtocolKind::kSyncSplit, ProtocolKind::kSemiSyncSplit,
-        ProtocolKind::kMobile, ProtocolKind::kVarCopies}) {
-    items.push_back({ProtocolKindName(protocol), BoundedConfig(protocol),
-                     /*expect_violation=*/false});
-  }
-  // Bounded loss: the same protocols with a drop budget of 1 and the
-  // reliable layer recovering every loss. Each DFS frame forks a drop
-  // branch per enabled channel and retransmission deepens schedules, so
-  // the episode is one op smaller; every schedule — including every
-  // placement of the drop — must stay §3.1-green and oracle-exact.
-  for (ProtocolKind protocol :
-       {ProtocolKind::kSyncSplit, ProtocolKind::kSemiSyncSplit,
-        ProtocolKind::kMobile, ProtocolKind::kVarCopies}) {
-    Item lossy{std::string(ProtocolKindName(protocol)) + "-drop1",
-               BoundedConfig(protocol), /*expect_violation=*/false};
-    lossy.config.episode.ops_per_round = 3;
-    lossy.config.episode.reliable = true;
-    lossy.config.drop_budget = 1;
-    items.push_back(std::move(lossy));
-  }
-  {
-    Item drop{"selftest-drop-relay", BoundedConfig(ProtocolKind::kSemiSyncSplit),
-              /*expect_violation=*/true};
-    drop.config.episode.mutation = net::ScheduleMutation::kDropRelay;
-    items.push_back(std::move(drop));
-  }
-  {
-    // The swap mutation needs a qualifying pair queued on one channel: two
-    // same-kind membership registrations (two relayed joins or unjoins of
-    // different members) behind each other on a PC -> bystander channel.
-    // That takes 4 processors (PC + bystander + two join/unjoin-churning
-    // members) and two rounds of membership churn, and the violating
-    // schedules starve the bystander — so the search is directed at them
-    // with starve_victim. Detection, not exhaustion, is the promise here.
-    Item swap{"selftest-swap-ordered", BoundedConfig(ProtocolKind::kVarCopies),
-              /*expect_violation=*/true};
-    swap.config.episode.processors = 4;
-    swap.config.episode.rounds = 2;
-    swap.config.episode.ops_per_round = 6;
-    swap.config.episode.key_space = 32;
-    swap.config.episode.mutation = net::ScheduleMutation::kSwapOrdered;
-    swap.config.starve_victim = 1;
-    swap.config.max_executions = 20000;
-    items.push_back(std::move(swap));
-  }
-
+  std::vector<BatteryItem> items = VerifyBattery();
   int failures = 0;
-  for (const Item& item : items) {
-    if (!RunExpecting(item.label.c_str(), item.config, item.expect_violation,
-                      "")) {
+  for (const BatteryItem& item : items) {
+    const char* label = item.label.c_str();
+    VerifyResult result = VerifyExhaustive(item.config);
+    PrintResult(label, result);
+    const std::string failure = CheckBatteryItem(item, result);
+    if (!failure.empty()) {
+      std::printf("[%s] FAILED: %s\n", label, failure.c_str());
       ++failures;
+    } else if (item.expect_violation) {
+      std::printf("[%s] minimized trace replays to: %s\n", label,
+                  ReplayEpisode(item.config.episode, result.trace)
+                      .Signature()
+                      .c_str());
     }
   }
   std::printf("battery: %zu items, %d failed\n", items.size(), failures);

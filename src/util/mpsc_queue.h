@@ -4,7 +4,7 @@
 // append to a vector under one mutex; the consumer exchanges that vector
 // for its own drained one under the same mutex, then processes the whole
 // batch lock-free. One lock acquisition per *batch* on the consumer side
-// (vs. one per message for BlockingQueue), and the two vectors recycle
+// (vs. one per message for a plain locked deque), and the two vectors recycle
 // each other's capacity so a steady-state queue stops allocating.
 //
 // Wakeup discipline (the p99 tail fix): the consumer spins on a lock-free

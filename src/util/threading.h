@@ -1,4 +1,4 @@
-// Threading primitives used by the thread-backed transport and processors.
+// Threading primitives shared by benches, examples and tests.
 
 #ifndef LAZYTREE_UTIL_THREADING_H_
 #define LAZYTREE_UTIL_THREADING_H_
@@ -6,88 +6,9 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <mutex>
-#include <optional>
 
 namespace lazytree {
-
-/// Unbounded multi-producer multi-consumer blocking queue.
-///
-/// Close() wakes all blocked poppers; after close, Pop drains remaining
-/// items and then returns nullopt.
-template <typename T>
-class BlockingQueue {
- public:
-  /// Enqueues one item. Returns false if the queue is closed.
-  bool Push(T item) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (closed_) return false;
-      items_.push_back(std::move(item));
-    }
-    cv_.notify_one();
-    return true;
-  }
-
-  /// Blocks until an item is available or the queue is closed and empty.
-  std::optional<T> Pop() {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [&] { return !items_.empty() || closed_; });
-    if (items_.empty()) return std::nullopt;
-    T item = std::move(items_.front());
-    items_.pop_front();
-    return item;
-  }
-
-  /// Non-blocking pop.
-  std::optional<T> TryPop() {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (items_.empty()) return std::nullopt;
-    T item = std::move(items_.front());
-    items_.pop_front();
-    return item;
-  }
-
-  /// Pop with a deadline; nullopt on timeout or closed-and-empty.
-  template <typename Rep, typename Period>
-  std::optional<T> PopFor(std::chrono::duration<Rep, Period> timeout) {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (!cv_.wait_for(lock, timeout,
-                      [&] { return !items_.empty() || closed_; })) {
-      return std::nullopt;
-    }
-    if (items_.empty()) return std::nullopt;
-    T item = std::move(items_.front());
-    items_.pop_front();
-    return item;
-  }
-
-  /// Rejects further pushes and wakes all blocked poppers.
-  void Close() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      closed_ = true;
-    }
-    cv_.notify_all();
-  }
-
-  size_t Size() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return items_.size();
-  }
-
-  bool Empty() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return items_.empty();
-  }
-
- private:
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<T> items_;
-  bool closed_ = false;
-};
 
 /// Go-style wait group: tracks outstanding work items across threads.
 class WaitGroup {

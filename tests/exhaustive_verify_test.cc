@@ -1,7 +1,9 @@
 // Exhaustive bounded verification tests (src/sim/exhaustive.h).
 //
-// These pin the acceptance surface of lazytree_verify: every shipped
-// protocol's bounded configuration exhausts clean within tier-1 time, the
+// These pin the acceptance surface of lazytree_verify: every battery item
+// behaves as the battery demands within tier-1 time (clean items exhaust
+// with at least their floor of transitions, so coverage cannot shrink
+// silently; planted mutations are found), the
 // commutativity-guided POR + state dedup reduce the explored executions by
 // well over the required factor versus the naive DFS, the POR runtime
 // cross-check and prefix-replay determinism check stay silent on healthy
@@ -17,59 +19,40 @@
 namespace lazytree {
 namespace {
 
+using sim::BatteryItem;
+using sim::BoundedConfig;
 using sim::EpisodeResult;
 using sim::ReplayEpisode;
 using sim::VerifyConfig;
 using sim::VerifyExhaustive;
 using sim::VerifyResult;
 
-// Mirrors the battery configs in verify_main.cc: small on purpose, but
-// still splitting (fanout 3, more inserts than one leaf holds) with
-// replicated leaves relaying lazy updates between two processors.
-VerifyConfig BoundedConfig(ProtocolKind protocol) {
-  VerifyConfig config;
-  config.episode.protocol = protocol;
-  config.episode.processors = 2;
-  config.episode.seed = 1;
-  config.episode.rounds = 1;
-  config.episode.ops_per_round = 4;
-  config.episode.key_space = 16;
-  config.episode.fanout = 3;
-  config.episode.leaf_replication = 2;
-  config.episode.step_budget = 100000;
-  if (protocol == ProtocolKind::kMobile ||
-      protocol == ProtocolKind::kVarCopies) {
-    config.episode.leaf_replication = 1;
-    config.episode.shed_threshold = 1;
-  }
-  return config;
-}
-
 // The 4-processor membership-churn configuration whose starved schedules
 // give the swap-ordered mutation a qualifying same-kind registration pair
 // (two relayed joins/unjoins of different members queued on one channel).
+// The battery's own item, so the test and lazytree_verify agree.
 VerifyConfig SwapMutationConfig() {
-  VerifyConfig config = BoundedConfig(ProtocolKind::kVarCopies);
-  config.episode.processors = 4;
-  config.episode.rounds = 2;
-  config.episode.ops_per_round = 6;
-  config.episode.key_space = 32;
-  config.episode.mutation = net::ScheduleMutation::kSwapOrdered;
-  config.starve_victim = 1;
-  config.max_executions = 20000;
-  return config;
+  for (const BatteryItem& item : sim::VerifyBattery()) {
+    if (item.label == "selftest-swap-ordered") return item.config;
+  }
+  ADD_FAILURE() << "battery lost its swap-ordered self-test";
+  return VerifyConfig();
 }
 
-// Every protocol's bounded schedule space must exhaust with zero
-// violations, zero cross-check failures, and zero determinism failures.
-TEST(ExhaustiveVerify, BoundedConfigsExhaustCleanOnAllProtocols) {
-  for (ProtocolKind protocol :
-       {ProtocolKind::kSyncSplit, ProtocolKind::kSemiSyncSplit,
-        ProtocolKind::kMobile, ProtocolKind::kVarCopies}) {
-    SCOPED_TRACE(ProtocolKindName(protocol));
-    VerifyResult result = VerifyExhaustive(BoundedConfig(protocol));
-    EXPECT_TRUE(result.ok) << result.Summary();
-    EXPECT_TRUE(result.exhausted) << result.Summary();
+// Every clean battery item (each protocol, with and without a one-drop
+// budget) must exhaust with zero violations, zero cross-check failures and
+// zero determinism failures, and explore at least its floor of
+// transitions: a change that removes schedulable events fails here.
+TEST(ExhaustiveVerify, BatteryItemsExhaustCleanAboveTransitionFloors) {
+  size_t clean = 0;
+  for (const BatteryItem& item : sim::VerifyBattery()) {
+    if (item.expect_violation) continue;
+    SCOPED_TRACE(item.label);
+    ++clean;
+    VerifyResult result = VerifyExhaustive(item.config);
+    EXPECT_EQ(sim::CheckBatteryItem(item, result), "") << result.Summary();
+    EXPECT_GT(item.min_transitions, 0u) << "every clean item needs a floor";
+    EXPECT_GE(result.stats.transitions, item.min_transitions);
     EXPECT_TRUE(result.violations.empty());
     EXPECT_GT(result.stats.schedules, 0u);
     EXPECT_GT(result.stats.pruned_sleep, 0u);  // POR actually engaged
@@ -77,6 +60,7 @@ TEST(ExhaustiveVerify, BoundedConfigsExhaustCleanOnAllProtocols) {
     EXPECT_EQ(result.stats.cross_check_failures, 0u);
     EXPECT_EQ(result.stats.determinism_failures, 0u);
   }
+  EXPECT_EQ(clean, 8u);
 }
 
 // The reductions must buy at least the required 5x over naive DFS on the

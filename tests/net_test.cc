@@ -1,6 +1,6 @@
 // Transport tests: the paper's network assumption (reliable, exactly-once,
-// per-channel FIFO) on both implementations; sim determinism; piggyback
-// semantics; quiescence detection.
+// per-channel FIFO) on both implementations; sim determinism; quiescence
+// detection.
 
 #include <gtest/gtest.h>
 
@@ -8,7 +8,6 @@
 #include <mutex>
 #include <thread>
 
-#include "src/net/piggyback.h"
 #include "src/net/sim_network.h"
 #include "src/net/thread_network.h"
 
@@ -215,67 +214,6 @@ TEST(SimNetworkLatency, DeterministicPerSeed) {
     return net.NowUs();
   };
   EXPECT_EQ(run(9), run(9));
-}
-
-Action RelayedAction(Key k) {
-  Action a;
-  a.kind = ActionKind::kRelayedInsert;
-  a.key = k;
-  return a;
-}
-
-TEST(Piggyback, DefersRelaysUntilDirectTraffic) {
-  net::SimNetwork base(1);
-  net::PiggybackNetwork net(&base, /*max_buffered=*/16);
-  Recorder r0, r1;
-  net.Register(0, &r0);
-  net.Register(1, &r1);
-  for (Key k = 0; k < 5; ++k) net.Send(Message(0, 1, RelayedAction(k)));
-  EXPECT_EQ(net.Buffered(), 5u);
-  EXPECT_EQ(base.Pending(), 0u) << "relays buffered, not sent";
-  // A direct message flushes the buffer onto itself, relays first.
-  net.Send(Message(0, 1, KeyedAction(99)));
-  EXPECT_EQ(net.Buffered(), 0u);
-  EXPECT_EQ(base.Pending(), 1u) << "one combined message";
-  ASSERT_TRUE(base.WaitQuiescent(std::chrono::milliseconds(1000)));
-  auto keys = r1.SenderKeys(0);
-  ASSERT_EQ(keys.size(), 6u);
-  for (Key k = 0; k < 5; ++k) EXPECT_EQ(keys[k], k) << "relay order kept";
-  EXPECT_EQ(keys[5], 99u) << "direct action rides last";
-}
-
-TEST(Piggyback, CapForcesStandaloneFlush) {
-  net::SimNetwork base(1);
-  net::PiggybackNetwork net(&base, /*max_buffered=*/4);
-  Recorder r1;
-  Recorder r0;
-  net.Register(0, &r0);
-  net.Register(1, &r1);
-  for (Key k = 0; k < 4; ++k) net.Send(Message(0, 1, RelayedAction(k)));
-  EXPECT_EQ(net.Buffered(), 0u) << "cap reached: flushed";
-  EXPECT_EQ(base.Pending(), 1u);
-}
-
-TEST(Piggyback, WaitQuiescentFlushesBuffers) {
-  net::SimNetwork base(1);
-  net::PiggybackNetwork net(&base, /*max_buffered=*/64);
-  Recorder r0, r1;
-  net.Register(0, &r0);
-  net.Register(1, &r1);
-  for (Key k = 0; k < 10; ++k) net.Send(Message(0, 1, RelayedAction(k)));
-  EXPECT_TRUE(net.WaitQuiescent(std::chrono::milliseconds(1000)));
-  EXPECT_EQ(r1.total(), 10u);
-  EXPECT_EQ(net.Buffered(), 0u);
-}
-
-TEST(Piggyback, ZeroWindowPassesThrough) {
-  net::SimNetwork base(1);
-  net::PiggybackNetwork net(&base, /*max_buffered=*/0);
-  Recorder r0, r1;
-  net.Register(0, &r0);
-  net.Register(1, &r1);
-  net.Send(Message(0, 1, RelayedAction(1)));
-  EXPECT_EQ(base.Pending(), 1u);
 }
 
 }  // namespace

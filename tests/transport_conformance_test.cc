@@ -1,10 +1,9 @@
 // Transport conformance suite: every Network implementation must honor
 // the paper's §4 assumption — reliable, exactly-once, per-(from,to) FIFO
 // delivery — plus the repo's own contract extensions (reentrant Send from
-// Deliver, WaitQuiescent). Runs against the zero-copy ThreadNetwork fast
-// path, the checked (wire round-trip) ThreadNetwork mode, and SimNetwork,
-// so the PR-2 transport rewrite cannot silently weaken any of them — and
-// against both base transports wrapped in FaultyNetwork (5% drop +
+// Deliver, WaitQuiescent). Runs against the zero-copy ThreadNetwork and
+// SimNetwork, so a transport rewrite cannot silently weaken any of them —
+// and against both base transports wrapped in FaultyNetwork (5% drop +
 // duplicate + reorder + delay) under ReliableNetwork, which must restore
 // the exact same contract over the lossy links.
 
@@ -28,8 +27,7 @@ namespace {
 
 enum class TransportUnderTest {
   kSim,
-  kThreadFast,
-  kThreadChecked,
+  kThread,
   kSimLossy,     // Sim base + FaultyNetwork + ReliableNetwork (virtual timers)
   kThreadLossy,  // Thread base + FaultyNetwork + ReliableNetwork (real timers)
 };
@@ -37,8 +35,7 @@ enum class TransportUnderTest {
 const char* TransportName(TransportUnderTest t) {
   switch (t) {
     case TransportUnderTest::kSim: return "Sim";
-    case TransportUnderTest::kThreadFast: return "ThreadFast";
-    case TransportUnderTest::kThreadChecked: return "ThreadChecked";
+    case TransportUnderTest::kThread: return "Thread";
     case TransportUnderTest::kSimLossy: return "SimLossy";
     case TransportUnderTest::kThreadLossy: return "ThreadLossy";
   }
@@ -96,27 +93,23 @@ std::unique_ptr<net::Network> MakeTransport(TransportUnderTest t,
   switch (t) {
     case TransportUnderTest::kSim:
       return std::make_unique<net::SimNetwork>(7);
-    case TransportUnderTest::kThreadFast:
-      return std::make_unique<net::ThreadNetwork>(net::ThreadNetwork::Options{
-          .checked_wire = false, .byte_stats = byte_stats});
-    case TransportUnderTest::kThreadChecked:
+    case TransportUnderTest::kThread:
       return std::make_unique<net::ThreadNetwork>(
-          net::ThreadNetwork::Options{.checked_wire = true});
+          net::ThreadNetwork::Options{.byte_stats = byte_stats});
     case TransportUnderTest::kSimLossy:
       return std::make_unique<LossyTransport>(
           std::make_unique<net::SimNetwork>(7), /*real_timers=*/false);
     case TransportUnderTest::kThreadLossy:
       return std::make_unique<LossyTransport>(
-          std::make_unique<net::ThreadNetwork>(net::ThreadNetwork::Options{
-              .checked_wire = false, .byte_stats = byte_stats}),
+          std::make_unique<net::ThreadNetwork>(
+              net::ThreadNetwork::Options{.byte_stats = byte_stats}),
           /*real_timers=*/true);
   }
   return nullptr;
 }
 
 bool IsThreaded(TransportUnderTest t) {
-  return t == TransportUnderTest::kThreadFast ||
-         t == TransportUnderTest::kThreadChecked ||
+  return t == TransportUnderTest::kThread ||
          t == TransportUnderTest::kThreadLossy;
 }
 
@@ -307,7 +300,7 @@ TEST_P(TransportConformanceTest, StatsCountRemoteLocalAndBytes) {
   EXPECT_EQ(snap.remote_messages, 1u);
   EXPECT_EQ(snap.local_messages, 1u);
   EXPECT_GT(snap.remote_bytes, 0u)
-      << "fast path must still report wire-model byte costs";
+      << "zero-copy delivery must still report wire-model byte costs";
   EXPECT_EQ(snap.ActionCount(ActionKind::kSearch), 2u);
   net->Stop();
 }
@@ -360,8 +353,7 @@ TEST_P(TransportConformanceTest, LossyRecoveryIsObservable) {
 INSTANTIATE_TEST_SUITE_P(
     AllTransports, TransportConformanceTest,
     ::testing::Values(TransportUnderTest::kSim,
-                      TransportUnderTest::kThreadFast,
-                      TransportUnderTest::kThreadChecked,
+                      TransportUnderTest::kThread,
                       TransportUnderTest::kSimLossy,
                       TransportUnderTest::kThreadLossy),
     [](const ::testing::TestParamInfo<TransportUnderTest>& info) {

@@ -1,5 +1,5 @@
 // Unit tests for the utility kit: Status/StatusOr, Rng, Histogram,
-// BlockingQueue, MpscBatchQueue, WaitGroup.
+// MpscBatchQueue, WaitGroup.
 
 #include <gtest/gtest.h>
 
@@ -160,46 +160,6 @@ TEST(Histogram, LargeValues) {
   EXPECT_EQ(h.count(), 2u);
   EXPECT_EQ(h.max(), 1ull << 62);
   EXPECT_FALSE(h.Summary().empty());
-}
-
-TEST(BlockingQueue, FifoOrder) {
-  BlockingQueue<int> q;
-  for (int i = 0; i < 10; ++i) EXPECT_TRUE(q.Push(i));
-  for (int i = 0; i < 10; ++i) {
-    auto v = q.Pop();
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(*v, i);
-  }
-  EXPECT_TRUE(q.Empty());
-}
-
-TEST(BlockingQueue, CloseWakesAndDrains) {
-  BlockingQueue<int> q;
-  q.Push(1);
-  q.Close();
-  EXPECT_FALSE(q.Push(2)) << "closed queue rejects pushes";
-  EXPECT_EQ(q.Pop().value(), 1) << "drains remaining items";
-  EXPECT_FALSE(q.Pop().has_value());
-}
-
-TEST(BlockingQueue, CrossThreadHandoff) {
-  BlockingQueue<int> q;
-  std::thread producer([&] {
-    for (int i = 0; i < 1000; ++i) q.Push(i);
-    q.Close();
-  });
-  int expected = 0;
-  while (auto v = q.Pop()) {
-    EXPECT_EQ(*v, expected++);
-  }
-  EXPECT_EQ(expected, 1000);
-  producer.join();
-}
-
-TEST(BlockingQueue, PopForTimesOut) {
-  BlockingQueue<int> q;
-  auto v = q.PopFor(std::chrono::milliseconds(10));
-  EXPECT_FALSE(v.has_value());
 }
 
 TEST(MpscBatchQueue, DrainsWholeBatchInOrder) {

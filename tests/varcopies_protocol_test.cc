@@ -115,12 +115,12 @@ TEST(VarCopiesProtocol, MigrationTriggersJoinsAndPathReplication) {
 }
 
 // The Fig.-6 race, constructed deterministically: an insert's relays are
-// delayed (piggyback buffer) while another processor joins the node; the
+// delayed (held in the outbox) while another processor joins the node; the
 // PC's version-gated re-relay must deliver the insert to the new copy.
 TEST(VarCopiesProtocol, Fig6ConcurrentJoinAndInsertNeedsReRelay) {
   ClusterOptions o = SimOptions(ProtocolKind::kVarCopies, 4, 1,
                                 /*fanout=*/4);
-  o.piggyback_window = 100000;  // relays stay buffered until Settle
+  o.piggyback_window = 100000;  // relays stay held until Settle
   Cluster cluster(o);
   cluster.Start();
   Oracle oracle;
@@ -150,7 +150,7 @@ TEST(VarCopiesProtocol, Fig6ConcurrentJoinAndInsertNeedsReRelay) {
   ASSERT_TRUE(cluster.Settle());
 
   // Fill p1's leaf until it splits: the parent pointer insert executes at
-  // p1's local parent copy; its relays sit in the piggyback buffer.
+  // p1's local parent copy; its relays are held in p1's outbox.
   for (int i = 0; i < 8; ++i) {
     Key k = moved_range.low + 1 + i;
     cluster.InsertAsync(1, k, 7, [](const OpResult&) {});

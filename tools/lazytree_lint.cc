@@ -10,7 +10,7 @@
 //      BaseProtocol::Handle dispatch switch, in ActionKindName, and in the
 //      commutativity classification OrderClassOf.
 //   3. Concurrency confinement — std::mutex / std::shared_mutex /
-//      std::condition_variable / BlockingQueue must not appear outside the
+//      std::condition_variable must not appear outside the
 //      approved transport/infrastructure files. Protocol and core code is
 //      single-threaded per processor by design (§1.1); a stray lock there
 //      is a smell that the execution model was violated.
@@ -318,13 +318,11 @@ const char* const kApprovedConcurrencyFiles[] = {
     "src/util/threading.h", "src/util/threading.cc",
     "src/util/mpsc_queue.h",
     // Worker-thread CPU pinning (pthread affinity syscalls only). The
-    // op-combining QueueManager is deliberately NOT here: its only
-    // cross-thread state is one atomic thread-id, and it must stay that
-    // way.
+    // QueueManager outbox is deliberately NOT here: its only cross-thread
+    // state is one atomic thread-id, and it must stay that way.
     "src/util/affinity.h", "src/util/affinity.cc",
-    // The thread transport and its decorators.
+    // The thread transport.
     "src/net/thread_network.h", "src/net/thread_network.cc",
-    "src/net/piggyback.h", "src/net/piggyback.cc",
     // The lossy-link fault injector (per-link mutex guarding send
     // counters / held messages — decorator state, never processor state).
     "src/net/faults.h", "src/net/faults.cc",
@@ -347,7 +345,7 @@ void CheckConcurrencyConfinement(const fs::path& root, Report& report) {
   // must go through the approved wrappers so TSan and the execution-model
   // audit see one surface.
   const std::regex banned(
-      R"(\bstd::(mutex|shared_mutex|recursive_mutex|condition_variable(_any)?|timed_mutex)\b|\bBlockingQueue\s*<|\bpthread_(mutex|cond|rwlock|barrier|spin)_\w+\s*\(|\bpthread_setaffinity_np\s*\()");
+      R"(\bstd::(mutex|shared_mutex|recursive_mutex|condition_variable(_any)?|timed_mutex)\b|\bpthread_(mutex|cond|rwlock|barrier|spin)_\w+\s*\(|\bpthread_setaffinity_np\s*\()");
   std::set<std::string> approved(std::begin(kApprovedConcurrencyFiles),
                                  std::end(kApprovedConcurrencyFiles));
   for (const auto& entry : fs::recursive_directory_iterator(root / "src")) {
@@ -438,12 +436,6 @@ const AtomicOrderJustification kAtomicOrderAllowlist[] = {
      "release store on Begin/EndCombine pairs with the acquire load in "
      "the owner check: buffered batch state must be visible to whichever "
      "thread observes itself as owner"},
-    {"src/net/piggyback.h", "buffered_total_",
-     "acquire load in the quiescence probe pairs with the acq_rel RMWs "
-     "so a zero count implies the channel buffers were really emptied"},
-    {"src/net/piggyback.cc", "buffered_total_",
-     "acq_rel RMWs under the channel mutex keep the count ordered with "
-     "the buffer mutations it summarizes for the lock-free probe"},
     {"src/net/thread_network.cc", "started_",
      "acq_rel CAS makes Start's thread spawning happen-before any "
      "acquire observer; Register's acquire load pairs with it"},
