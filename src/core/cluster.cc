@@ -56,24 +56,27 @@ Cluster::Cluster(ClusterOptions options)
     : options_(std::move(options)), history_(options_.tree.track_history) {
   LAZYTREE_CHECK(options_.processors >= 1) << "need at least one processor";
   const bool threads = options_.transport == TransportKind::kThreads;
+  if (options_.faults.active()) {
+    faults_ = std::make_unique<net::FaultInjector>(options_.faults,
+                                                   options_.processors);
+  }
   if (options_.transport == TransportKind::kSim) {
     auto sim = std::make_unique<net::SimNetwork>(options_.seed);
     if (options_.sim_latency_us > 0) {
       sim->EnableLatency(options_.sim_latency_us, options_.sim_jitter_us);
     }
+    sim->SetFaultInjector(faults_.get());
     sim_ = sim.get();
     base_network_ = std::move(sim);
   } else {
     net::ThreadNetwork::Options topt;
     topt.pin_threads = options_.pin_threads;
     if (options_.max_batch > 0) topt.max_batch = options_.max_batch;
-    base_network_ = std::make_unique<net::ThreadNetwork>(topt);
+    auto thread_net = std::make_unique<net::ThreadNetwork>(topt);
+    thread_net->SetFaultInjector(faults_.get());
+    base_network_ = std::move(thread_net);
   }
   network_ = base_network_.get();
-  if (options_.faults.active()) {
-    faulty_ = std::make_unique<net::FaultyNetwork>(network_, options_.faults);
-    network_ = faulty_.get();
-  }
   const bool reliable_on = options_.reliable < 0
                                ? options_.faults.active()
                                : options_.reliable > 0;
@@ -275,7 +278,6 @@ bool Cluster::Settle(std::chrono::milliseconds timeout) {
 }
 
 bool Cluster::PumpNetworkTimers() {
-  if (faulty_ != nullptr && faulty_->FlushHeld() > 0) return true;
   return reliable_ != nullptr && reliable_->Pump();
 }
 

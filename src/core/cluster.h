@@ -39,12 +39,12 @@ class Cluster {
   uint32_t size() const { return options_.processors; }
   Processor& processor(ProcessorId id) { return *processors_[id]; }
 
-  /// Outermost network (the reliable or fault decorator when enabled).
+  /// Outermost network (the reliable decorator when enabled).
   net::Network& network() { return *network_; }
   /// Non-null when the transport is the deterministic simulator.
   net::SimNetwork* sim() { return sim_; }
   /// Non-null when a fault plan is installed (net/faults.h).
-  net::FaultyNetwork* faulty() { return faulty_.get(); }
+  net::FaultInjector* faulty() { return faults_.get(); }
   /// Non-null when the reliable-delivery layer is on (net/reliable.h).
   net::ReliableNetwork* reliable() { return reliable_.get(); }
   history::HistoryLog& history_log() { return history_; }
@@ -77,11 +77,11 @@ class Cluster {
   bool Settle(std::chrono::milliseconds timeout =
                   std::chrono::milliseconds(30000));
 
-  /// Sim transport only: releases fault-held messages and fires the
-  /// reliable layer's earliest due virtual timer. Returns true if new
-  /// network work appeared — the explorer's drive loop calls this when
-  /// SimNetwork::Step runs dry, which is exactly how retransmissions and
-  /// delayed acks become schedulable, replayable events.
+  /// Sim transport only: fires the reliable layer's earliest due virtual
+  /// timer. Returns true if new network work appeared — the explorer's
+  /// drive loop calls this when SimNetwork::Step runs dry, which is
+  /// exactly how retransmissions and delayed acks become schedulable,
+  /// replayable events.
   bool PumpNetworkTimers();
 
   // --- crash/restart injection (sim transport only) ---
@@ -140,11 +140,12 @@ class Cluster {
 
   ClusterOptions options_;
   history::HistoryLog history_;
+  /// Consulted by the base transport; declared first so it outlives it.
+  std::unique_ptr<net::FaultInjector> faults_;
   /// Decorator stack, innermost first (declaration order matters: outer
   /// layers are destroyed before the layers they wrap):
-  ///   base -> faulty -> reliable.
+  ///   base -> reliable.
   std::unique_ptr<net::Network> base_network_;
-  std::unique_ptr<net::FaultyNetwork> faulty_;
   std::unique_ptr<net::ReliableNetwork> reliable_;
   net::Network* network_ = nullptr;  // outermost
   net::SimNetwork* sim_ = nullptr;

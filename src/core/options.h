@@ -66,9 +66,9 @@ struct ClusterOptions {
   /// Policy for those checks and for VerifyHistories(): duplicate-
   /// application tolerance and the per-check violation report cap.
   history::CheckOptions history_check;
-  /// Link-fault injection (net/faults.h): when the plan is active, a
-  /// FaultyNetwork decorator drops/duplicates/reorders/delays remote
-  /// messages under the plan's own seed, on either transport.
+  /// Link-fault injection (net/faults.h): when the plan is active, the
+  /// base transport drops/duplicates/partitions remote messages under the
+  /// plan's own seed — at send time on threads, at delivery on the sim.
   net::FaultPlan faults;
   /// Reliable-delivery layer (net/reliable.h): -1 auto-resolves to ON
   /// when the fault plan is active and OFF otherwise; 0/1 force it. With

@@ -80,7 +80,7 @@ class ScheduleStrategy {
   virtual size_t PickChannel(const std::vector<ChannelView>& channels) = 0;
 
   /// Optional fault override for the message just picked. nullopt lets the
-  /// network apply its own InjectFaults randomness; a value forces the
+  /// network apply the fault plan (net/faults.h); a value forces the
   /// outcome (trace replay uses this to pin faults). A crashed destination
   /// still wins over any forced value.
   virtual std::optional<DeliveryOutcome> ForceOutcome() {

@@ -1,5 +1,7 @@
 #include "src/net/sim_network.h"
 
+#include <tuple>
+
 #include "src/msg/wire.h"
 #include "src/util/logging.h"
 
@@ -76,7 +78,7 @@ void SimNetwork::Send(Message m) {
     uint64_t& last = last_arrival_[{m.from, m.to}];
     uint64_t arrival = std::max(now_us_ + latency, last);  // FIFO clamp
     last = arrival;
-    timeline_.push(TimedEvent{arrival, event_seq_++, m.to,
+    timeline_.push(TimedEvent{arrival, event_seq_++, m.from, m.to,
                               std::move(encoded)});
     ++pending_;
     return;
@@ -89,77 +91,61 @@ void SimNetwork::Send(Message m) {
 bool SimNetwork::Step() {
   if (pending_ == 0) return false;
   LAZYTREE_CHECK(!in_step_) << "reentrant Step";
+  ProcessorId from;
+  ProcessorId to;
+  std::vector<uint8_t> encoded;
   if (latency_mode_) {
     TimedEvent event = timeline_.top();
     timeline_.pop();
-    --pending_;
     now_us_ = std::max(now_us_, event.arrival_us);
-    if (drop_prob_ > 0 && rng_.Chance(drop_prob_)) {
-      ++dropped_;
-      return true;
-    }
-    auto decoded = wire::DecodeMessage(event.encoded);
-    LAZYTREE_CHECK(decoded.ok())
-        << "wire corruption: " << decoded.status().ToString();
-    ++delivered_;
-    in_step_ = true;
-    receivers_[event.to]->Deliver(std::move(*decoded));
-    in_step_ = false;
-    return true;
-  }
-  nonempty_.clear();
-  for (auto& [key, ch] : channels_) {
-    if (!ch.Empty()) nonempty_.push_back(key);
-  }
-  LAZYTREE_CHECK(!nonempty_.empty()) << "pending_ out of sync";
-  size_t index;
-  if (strategy_ != nullptr) {
-    views_.clear();
-    for (const auto& [from, to] : nonempty_) {
-      views_.push_back(ChannelView{from, to, channels_[{from, to}].Size()});
-    }
-    index = strategy_->PickChannel(views_);
-    LAZYTREE_CHECK(index < nonempty_.size())
-        << "strategy picked channel " << index << " of "
-        << nonempty_.size();
+    from = event.from;
+    to = event.to;
+    encoded = std::move(event.encoded);
   } else {
-    index = rng_.Below(nonempty_.size());
+    nonempty_.clear();
+    for (auto& [key, ch] : channels_) {
+      if (!ch.Empty()) nonempty_.push_back(key);
+    }
+    LAZYTREE_CHECK(!nonempty_.empty()) << "pending_ out of sync";
+    size_t index;
+    if (strategy_ != nullptr) {
+      views_.clear();
+      for (const auto& [f, t] : nonempty_) {
+        views_.push_back(ChannelView{f, t, channels_[{f, t}].Size()});
+      }
+      index = strategy_->PickChannel(views_);
+      LAZYTREE_CHECK(index < nonempty_.size())
+          << "strategy picked channel " << index << " of "
+          << nonempty_.size();
+    } else {
+      index = rng_.Below(nonempty_.size());
+    }
+    std::tie(from, to) = nonempty_[index];
+    Channel& channel = channels_[{from, to}];
+    if (mutation_ == ScheduleMutation::kSwapOrdered && !mutation_applied_) {
+      mutation_applied_ = MaybeSwapOrdered(channel);
+    }
+    encoded = channel.Pop();
   }
-  const auto& pick = nonempty_[index];
-  Channel& channel = channels_[pick];
-  if (mutation_ == ScheduleMutation::kSwapOrdered && !mutation_applied_) {
-    mutation_applied_ = MaybeSwapOrdered(channel);
-  }
-  std::vector<uint8_t> encoded = channel.Pop();
   --pending_;
 
   // Resolve the message's fate: a crashed destination always drops; a
-  // strategy may force an outcome (trace replay); otherwise the network's
-  // own fault randomness applies. The rng_ consumption order below is
-  // exactly the pre-strategy behavior, so legacy seeds replay unchanged.
+  // strategy may force an outcome (trace replay); otherwise the fault
+  // plan decides. Every decision reaches the observer, so faults are
+  // recorded, replayed and minimized like any other scheduling choice.
   DeliveryOutcome outcome = DeliveryOutcome::kDeliver;
   std::optional<DeliveryOutcome> forced =
       strategy_ != nullptr ? strategy_->ForceOutcome() : std::nullopt;
-  // Self-sends model in-process work, not network traffic, and they bypass
-  // any reliable layer stacked above — never fault them (faults.cc holds
-  // the same line for the real fault injector).
-  const bool faultable = pick.first != pick.second;
-  if (IsCrashed(pick.second)) {
+  if (IsCrashed(to)) {
     outcome = DeliveryOutcome::kCrashDrop;
   } else if (forced.has_value() && *forced != DeliveryOutcome::kCrashDrop) {
     outcome = *forced;
-  } else if (faultable && drop_prob_ > 0 && rng_.Chance(drop_prob_)) {
-    outcome = DeliveryOutcome::kDrop;
+  } else if (faults_ != nullptr) {
+    outcome = faults_->Next(from, to);
   }
-  if (observer_ != nullptr && outcome != DeliveryOutcome::kDeliver) {
-    observer_->OnDelivery(pick.first, pick.second, outcome);
-  }
-  if (outcome == DeliveryOutcome::kCrashDrop) {
-    ++crash_dropped_;
-    return true;
-  }
-  if (outcome == DeliveryOutcome::kDrop) {
-    ++dropped_;  // injected fault: the message vanishes
+  if (observer_ != nullptr) observer_->OnDelivery(from, to, outcome);
+  if (outcome == DeliveryOutcome::kDrop ||
+      outcome == DeliveryOutcome::kCrashDrop) {
     return true;
   }
   auto decoded = wire::DecodeMessage(encoded);
@@ -168,22 +154,13 @@ bool SimNetwork::Step() {
   if (mutation_ == ScheduleMutation::kDropRelay && !mutation_applied_) {
     mutation_applied_ = MaybeDropRelay(*decoded);
   }
-  const bool dup = forced.has_value()
-                       ? outcome == DeliveryOutcome::kDuplicate
-                       : faultable && dup_prob_ > 0 && rng_.Chance(dup_prob_);
-  if (observer_ != nullptr && outcome == DeliveryOutcome::kDeliver) {
-    observer_->OnDelivery(pick.first, pick.second,
-                          dup ? DeliveryOutcome::kDuplicate
-                              : DeliveryOutcome::kDeliver);
+  in_step_ = true;
+  if (outcome == DeliveryOutcome::kDuplicate) {
+    ++delivered_;
+    receivers_[to]->Deliver(*decoded);
   }
   ++delivered_;
-  in_step_ = true;
-  receivers_[pick.second]->Deliver(*decoded);
-  if (dup) {
-    ++duplicated_;  // injected fault: delivered twice
-    ++delivered_;
-    receivers_[pick.second]->Deliver(std::move(*decoded));
-  }
+  receivers_[to]->Deliver(std::move(*decoded));
   in_step_ = false;
   return true;
 }

@@ -17,6 +17,7 @@
 
 #include "src/msg/fingerprint.h"
 #include "src/net/channel.h"
+#include "src/net/faults.h"
 #include "src/net/schedule_hook.h"
 #include "src/net/transport.h"
 #include "src/util/rng.h"
@@ -71,18 +72,10 @@ class SimNetwork : public Network {
   bool IsCrashed(ProcessorId p) const {
     return p < crashed_.size() && crashed_[p];
   }
-  uint64_t crash_dropped() const { return crash_dropped_; }
 
-  /// Fault injection — deliberately violates the §4 network assumption
-  /// (reliable, exactly-once) so tests can demonstrate that the lazy
-  /// protocols depend on it. Each delivered message is dropped with
-  /// `drop` probability or delivered twice with `duplicate` probability.
-  void InjectFaults(double drop, double duplicate) {
-    drop_prob_ = drop;
-    dup_prob_ = duplicate;
-  }
-  uint64_t dropped() const { return dropped_; }
-  uint64_t duplicated() const { return duplicated_; }
+  /// Makes links lossy (non-owning; call before any Step). Each popped
+  /// message the strategy does not force gets the injector's outcome.
+  void SetFaultInjector(FaultInjector* faults) { faults_ = faults; }
 
   /// Messages currently queued across all channels.
   size_t Pending() const { return pending_; }
@@ -130,21 +123,18 @@ class SimNetwork : public Network {
   ScheduleStrategy* strategy_ = nullptr;
   DeliveryObserver* observer_ = nullptr;
   std::vector<bool> crashed_;
-  uint64_t crash_dropped_ = 0;
   size_t pending_ = 0;
   uint64_t delivered_ = 0;
   bool in_step_ = false;
   ScheduleMutation mutation_ = ScheduleMutation::kNone;
   bool mutation_applied_ = false;
-  double drop_prob_ = 0;
-  double dup_prob_ = 0;
-  uint64_t dropped_ = 0;
-  uint64_t duplicated_ = 0;
+  FaultInjector* faults_ = nullptr;
 
   // Timestamped (latency) mode.
   struct TimedEvent {
     uint64_t arrival_us;
     uint64_t seq;  // tie-breaker keeps the order deterministic
+    ProcessorId from;
     ProcessorId to;
     std::vector<uint8_t> encoded;
     bool operator>(const TimedEvent& other) const {

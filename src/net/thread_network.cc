@@ -30,6 +30,17 @@ ProcessorId ThreadNetwork::size() const {
 void ThreadNetwork::Send(Message m) {
   LAZYTREE_CHECK(m.to < stations_.size() && stations_[m.to] != nullptr)
       << "send to unregistered p" << m.to;
+  if (faults_ != nullptr) {
+    switch (faults_->Next(m.from, m.to)) {
+      case DeliveryOutcome::kDrop: return;
+      case DeliveryOutcome::kDuplicate: Enqueue(m); break;
+      default: break;
+    }
+  }
+  Enqueue(std::move(m));
+}
+
+void ThreadNetwork::Enqueue(Message m) {
   Station& station = *stations_[m.to];
   // Opt-in byte counts are exact even though no buffer is materialized;
   // self-sends are never counted as network bytes.

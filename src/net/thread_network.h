@@ -24,6 +24,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/net/faults.h"
 #include "src/net/transport.h"
 #include "src/util/mpsc_queue.h"
 
@@ -50,6 +51,11 @@ class ThreadNetwork : public Network {
   explicit ThreadNetwork(Options options);
   ~ThreadNetwork() override;
 
+  /// Makes links lossy (non-owning; call before Start). Each remote Send
+  /// asks the injector first: a dropped message is never counted or put
+  /// in flight, a duplicated one is enqueued and counted twice.
+  void SetFaultInjector(FaultInjector* faults) { faults_ = faults; }
+
   void Register(ProcessorId id, Receiver* receiver) override;
   ProcessorId size() const override;
   void Send(Message m) override;
@@ -66,6 +72,8 @@ class ThreadNetwork : public Network {
     std::thread worker;
   };
 
+  // Counts and enqueues one message (no fault decision).
+  void Enqueue(Message m);
   void WorkerLoop(Station* station);
   // Retires `n` handled (or dropped-at-shutdown) messages; notifies
   // quiescence waiters on the zero transition.
@@ -74,6 +82,7 @@ class ThreadNetwork : public Network {
   bool byte_stats_ = false;
   bool pin_threads_ = true;
   size_t max_batch_ = 128;
+  FaultInjector* faults_ = nullptr;
   std::vector<std::unique_ptr<Station>> stations_;
   std::atomic<bool> started_{false};
   std::atomic<bool> stopped_{false};

@@ -73,7 +73,7 @@ class Network {
   /// the execution loop.
   virtual bool WaitQuiescent(std::chrono::milliseconds timeout) = 0;
 
-  /// Counter sink. Decorators (faults, reliable) override this
+  /// Counter sink. Decorators (the reliable layer) override this
   /// to return the base transport's sink, so a whole decorator stack
   /// reports through one set of counters no matter which layer a caller
   /// holds.

@@ -1,6 +1,8 @@
 #include "src/sim/explorer.h"
 
 #include <algorithm>
+#include <charconv>
+#include <cstdlib>
 #include <map>
 #include <set>
 
@@ -59,6 +61,13 @@ std::vector<std::vector<WorkOp>> GenerateEpisodeWorkload(
 
 namespace {
 
+// Shortest text that parses back to exactly `p`, for the trace meta.
+std::string FormatProbability(double p) {
+  char buf[32];
+  const std::to_chars_result res = std::to_chars(buf, buf + sizeof(buf), p);
+  return std::string(buf, res.ptr);
+}
+
 std::string FoldLines(std::string s) {
   for (char& c : s) {
     if (c == '\n') c = ';';
@@ -88,17 +97,20 @@ EpisodeResult RunEpisodeImpl(const EpisodeConfig& config,
   // at quiescent points, so its retransmissions and acks are part of the
   // recorded schedule.
   options.reliable = config.reliable ? 1 : 0;
+  // Replay pins every outcome via ForceOutcome; the fault plan is only
+  // live while recording. Its seed is the episode's, decorrelated from
+  // the workload and protocol streams.
+  if (replay == nullptr) {
+    options.faults.drop = config.drop;
+    options.faults.duplicate = config.dup;
+    options.faults.seed = config.seed ^ 0xFA17FA17FA17FA17ull;
+  }
 
   Cluster cluster(std::move(options));
   net::SimNetwork* sim = cluster.sim();
   LAZYTREE_CHECK(sim != nullptr) << "episodes need the sim transport";
   sim->SetStrategy(strategy);
   if (recorder != nullptr) sim->SetObserver(recorder);
-  // Replay pins every outcome via ForceOutcome; fault randomness is only
-  // live while recording.
-  if (replay == nullptr && (config.drop > 0 || config.dup > 0)) {
-    sim->InjectFaults(config.drop, config.dup);
-  }
   if (config.mutation != net::ScheduleMutation::kNone) {
     sim->PlantMutation(config.mutation);
   }
@@ -400,6 +412,8 @@ void FillTraceMeta(const EpisodeConfig& config, EpisodeResult& result) {
       std::to_string(config.interior_replication);
   // Written only when on: absent keys read back as 0.
   if (config.reliable) t.meta["reliable"] = "1";
+  if (config.drop > 0) t.meta["drop"] = FormatProbability(config.drop);
+  if (config.dup > 0) t.meta["dup"] = FormatProbability(config.dup);
   if (config.shed_threshold > 0) {
     t.meta["shed_threshold"] = std::to_string(config.shed_threshold);
   }
@@ -411,6 +425,31 @@ void FillTraceMeta(const EpisodeConfig& config, EpisodeResult& result) {
 }
 
 }  // namespace
+
+void ApplyTraceMeta(const ScheduleTrace& trace, EpisodeConfig* config) {
+  auto meta = [&](const char* key) -> const std::string* {
+    auto it = trace.meta.find(key);
+    return it == trace.meta.end() ? nullptr : &it->second;
+  };
+  const std::string* v = nullptr;
+  if (config->shed_threshold == 0 && (v = meta("shed_threshold"))) {
+    config->shed_threshold =
+        static_cast<uint32_t>(std::strtoul(v->c_str(), nullptr, 10));
+  }
+  if (config->mutation == net::ScheduleMutation::kNone &&
+      (v = meta("mutation"))) {
+    config->mutation = net::ParseScheduleMutation(*v);
+  }
+  if (!config->reliable && (v = meta("reliable"))) {
+    config->reliable = *v == "1";
+  }
+  if (config->drop == 0 && (v = meta("drop"))) {
+    config->drop = std::strtod(v->c_str(), nullptr);
+  }
+  if (config->dup == 0 && (v = meta("dup"))) {
+    config->dup = std::strtod(v->c_str(), nullptr);
+  }
+}
 
 bool ParseProtocolKind(const std::string& name, ProtocolKind* out) {
   if (name == "sync") *out = ProtocolKind::kSyncSplit;

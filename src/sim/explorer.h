@@ -94,7 +94,9 @@ struct EpisodeConfig {
   /// deterministically at the first qualifying delivery, so a recorded
   /// trace replayed against the same config reproduces it exactly.
   net::ScheduleMutation mutation = net::ScheduleMutation::kNone;
-  /// Network fault probabilities (record mode only; replay pins outcomes).
+  /// Network fault probabilities: the episode's FaultPlan, seeded from
+  /// `seed` (record mode only; replay pins outcomes). Recorded in the
+  /// trace header when nonzero.
   double drop = 0;
   double dup = 0;
   /// Reliable-delivery layer (net/reliable.h) under the episode. With it
@@ -170,6 +172,13 @@ EpisodeResult RunEpisodeUnder(const EpisodeConfig& config,
                               net::ScheduleStrategy* strategy,
                               TraceRecorder* recorder,
                               const EpisodeHooks& hooks);
+
+/// Fills the episode knobs a trace header records beyond the workload
+/// shape — shed threshold, planted mutation, reliable layer, drop and dup
+/// probabilities — into every one of them `config` leaves at its default.
+/// The fault knobs matter even though replay pins outcomes: they decide
+/// whether the replay is held to the strict oracle, as the recording was.
+void ApplyTraceMeta(const ScheduleTrace& trace, EpisodeConfig* config);
 
 /// Re-executes a recorded schedule. `config` must describe the same
 /// episode the trace came from (protocol, processors, seed, workload

@@ -285,24 +285,9 @@ int RunReplay(const CliOptions& cli) {
       cli, protocols[0], StrategyKind::kUniform, cli.seed ? cli.seed : 1);
   config.crashes.clear();  // the trace carries crash/restart events
   // Episode knobs recorded in the trace header win over CLI defaults, so
-  // verifier-recorded repros (shed/mutation configs) replay verbatim.
-  if (cli.shed_threshold == 0) {
-    auto it = loaded->meta.find("shed_threshold");
-    if (it != loaded->meta.end()) {
-      config.shed_threshold =
-          static_cast<uint32_t>(std::strtoul(it->second.c_str(), nullptr, 10));
-    }
-  }
-  if (cli.mutation.empty()) {
-    auto it = loaded->meta.find("mutation");
-    if (it != loaded->meta.end()) {
-      config.mutation = net::ParseScheduleMutation(it->second);
-    }
-  }
-  if (!cli.reliable) {
-    auto it = loaded->meta.find("reliable");
-    if (it != loaded->meta.end()) config.reliable = it->second == "1";
-  }
+  // verifier-recorded repros (shed/mutation configs) and faulted traces
+  // replay verbatim.
+  ApplyTraceMeta(*loaded, &config);
   EpisodeResult result = ReplayEpisode(config, *loaded);
   std::printf("replay %s: %s (%llu deliveries, %llu diverged)\n",
               cli.replay_path.c_str(), result.ok ? "PASS" : "FAIL",

@@ -39,9 +39,13 @@ Damage RunWithFaults(uint64_t seed, double drop, double dup) {
   // This harness *measures* the damage faults cause; the quiescence hook
   // would abort on the first violation before Damage could be collected.
   o.check_histories = false;
+  // Bare lossy links: the reliable layer would undo the damage.
+  o.faults.drop = drop;
+  o.faults.duplicate = dup;
+  o.faults.seed = seed;
+  o.reliable = 0;
   Cluster cluster(o);
   cluster.Start();
-  cluster.sim()->InjectFaults(drop, dup);
   std::set<Key> keys;
   Rng rng(seed + 7);
   while (keys.size() < 400) keys.insert(rng.Range(1, 1u << 30));
@@ -52,7 +56,6 @@ Damage RunWithFaults(uint64_t seed, double drop, double dup) {
                         [&](const OpResult&) { ++completions; });
   }
   cluster.Settle();
-  cluster.sim()->InjectFaults(0, 0);  // settle bookkeeping honestly
   Damage damage;
   damage.violations = cluster.VerifyHistories().violations.size();
   damage.lost_completions = static_cast<int>(keys.size()) - completions;

@@ -102,16 +102,17 @@ std::vector<std::string> DuplicateViolations(uint64_t seed, bool allow) {
   o.check_histories = false;  // faults are injected deliberately
   o.history_check.allow_duplicate_applications = allow;
   o.history_check.max_violations = 64;
+  o.faults.duplicate = 0.05;
+  o.faults.seed = seed;
+  o.reliable = 0;  // the duplicates must reach the copies
   Cluster cluster(o);
   cluster.Start();
-  cluster.sim()->InjectFaults(/*drop=*/0, /*dup=*/0.05);
   std::vector<Key> keys = RandomKeys(400, seed + 7);
   for (size_t i = 0; i < keys.size(); ++i) {
     cluster.InsertAsync(static_cast<ProcessorId>(i % 5), keys[i], 1,
                         [](const OpResult&) {});
   }
   cluster.Settle();
-  cluster.sim()->InjectFaults(0, 0);
   std::vector<std::string> dup;
   for (const std::string& v : cluster.VerifyHistories().violations) {
     if (v.find("applied ") != std::string::npos &&

@@ -70,15 +70,16 @@ Action KeyedAction(Key k) {
 // next_seq wrapping past UINT64_MAX, because both compare sequence numbers
 // with serial arithmetic, not magnitude.
 TEST(ReliableNetTest, DedupWindowSurvivesSequenceWraparound) {
-  net::SimNetwork sim(7);
   net::FaultPlan plan;
   plan.drop = 0.25;      // force retransmissions across the wrap
   plan.duplicate = 0.5;  // force dedup decisions across the wrap
   plan.seed = 3;
-  net::FaultyNetwork faulty(&sim, plan);
+  net::FaultInjector faulty(plan, /*processors=*/2);
+  net::SimNetwork sim(7);
+  sim.SetFaultInjector(&faulty);
   net::ReliabilityOptions ropt;
   ropt.initial_seq = UINT64_MAX - 3;  // wrap after four sends
-  net::ReliableNetwork reliable(&faulty, ropt);
+  net::ReliableNetwork reliable(&sim, ropt);
 
   Recorder r0, r1;
   reliable.Register(0, &r0);

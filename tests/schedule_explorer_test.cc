@@ -154,6 +154,7 @@ EpisodeConfig ConfigFromMeta(const ScheduleTrace& trace) {
       static_cast<ProcessorId>(MetaInt(trace, "starve_victim"));
   config.strategy.starve_cap =
       static_cast<uint32_t>(MetaInt(trace, "starve_cap"));
+  sim::ApplyTraceMeta(trace, &config);
   return config;
 }
 
@@ -231,6 +232,39 @@ TEST(ScheduleExplorer, MinimizerShrinksAFailingTraceDeterministically) {
       sim::ReplayEpisode(failing_config, minimized->trace);
   EXPECT_FALSE(repro.ok);
   EXPECT_EQ(repro.Signature(), minimized->signature);
+}
+
+// A faulted trace carries its fault plan: rebuilt from the header alone,
+// the replay config is as unreliable and faulted as the recording's, so
+// the replay skips the strict oracle exactly as the recording did and
+// reports the identical violation list — not merely the same first entry.
+TEST(ScheduleExplorer, FaultedTraceReplaysItsViolationListFromMeta) {
+  EpisodeResult failing;
+  bool found = false;
+  for (uint64_t seed = 1; seed <= 6 && !found; ++seed) {
+    EpisodeConfig config =
+        BaseConfig(ProtocolKind::kSemiSyncSplit, StrategyKind::kUniform,
+                   seed);
+    config.drop = 0.02;
+    config.dup = 0.01;
+    failing = sim::RunEpisode(config);
+    found = !failing.ok;
+  }
+  ASSERT_TRUE(found) << "2% message loss must be detectable within 6 seeds";
+  EXPECT_EQ(failing.trace.meta.at("drop"), "0.02");
+  EXPECT_EQ(failing.trace.meta.at("dup"), "0.01");
+  EXPECT_EQ(failing.trace.meta.count("reliable"), 0u);
+
+  StatusOr<ScheduleTrace> reparsed =
+      ScheduleTrace::Parse(failing.trace.Serialize());
+  ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString();
+  EpisodeConfig rebuilt = ConfigFromMeta(*reparsed);
+  EXPECT_EQ(rebuilt.drop, 0.02);
+  EXPECT_EQ(rebuilt.dup, 0.01);
+  EXPECT_FALSE(rebuilt.clean());
+  EpisodeResult replayed = sim::ReplayEpisode(rebuilt, *reparsed);
+  EXPECT_EQ(replayed.replay_diverged, 0u);
+  EXPECT_EQ(replayed.violations, failing.violations);
 }
 
 // Replaying a clean trace against a deliberately faulted replay config

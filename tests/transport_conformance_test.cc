@@ -3,9 +3,9 @@
 // delivery — plus the repo's own contract extensions (reentrant Send from
 // Deliver, WaitQuiescent). Runs against the zero-copy ThreadNetwork and
 // SimNetwork, so a transport rewrite cannot silently weaken any of them —
-// and against both base transports wrapped in FaultyNetwork (5% drop +
-// duplicate + reorder + delay) under ReliableNetwork, which must restore
-// the exact same contract over the lossy links.
+// and against both base transports made lossy by a FaultInjector (5% drop
+// + 5% duplicate) under ReliableNetwork, which must restore the exact same
+// contract over the lossy links.
 
 #include <gtest/gtest.h>
 
@@ -28,8 +28,8 @@ namespace {
 enum class TransportUnderTest {
   kSim,
   kThread,
-  kSimLossy,     // Sim base + FaultyNetwork + ReliableNetwork (virtual timers)
-  kThreadLossy,  // Thread base + FaultyNetwork + ReliableNetwork (real timers)
+  kSimLossy,     // lossy Sim base + ReliableNetwork (virtual timers)
+  kThreadLossy,  // lossy Thread base + ReliableNetwork (real timers)
 };
 
 const char* TransportName(TransportUnderTest t) {
@@ -46,25 +46,28 @@ net::FaultPlan LossyPlan() {
   net::FaultPlan plan;
   plan.drop = 0.05;
   plan.duplicate = 0.05;
-  plan.reorder = 0.05;
-  plan.delay = 0.02;
   plan.seed = 11;
   return plan;
 }
 
-/// The lossy stack under test: base transport, a FaultyNetwork breaking
-/// its links, and a ReliableNetwork restoring the §4 contract on top.
-/// Declaration order is destruction-order-critical (reverse of wrapping).
+/// Most processors any conformance case registers.
+constexpr ProcessorId kMaxProcs = 16;
+
+/// The lossy stack under test: a base transport whose links a
+/// FaultInjector breaks, and a ReliableNetwork restoring the §4 contract
+/// on top. Declaration order is destruction-order-critical (reverse of
+/// wrapping).
 class LossyTransport : public net::Network {
  public:
-  LossyTransport(std::unique_ptr<net::Network> base, bool real_timers)
-      : base_(std::move(base)),
-        faulty_(std::make_unique<net::FaultyNetwork>(base_.get(),
-                                                     LossyPlan())) {
+  template <typename Base>
+  LossyTransport(std::unique_ptr<Base> base, bool real_timers)
+      : faulty_(std::make_unique<net::FaultInjector>(LossyPlan(),
+                                                     kMaxProcs)) {
+    base->SetFaultInjector(faulty_.get());
+    base_ = std::move(base);
     net::ReliabilityOptions ropt;
     ropt.real_timers = real_timers;
-    reliable_ =
-        std::make_unique<net::ReliableNetwork>(faulty_.get(), ropt);
+    reliable_ = std::make_unique<net::ReliableNetwork>(base_.get(), ropt);
   }
 
   void Register(ProcessorId id, net::Receiver* receiver) override {
@@ -79,12 +82,12 @@ class LossyTransport : public net::Network {
   }
   net::NetworkStats& stats() override { return reliable_->stats(); }
 
-  net::FaultyNetwork& faulty() { return *faulty_; }
+  net::FaultInjector& faulty() { return *faulty_; }
   net::ReliableNetwork& reliable() { return *reliable_; }
 
  private:
+  std::unique_ptr<net::FaultInjector> faulty_;
   std::unique_ptr<net::Network> base_;
-  std::unique_ptr<net::FaultyNetwork> faulty_;
   std::unique_ptr<net::ReliableNetwork> reliable_;
 };
 

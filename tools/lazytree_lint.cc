@@ -323,9 +323,6 @@ const char* const kApprovedConcurrencyFiles[] = {
     "src/util/affinity.h", "src/util/affinity.cc",
     // The thread transport.
     "src/net/thread_network.h", "src/net/thread_network.cc",
-    // The lossy-link fault injector (per-link mutex guarding send
-    // counters / held messages — decorator state, never processor state).
-    "src/net/faults.h", "src/net/faults.cc",
     // The reliable-delivery layer: channel windows and timers are shared
     // between sender threads, the delivery path, and the real-timer
     // thread, guarded by one decorator-internal mutex; processors still
