@@ -26,10 +26,12 @@ Cost RunOne(ProtocolKind protocol, uint32_t copies) {
   o.tree.track_history = false;
   Cluster cluster(o);
   cluster.Start();
-  auto result = bench::RunThreadWorkload(cluster, copies, 1500,
-                                         /*insert_fraction=*/1.0, 11);
+  workload::UniformDist keys(bench::kKeySpace);
+  const workload::DriveResult result = workload::Drive(
+      cluster, bench::InsertSearch(&keys, 1500 * copies,
+                                   /*insert_fraction=*/1.0, 11));
   Cost cost;
-  cost.msgs_per_insert = result.RemoteMsgsPerOp();
+  cost.msgs_per_insert = result.PerOp(result.net.remote_messages);
   cost.ops_per_sec = result.OpsPerSec();
   return cost;
 }

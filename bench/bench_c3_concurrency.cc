@@ -30,29 +30,12 @@ Mixed RunOne(ProtocolKind protocol, double insert_fraction) {
 
   // Hot range: all traffic within [1, 50'000] so node-level contention
   // is real.
-  std::vector<std::thread> clients;
-  std::atomic<uint64_t> done{0};
-  const uint64_t t0 = NowNanos();
-  for (int c = 0; c < 6; ++c) {
-    clients.emplace_back([&, c] {
-      Rng rng(41 * (c + 1));
-      for (int i = 0; i < 2000; ++i) {
-        Key k = rng.Range(1, 50000);
-        if (rng.NextDouble() < insert_fraction) {
-          cluster.Insert(static_cast<ProcessorId>(c), k, 1);
-        } else {
-          cluster.Search(static_cast<ProcessorId>(c), k);
-        }
-        done.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-  for (auto& t : clients) t.join();
-  cluster.Settle();
+  workload::UniformDist keys(50001);
+  const workload::DriveResult result = workload::Drive(
+      cluster, bench::InsertSearch(&keys, 12000, insert_fraction, 41));
   Mixed out;
-  out.ops_per_sec = done.load() / ((NowNanos() - t0) * 1e-9);
-  out.lock_rounds =
-      cluster.NetStats().ActionCount(ActionKind::kVigorousLock);
+  out.ops_per_sec = result.OpsPerSec();
+  out.lock_rounds = result.net.ActionCount(ActionKind::kVigorousLock);
   return out;
 }
 

@@ -35,15 +35,17 @@ void Run() {
     Cluster cluster(o);
     cluster.Start();
 
-    auto result = bench::RunSimWorkload(cluster, 5000,
-                                        /*insert_fraction=*/0.8, 17);
+    workload::UniformDist keys(bench::kKeySpace);
+    const workload::DriveResult result = workload::Drive(
+        cluster, bench::InsertSearch(&keys, 5000, /*insert_fraction=*/0.8,
+                                     17));
     auto report = cluster.VerifyHistories();
     uint64_t piggybacked =
         window == 0 ? 0 : cluster.network().stats().Snapshot()
                               .piggybacked_actions;
     table.Row({window == 0 ? "off" : std::to_string(window),
-               bench::Fmt("%.2f", result.RemoteMsgsPerOp()),
-               bench::Fmt("%.0f", result.BytesPerOp()),
+               bench::Fmt("%.2f", result.PerOp(result.net.remote_messages)),
+               bench::Fmt("%.0f", result.PerOp(result.net.remote_bytes)),
                bench::FmtU(piggybacked), report.ok() ? "yes" : "NO"});
     if (!report.ok()) std::printf("%s\n", report.ToString().c_str());
   }

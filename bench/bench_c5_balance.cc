@@ -8,7 +8,7 @@
 // dropped.
 
 #include "bench/bench_util.h"
-#include "src/protocol/mobile.h"
+#include "src/core/balancer.h"
 
 namespace lazytree {
 namespace {
@@ -38,17 +38,15 @@ void Run() {
     cluster.Start();
 
     // Skewed ingest: everything submitted at (and kept on) p0.
-    Rng rng(3);
-    for (int i = 0; i < 3000; ++i) {
-      cluster.InsertAsync(0, rng.Range(1, 1ull << 40), 1,
-                          [](const OpResult&) {});
-      if (i % 128 == 0) cluster.Settle();
-    }
-    cluster.Settle();
+    workload::UniformDist keys(bench::kKeySpace);
+    workload::DriveSpec ingest = bench::InsertSearch(&keys, 3000, 1.0, 3);
+    ingest.home = 0;
+    workload::Load(cluster, ingest);
 
     auto search_cost = [&](uint64_t seed) {
-      auto r = bench::RunSimWorkload(cluster, 2000, 0.0, seed);
-      return r.hops.mean();
+      return workload::Drive(cluster, bench::InsertSearch(&keys, 2000, 0.0,
+                                                          seed))
+          .hops.mean();
     };
 
     Balancer balancer(&cluster);

@@ -11,10 +11,7 @@
 // processor makespan model) and messages per op, with and without the
 // countermeasure the paper proposes.
 
-#include <set>
-
 #include "bench/bench_util.h"
-#include "src/workload/generator.h"
 
 namespace lazytree {
 namespace {
@@ -37,31 +34,13 @@ PatternResult RunPattern(const std::string& pattern, bool countermeasure,
   Cluster cluster(o);
   cluster.Start();
 
-  workload::OpMix mix;
-  mix.insert = 0.6;
-  mix.search = 0.4;
-  workload::Generator gen(mix,
-                          workload::MakeDistribution(pattern, 1u << 30),
-                          seed + 1);
-
   std::vector<uint64_t> before(o.processors);
   for (ProcessorId id = 0; id < o.processors; ++id) {
     before[id] = cluster.processor(id).actions_handled();
   }
-  auto net_before = cluster.NetStats();
-  constexpr size_t kOps = 5000;
-  Rng home_rng(seed + 2);
-  for (size_t i = 0; i < kOps; ++i) {
-    workload::GenOp op = gen.Next();
-    ProcessorId home = static_cast<ProcessorId>(home_rng.Below(6));
-    if (op.type == workload::GenOp::Type::kInsert) {
-      cluster.InsertAsync(home, op.key, op.value, [](const OpResult&) {});
-    } else {
-      cluster.SearchAsync(home, op.key, [](const OpResult&) {});
-    }
-    if (i % 64 == 63) cluster.Settle();
-  }
-  cluster.Settle();
+  auto keys = workload::MakeDistribution(pattern, 1u << 30);
+  const workload::DriveResult run = workload::Drive(
+      cluster, bench::InsertSearch(keys.get(), 5000, 0.6, seed + 1));
 
   PatternResult result;
   uint64_t total = 0, max_handled = 0;
@@ -70,9 +49,8 @@ PatternResult RunPattern(const std::string& pattern, bool countermeasure,
     total += handled;
     max_handled = std::max(max_handled, handled);
   }
-  auto net = cluster.NetStats() - net_before;
   result.max_share = total ? double(max_handled) / total : 0;
-  result.msgs_per_op = double(net.remote_messages) / kOps;
+  result.msgs_per_op = run.PerOp(run.net.remote_messages);
   return result;
 }
 

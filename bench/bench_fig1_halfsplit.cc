@@ -39,10 +39,11 @@ void Run() {
     Cluster cluster(o);
     cluster.Start();
 
-    auto before = cluster.NetStats();
-    auto result = bench::RunSimWorkload(cluster, 6000,
-                                        /*insert_fraction=*/1.0, 11);
-    auto net = result.net;
+    workload::UniformDist keys(bench::kKeySpace);
+    const workload::DriveResult result = workload::Drive(
+        cluster, bench::InsertSearch(&keys, 6000, /*insert_fraction=*/1.0,
+                                     11));
+    const net::StatsSnapshot& net = result.net;
 
     // Count splits from the final tree shape: every node beyond the
     // bootstrap pair came from one split (or root growth).
@@ -64,8 +65,7 @@ void Run() {
                bench::Fmt("%.2f",
                           net.ActionCount(ActionKind::kCreateNode) /
                               splits),
-               bench::FmtU(result.completed)});
-    (void)before;
+               bench::FmtU(result.completed - result.failed)});
   }
   std::printf(
       "\nShape check: lazy protocols complete splits in O(copies) "

@@ -35,15 +35,17 @@ void Run() {
     o.tree.interior_replication = repl;
     Cluster cluster(o);
     cluster.Start();
-    bench::Preload(cluster, 4000, 77);
+    workload::UniformDist keys(bench::kKeySpace);
+    workload::Load(cluster, bench::InsertSearch(&keys, 4000, 1.0, 77));
 
-    auto result = bench::RunSimWorkload(cluster, 8000,
-                                        /*insert_fraction=*/0.0, 21);
+    const workload::DriveResult result = workload::Drive(
+        cluster, bench::InsertSearch(&keys, 8000, /*insert_fraction=*/0.0,
+                                     21));
     const double local = static_cast<double>(result.net.local_messages);
     const double remote = static_cast<double>(result.net.remote_messages);
     table.Row({repl == 8 ? "8 (=P, everywhere)" : std::to_string(repl),
-               bench::Fmt("%.2f", remote / result.ops),
-               bench::Fmt("%.2f", local / result.ops),
+               bench::Fmt("%.2f", remote / result.ops()),
+               bench::Fmt("%.2f", local / result.ops()),
                bench::Fmt("%.2f", local / (local + remote)),
                bench::Fmt("%.0f", result.hops.P50()),
                bench::Fmt("%.0f", result.hops.P99())});

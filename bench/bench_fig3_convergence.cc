@@ -13,6 +13,15 @@
 namespace lazytree {
 namespace {
 
+/// Uniform keys that remember every insert that completed: the loaded
+/// keys the mid-race searches probe.
+class LoadedKeys : public workload::UniformDist {
+ public:
+  LoadedKeys() : UniformDist(bench::kKeySpace) {}
+  void Completed(Key key) override { keys.push_back(key); }
+  std::vector<Key> keys;
+};
+
 void Run() {
   bench::Banner(
       "F3", "Fig. 3 — concurrent lazy inserts on a replicated parent",
@@ -35,7 +44,9 @@ void Run() {
     Cluster cluster(o);
     cluster.Start();
     // A modest tree so leaves hang under replicated interior parents.
-    std::vector<Key> keys = bench::Preload(cluster, 600, 5);
+    LoadedKeys loaded;
+    workload::Load(cluster, bench::InsertSearch(&loaded, 600, 1.0, 5));
+    const std::vector<Key>& keys = loaded.keys;
 
     // Race: enqueue a burst of inserts that will split many leaves
     // "at about the same time", plus concurrent searches that must keep

@@ -33,17 +33,10 @@ SplitCost RunOne(ProtocolKind protocol, uint32_t copies, uint64_t seed) {
   Cluster cluster(o);
   cluster.Start();
 
-  Rng rng(seed + 5);
-  std::set<Key> keys;
-  while (keys.size() < 1200) keys.insert(rng.Range(1, 1ull << 40));
-  size_t i = 0;
-  for (Key k : keys) {
-    cluster.InsertAsync(static_cast<ProcessorId>(i++ % copies), k, 1,
-                        [](const OpResult&) {});
-  }
-  cluster.Settle();
-  auto net = cluster.NetStats();
-  auto snap = net;
+  workload::UniformDist keys(bench::kKeySpace);
+  const net::StatsSnapshot snap =
+      workload::Load(cluster, bench::InsertSearch(&keys, 1200, 1.0, seed + 5))
+          .net;
 
   SplitCost cost;
   if (protocol == ProtocolKind::kSyncSplit) {
@@ -119,8 +112,13 @@ void Run() {
       o.tree.track_history = false;
       Cluster cluster(o);
       cluster.Start();
-      Histogram latency = bench::RunSimLatencyWorkload(
-          cluster, 1500, /*insert_fraction=*/1.0, 7);
+      workload::UniformDist keys(bench::kKeySpace);
+      const Histogram latency =
+          workload::Drive(cluster,
+                          bench::InsertSearch(&keys, 1500,
+                                              /*insert_fraction=*/1.0, 7,
+                                              /*window=*/16))
+              .latency_us;
       lat.Row({ProtocolKindName(protocol), std::to_string(copies),
                bench::Fmt("%.0f", latency.P50()),
                bench::Fmt("%.0f", latency.P95()),

@@ -1,16 +1,13 @@
-// Transport microbenchmark + protocol throughput pipeline.
+// Transport microbenchmark: the raw ThreadNetwork message hot path.
 //
-// Part 1 measures the raw ThreadNetwork message hot path: msgs/sec,
+// Measures msgs/sec,
 // actions/sec and delivery latency (p50/p99) of zero-copy delivery, over
 // three coalesced-message mixes shaped like what the processors' outboxes
 // hand the transport: pure relayed-insert batches, a mixed stream with
 // occasional snapshot-bearing split relays, and a split-heavy stream
 // where every action carries a node snapshot (the |copies(n)| relay
-// traffic the paper's lazy protocols generate).
-//
-// Part 2 measures end-to-end protocol throughput (ops/sec) on the thread
-// transport for {naive, sync, semisync} at 4/8/16 processors, so future
-// PRs have a recorded perf trajectory.
+// traffic the paper's lazy protocols generate). End-to-end protocol
+// throughput lives in bench_scenarios' `protocols` rows.
 //
 // `--json PATH` writes the full result set (bench_transport.json in the
 // build directory via the `lazytree_bench` target); `--smoke` runs only the
@@ -18,17 +15,19 @@
 // (`ctest -L bench`). Build with -DCMAKE_BUILD_TYPE=Release for numbers
 // worth recording.
 
+#include <atomic>
 #include <cstring>
 #include <fstream>
+#include <thread>
 
 #include "bench/bench_util.h"
 #include "src/net/thread_network.h"
+#include "src/util/histogram.h"
 #include "src/util/logging.h"
+#include "src/util/threading.h"
 
 namespace lazytree {
 namespace {
-
-// --- Part 1: raw transport ---
 
 /// Per-station sink: timestamps carried in Action::value become delivery
 /// latency samples. Each station's histogram is touched only by its own
@@ -183,53 +182,6 @@ TransportResult RunTransportBench(const MixSpec& mix, int stations,
   return r;
 }
 
-// --- Part 2: protocol throughput ---
-
-struct ProtocolResult {
-  ProtocolKind protocol;
-  uint32_t processors;
-  double ops_per_sec = 0;
-  double remote_msgs_per_op = 0;
-  /// Link loss injected for this row (0 = pristine network, no reliable
-  /// layer) and the reliability counters it produced (net/reliable.h).
-  double drop = 0;
-  uint64_t retransmits = 0;
-  uint64_t duplicates_dropped = 0;
-  uint64_t acks_piggybacked = 0;
-  uint64_t link_down = 0;
-};
-
-ProtocolResult RunProtocolBench(ProtocolKind protocol, uint32_t processors,
-                                size_t ops_per_client, double drop = 0) {
-  ClusterOptions o;
-  o.processors = processors;
-  o.protocol = protocol;
-  o.transport = TransportKind::kThreads;
-  o.tree.max_entries = 24;
-  o.tree.track_history = false;
-  if (drop > 0) {
-    o.faults.drop = drop;
-    o.faults.seed = 29;
-    o.reliability.max_retransmits = 20;
-  }
-  Cluster cluster(o);
-  cluster.Start();
-  bench::RunResult run = bench::RunThreadWorkload(
-      cluster, /*clients=*/static_cast<int>(processors), ops_per_client,
-      /*insert_fraction=*/0.5, /*seed=*/17);
-  ProtocolResult r;
-  r.protocol = protocol;
-  r.processors = processors;
-  r.ops_per_sec = run.OpsPerSec();
-  r.remote_msgs_per_op = run.RemoteMsgsPerOp();
-  r.drop = drop;
-  r.retransmits = run.net.retransmits;
-  r.duplicates_dropped = run.net.duplicates_dropped;
-  r.acks_piggybacked = run.net.acks_piggybacked;
-  r.link_down = run.net.link_down;
-  return r;
-}
-
 // --- driver ---
 
 struct MixResult {
@@ -237,52 +189,27 @@ struct MixResult {
   TransportResult result;
 };
 
-void WriteJson(const std::string& path, const std::vector<MixResult>& mixes,
-               const std::vector<ProtocolResult>& protocols) {
+void WriteJson(const std::string& path,
+               const std::vector<MixResult>& mixes) {
   std::ofstream out(path);
   LAZYTREE_CHECK(out.good()) << "cannot write " << path;
   char buf[512];
-  out << "{\n  \"bench\": \"PR2 transport + protocol pipeline\",\n";
+  out << "{\n  \"bench\": \"transport hot path\",\n";
   std::snprintf(buf, sizeof(buf), "  \"hardware_threads\": %u,\n",
                 std::thread::hardware_concurrency());
   out << buf;
-  auto transport_obj = [&](const char* name, const TransportResult& r) {
-    std::snprintf(
-        buf, sizeof(buf),
-        "      \"%s\": {\"messages\": %llu, \"msgs_per_sec\": %.0f, "
-        "\"actions_per_sec\": %.0f, \"p50_us\": %.1f, \"p99_us\": %.1f}",
-        name, static_cast<unsigned long long>(r.messages), r.msgs_per_sec,
-        r.actions_per_sec, r.p50_us, r.p99_us);
-    out << buf;
-  };
-  out << "  \"transport\": {\n    \"mixes\": [\n";
+  out << "  \"mixes\": [\n";
   for (size_t i = 0; i < mixes.size(); ++i) {
     const MixResult& m = mixes[i];
-    std::snprintf(buf, sizeof(buf),
-                  "    {\"mix\": \"%s\", \"actions_per_msg\": %d,\n",
-                  m.mix->name, m.mix->actions_per_msg);
-    out << buf;
-    transport_obj("zero_copy", m.result);
-    out << (i + 1 < mixes.size() ? "},\n" : "}\n");
-  }
-  out << "    ]\n  },\n";
-  out << "  \"protocols\": [\n";
-  for (size_t i = 0; i < protocols.size(); ++i) {
-    const ProtocolResult& p = protocols[i];
     std::snprintf(
         buf, sizeof(buf),
-        "    {\"protocol\": \"%s\", \"processors\": %u, "
-        "\"ops_per_sec\": %.0f, \"remote_msgs_per_op\": %.2f, "
-        "\"drop_pct\": %.1f, \"retransmits\": %llu, "
-        "\"duplicates_dropped\": %llu, \"acks_piggybacked\": %llu, "
-        "\"link_down\": %llu}%s\n",
-        ProtocolKindName(p.protocol), p.processors, p.ops_per_sec,
-        p.remote_msgs_per_op, p.drop * 100,
-        static_cast<unsigned long long>(p.retransmits),
-        static_cast<unsigned long long>(p.duplicates_dropped),
-        static_cast<unsigned long long>(p.acks_piggybacked),
-        static_cast<unsigned long long>(p.link_down),
-        i + 1 < protocols.size() ? "," : "");
+        "    {\"mix\": \"%s\", \"actions_per_msg\": %d, \"messages\": %llu, "
+        "\"msgs_per_sec\": %.0f, \"actions_per_sec\": %.0f, "
+        "\"p50_us\": %.1f, \"p99_us\": %.1f}%s\n",
+        m.mix->name, m.mix->actions_per_msg,
+        static_cast<unsigned long long>(m.result.messages),
+        m.result.msgs_per_sec, m.result.actions_per_sec, m.result.p50_us,
+        m.result.p99_us, i + 1 < mixes.size() ? "," : "");
     out << buf;
   }
   out << "  ]\n}\n";
@@ -354,46 +281,9 @@ int Run(int argc, char** argv) {
                bench::Fmt("%.1f", m.result.p99_us)});
     mixes.push_back(m);
   }
-  std::printf("\n");
-
-  bench::Banner("T2", "protocol ops/sec on the thread transport",
-                "End-to-end throughput per protocol and cluster size\n"
-                "(50% inserts, synchronous clients, one per processor).");
-  std::vector<ProtocolResult> protocols;
-  bench::Table ptable({"protocol", "procs", "ops/sec", "remote msgs/op"});
-  ptable.Header();
-  for (uint32_t procs : {4u, 8u, 16u}) {
-    for (ProtocolKind kind :
-         {ProtocolKind::kNaive, ProtocolKind::kSyncSplit,
-          ProtocolKind::kSemiSyncSplit}) {
-      protocols.push_back(RunProtocolBench(kind, procs,
-                                           /*ops_per_client=*/1000));
-      const ProtocolResult& p = protocols.back();
-      ptable.Row({ProtocolKindName(p.protocol), bench::FmtU(p.processors),
-                  bench::Fmt("%.0f", p.ops_per_sec),
-                  bench::Fmt("%.2f", p.remote_msgs_per_op)});
-    }
-  }
-
-  // One lossy row prices the reliable layer under real loss on the
-  // thread transport; bench_faults has the full sweep.
-  protocols.push_back(RunProtocolBench(ProtocolKind::kSemiSyncSplit, 4,
-                                       /*ops_per_client=*/1000,
-                                       /*drop=*/0.01));
-  {
-    const ProtocolResult& p = protocols.back();
-    std::printf(
-        "\nsemisync @ 1%% drop (4 procs, reliable layer): %.0f ops/sec, "
-        "%llu retransmits, %llu deduped, %llu piggybacked acks, %llu "
-        "links down\n",
-        p.ops_per_sec, static_cast<unsigned long long>(p.retransmits),
-        static_cast<unsigned long long>(p.duplicates_dropped),
-        static_cast<unsigned long long>(p.acks_piggybacked),
-        static_cast<unsigned long long>(p.link_down));
-  }
 
   if (!json_path.empty()) {
-    WriteJson(json_path, mixes, protocols);
+    WriteJson(json_path, mixes);
     std::printf("\nwrote %s\n", json_path.c_str());
   }
   return 0;

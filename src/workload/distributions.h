@@ -25,6 +25,9 @@ class KeyDistribution {
   virtual ~KeyDistribution() = default;
   virtual Key Next(Rng& rng) = 0;
   virtual const char* name() const = 0;
+  /// A write of `key` completed OK. Distributions that skew toward what
+  /// was written (LatestDist) learn from it; the rest ignore it.
+  virtual void Completed(Key /*key*/) {}
 };
 
 /// Uniform over the key space.
@@ -104,10 +107,11 @@ class HotspotDist : public KeyDistribution {
 
 /// YCSB's "latest" distribution, made race-free: reads skew (zipfian)
 /// toward the most recently *completed* inserts. The insert side calls
-/// Publish(key) from the operation's completion callback — never at
-/// submit time — so every key Next() can hand out refers to an insert
-/// whose reply some client has already seen, and a search for it must
-/// succeed (the leaf applied the insert before the reply was sent).
+/// Publish(key) once the operation completed (workload::Drive does it
+/// through Completed) — never at submit time — so every key Next() can
+/// hand out refers to an insert whose reply some client has already
+/// seen, and a search for it must succeed (the leaf applied the insert
+/// before the reply was sent).
 /// Sampling keys derived from the *issue* counter instead is the ycsb-d
 /// anomaly BENCH_PR6 exposed: reads race their own in-flight inserts and
 /// not_found explodes on the threads transport — 2563 vs 104 on sim for
@@ -143,6 +147,7 @@ class LatestDist : public KeyDistribution {
     return ring_[(h - rank) % window_].load(std::memory_order_acquire);
   }
   const char* name() const override { return "latest"; }
+  void Completed(Key key) override { Publish(key); }
 
  private:
   ZipfianDist rank_dist_;

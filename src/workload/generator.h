@@ -5,7 +5,6 @@
 #ifndef LAZYTREE_WORKLOAD_GENERATOR_H_
 #define LAZYTREE_WORKLOAD_GENERATOR_H_
 
-#include <memory>
 #include <vector>
 
 #include "src/workload/distributions.h"
@@ -18,10 +17,12 @@ struct OpMix {
   double search = 0.5;
   double erase = 0.0;
   double scan = 0.0;
+  double update = 0.0;  ///< a write of a key drawn like a search's
+  double rmw = 0.0;     ///< read-modify-write: search, then write value+1
 };
 
 struct GenOp {
-  enum class Type { kInsert, kSearch, kDelete, kScan };
+  enum class Type { kInsert, kSearch, kDelete, kScan, kRmw };
   Type type = Type::kSearch;
   Key key = 0;
   Value value = 0;
@@ -32,8 +33,10 @@ const char* GenOpName(GenOp::Type type);
 
 class Generator {
  public:
-  Generator(OpMix mix, std::unique_ptr<KeyDistribution> dist,
-            uint64_t seed);
+  /// Searches, updates, scans and rmws draw from `keys`; inserts draw
+  /// from `fresh`, or from `keys` when it is null. Neither is owned.
+  Generator(OpMix mix, KeyDistribution* keys, uint64_t seed,
+            KeyDistribution* fresh = nullptr);
 
   /// Produces the next operation. Delete targets come from keys this
   /// generator inserted earlier (each deleted at most once); when none
@@ -45,7 +48,8 @@ class Generator {
  private:
   OpMix mix_;
   double total_;
-  std::unique_ptr<KeyDistribution> dist_;
+  KeyDistribution* keys_;
+  KeyDistribution* fresh_;
   Rng rng_;
   std::vector<Key> live_;
 };

@@ -451,6 +451,10 @@ const AtomicOrderJustification kAtomicOrderAllowlist[] = {
     {"src/workload/distributions.h", "ring_",
      "release publish of a slot pairs with the sampler's acquire load so "
      "a sampled key is never torn or ahead of its publication"},
+    {"src/workload/driver.cc", "done",
+     "the completion callback's release store pairs with the driver "
+     "thread's acquire poll: a set flag implies the slot's status, value "
+     "and hops are visible"},
 };
 
 /// Balanced-paren argument text for the call whose '(' is at `open`;
