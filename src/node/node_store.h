@@ -51,9 +51,22 @@ class NodeStore {
 
   /// "Find a node that is 'close' to the destination" (§4.2 missing-node
   /// recovery): the lowest-level local node at level >= `level` whose
-  /// range contains `key`; falls back to the local root copy; returns
-  /// nullptr when this processor stores nothing at all.
+  /// range contains `key` (the tightest one at that level); failing that,
+  /// the lowest-level node with range.low <= key (greatest low first);
+  /// failing that, the local root copy. Returns nullptr when this
+  /// processor stores nothing at all. Cost: O(levels × log copies).
   Node* Closest(Key key, int32_t level);
+
+  /// The local copy at `level` with the least range.low >= `from`, or
+  /// nullptr.
+  const Node* FirstAtLevel(int32_t level, Key from) const;
+
+  /// Number of local copies at `level`.
+  size_t CountAtLevel(int32_t level) const {
+    return level >= 0 && static_cast<size_t>(level) < levels_.size()
+               ? levels_[level].by_low.size()
+               : 0;
+  }
 
   size_t size() const { return nodes_.size(); }
 
@@ -62,6 +75,7 @@ class NodeStore {
   /// the copy deaths with the history log first (Processor::Crash does).
   void Reset() {
     nodes_.clear();
+    levels_.clear();
     forwarding_.clear();
     root_hint_ = kInvalidNode;
     root_level_ = -1;
@@ -75,7 +89,8 @@ class NodeStore {
 
   /// Folds every local copy (sorted by id, encoded via its snapshot so all
   /// node fields are covered), forwarding address, and the root hint into
-  /// a verifier state fingerprint.
+  /// a verifier state fingerprint. The level index is derived from the
+  /// copies and is not mixed.
   void MixState(Fingerprint& fp) const {
     std::vector<const Node*> copies;
     copies.reserve(nodes_.size());
@@ -97,7 +112,27 @@ class NodeStore {
   }
 
  private:
+  // Ordered index of the copies at one level by range.low. A copy's low
+  // is fixed once installed (splits only move `high`), so the index
+  // changes only in Install/Remove/Reset. Copies at one level have
+  // nested or disjoint ranges; a copy that overlaps its successor is a
+  // stale wider copy whose relayed split has not landed yet. Every such
+  // copy is in `overlapping` (it may also hold copies that have since
+  // shrunk; Closest prunes those), so a containing copy is either the
+  // one with the greatest low <= key or one of these.
+  struct Level {
+    std::vector<std::pair<Key, Node*>> by_low;
+    std::vector<Node*> overlapping;
+  };
+
+  void Index(Node* node);
+  void Unindex(const Node* node);
+  /// The tightest copy in `lv.overlapping` that contains `key`, pruning
+  /// copies that no longer overlap their successor.
+  Node* TightestOverlapping(Level& lv, Key key);
+
   std::unordered_map<NodeId, std::unique_ptr<Node>> nodes_;
+  std::vector<Level> levels_;
   std::unordered_map<NodeId, ProcessorId> forwarding_;
   NodeId root_hint_ = kInvalidNode;
   int32_t root_level_ = -1;

@@ -317,10 +317,22 @@ void BaseProtocol::FinishSplit(Node& node, Node::SplitResult& split) {
     GrowNewRoot(node, split.sep, sibling.id);
   }
   sibling.parent = node.parent();
+  NodeId parent_target = kInvalidNode;
+  if (!was_top) {
+    parent_target = SplitParentTarget(node, split.sep);
+    // The sibling's own splits fall back to its stored parent when no
+    // local copy contains their separator: give it the parent-level copy
+    // found here rather than the pointer inherited from its left
+    // neighbours. Its low (<= sep) keeps every later separator right of
+    // it, so right-chasing still recovers any staleness.
+    const Node* target = Local(parent_target);
+    if (target != nullptr && target->level() == node.level() + 1) {
+      sibling.parent = parent_target;
+    }
+  }
   DistributeCopies(sibling);
 
   if (!was_top) {
-    const NodeId parent_target = SplitParentTarget(node, split.sep);
     UpdateId u = NewRegisteredUpdate(history::UpdateClass::kInsert,
                                      parent_target, split.sep,
                                      sibling.id.v);
@@ -332,6 +344,15 @@ void BaseProtocol::FinishSplit(Node& node, Node::SplitResult& split) {
     insert.origin = p_.id();
     RouteToNode(parent_target, node.level() + 1, std::move(insert));
   }
+}
+
+NodeId BaseProtocol::SplitParentTarget(const Node& node, Key sep) {
+  const Node* close = p_.store().Closest(sep, node.level() + 1);
+  if (close != nullptr && close->level() > node.level() &&
+      close->Contains(sep)) {
+    return close->id();
+  }
+  return node.parent();
 }
 
 void BaseProtocol::GrowNewRoot(Node& old_top, Key sep, NodeId sibling) {

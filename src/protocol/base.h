@@ -90,6 +90,23 @@ class BaseProtocol : public ProtocolHandler {
   // at a time.
   void Navigate(Action a);
 
+  // --- key-routed updates (initial inserts/deletes, link-changes) ---
+  //
+  // `a.level` is the update's destination level. The node it reaches may
+  // sit above that level (a start found by Closest or SplitParentTarget)
+  // or left of the key (a split moved it); these steps move the update
+  // on without touching `a.level`.
+
+  /// Follows `n`'s right link (the key is at or past n.right_low()).
+  void ChaseRight(const Node& n, Action a) {
+    RouteToNode(n.right(), a.level, std::move(a));
+  }
+
+  /// Descends to the child of `n` covering `a.key` (n is above a.level).
+  void Descend(const Node& n, Action a) {
+    RouteToNode(n.ChildFor(a.key), a.level, std::move(a));
+  }
+
   /// Routes a completed kReturnValue to the op's origin. A reply to
   /// *this* processor completes the operation directly instead of taking
   /// a self-send round trip.
@@ -134,9 +151,8 @@ class BaseProtocol : public ProtocolHandler {
   /// Completes the structural half of a split at the PC: places the
   /// sibling's copies, grows a new root first when `node` was the top (so
   /// the sibling's parent pointer is correct), distributes the sibling
-  /// snapshot, and sends the (sep -> sibling) initial insert into the
-  /// parent. Parent-pointer staleness is recovered by right-forwarding at
-  /// the parent level.
+  /// snapshot, and sends the (sep -> sibling) initial insert toward the
+  /// parent level through SplitParentTarget.
   void FinishSplit(Node& node, Node::SplitResult& split);
 
   /// Builds the new-root snapshot and distributes it (§1.1 root policy);
@@ -154,14 +170,14 @@ class BaseProtocol : public ProtocolHandler {
     return PlaceNewNode(sibling_id, splitting.level());
   }
 
-  /// Which node receives the (sep -> sibling) insert after a split.
-  /// Defaults to the stored parent pointer (staleness is recovered by
-  /// right-forwarding); the variable-copies protocol prefers a local
-  /// path copy, keeping restructuring local (§1.1).
-  virtual NodeId SplitParentTarget(const Node& node, Key sep) {
-    (void)sep;
-    return node.parent();
-  }
+  /// Which node receives the (sep -> sibling) insert after a split: the
+  /// lowest local copy at a level above `node` whose range contains
+  /// `sep`. The Fig.-2 policy replicates the path above each leaf, so
+  /// this is normally the local level+1 copy and the insert stays local
+  /// (§1.1); a higher copy (partial interior replication) descends by
+  /// key. The stored parent pointer is the fallback only when nothing
+  /// local contains `sep`; its staleness is recovered by right-chasing.
+  NodeId SplitParentTarget(const Node& node, Key sep);
 
   /// Distributes a sibling snapshot to its copy holders (installing the
   /// local one directly).

@@ -77,11 +77,17 @@ void FixedCopiesProtocol::HandleInitialInsert(Action a) {
   if (a.key >= n->right_low()) {
     // The node split before the insert arrived: chase the right link,
     // still as an *initial* insert (§4.1 insert step 1).
-    RouteToNode(n->right(), n->level(), std::move(a));
+    ChaseRight(*n, std::move(a));
     return;
   }
   LAZYTREE_CHECK(a.key >= n->range().low)
       << "initial insert left of node: " << a.ToString();
+  if (n->level() > a.level) {
+    // A separator insert that started at a local copy above its parent
+    // level (partial interior replication): descend by key.
+    Descend(*n, std::move(a));
+    return;
+  }
   if (InsertBlocked(*n)) {
     p_.aas().Defer(n->id(), std::move(a));  // re-enqueued at split_end
     return;

@@ -89,14 +89,6 @@ void MobileProtocol::HandleMissing(Action a) {
   Reply(a, Action::Rc::kNotFound, 0);
 }
 
-size_t MobileProtocol::LocalLeafCount() const {
-  size_t count = 0;
-  std::as_const(p_).store().ForEach([&](const Node& n) {
-    if (n.is_leaf()) ++count;
-  });
-  return count;
-}
-
 void MobileProtocol::HandleInitialInsert(Action a) {
   Node* n = Local(a.target);
   if (n == nullptr) {
@@ -111,13 +103,12 @@ void MobileProtocol::HandleInitialInsert(Action a) {
   ++a.hops;
   const int32_t want = std::max(a.level, 0);
   if (a.key >= n->right_low()) {
-    RouteToNode(n->right(), n->level(), std::move(a));
+    ChaseRight(*n, std::move(a));
     return;
   }
   if (n->level() > want) {
     // Recovery landed us above the destination level: descend by key.
-    NodeId child = n->ChildFor(a.key);
-    RouteToNode(child, n->level() - 1, std::move(a));
+    Descend(*n, std::move(a));
     return;
   }
   LAZYTREE_CHECK(n->level() == want)
@@ -154,12 +145,11 @@ void MobileProtocol::HandleInitialDelete(Action a) {
   ++a.hops;
   const int32_t want = std::max(a.level, 0);
   if (a.key >= n->right_low()) {
-    RouteToNode(n->right(), n->level(), std::move(a));
+    ChaseRight(*n, std::move(a));
     return;
   }
   if (n->level() > want) {
-    NodeId child = n->ChildFor(a.key);
-    RouteToNode(child, n->level() - 1, std::move(a));
+    Descend(*n, std::move(a));
     return;
   }
   if (a.update == kNoUpdate) {
@@ -199,7 +189,7 @@ void MobileProtocol::LocalSplit(Node& n) {
   // processor is over its leaf budget.
   const uint32_t threshold = p_.config().shed_threshold;
   if (threshold != 0 && is_leaf && p_.cluster_size() > 1 &&
-      LocalLeafCount() > threshold) {
+      p_.store().CountAtLevel(0) > threshold) {
     ProcessorId dest = static_cast<ProcessorId>(
         rng_.Below(p_.cluster_size() - 1));
     if (dest >= p_.id()) ++dest;  // anyone but self
@@ -244,12 +234,11 @@ void MobileProtocol::HandleLinkChange(Action a) {
   }
   if (a.key >= m->right_low()) {
     // The neighbor split: the geometric neighbor is further right.
-    RouteToNode(m->right(), m->level(), std::move(a));
+    ChaseRight(*m, std::move(a));
     return;
   }
   if (m->level() > a.level) {
-    NodeId child = m->ChildFor(a.key);
-    RouteToNode(child, m->level() - 1, std::move(a));
+    Descend(*m, std::move(a));
     return;
   }
   ApplyGatedLinkChange(*m, a, /*initial=*/true);

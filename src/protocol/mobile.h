@@ -87,9 +87,6 @@ class MobileProtocol : public BaseProtocol {
   /// stale changes are recorded as rewritten into the past.
   void ApplyGatedLinkChange(Node& m, const Action& a, bool initial);
 
-  /// Local leaf population (shedding heuristic input).
-  size_t LocalLeafCount() const;
-
   /// Hooks for the variable-copies protocol (§4.3): called after a
   /// migrated node is installed here / shipped away from here.
   virtual void OnMigratedNodeInstalled(Node& n) { (void)n; }

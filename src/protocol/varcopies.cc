@@ -34,20 +34,6 @@ std::vector<ProcessorId> VarCopiesProtocol::PlaceSibling(
   return copies;
 }
 
-NodeId VarCopiesProtocol::SplitParentTarget(const Node& node, Key sep) {
-  // Fig.-2 invariant: we replicate the whole path above our leaves, so a
-  // local copy of the geometric parent normally exists — using it keeps
-  // the pointer insert local even when the stored parent pointer is
-  // stale (e.g. a migrated leaf created under a long-split ancestor).
-  NodeId best = node.parent();
-  p_.store().ForEach([&](const Node& cand) {
-    if (cand.level() == node.level() + 1 && cand.Contains(sep)) {
-      best = cand.id();
-    }
-  });
-  return best;
-}
-
 void VarCopiesProtocol::HandleInitialInsert(Action a) {
   Node* n = Local(a.target);
   if (n == nullptr) {
@@ -62,12 +48,11 @@ void VarCopiesProtocol::HandleInitialInsert(Action a) {
   ++a.hops;
   const int32_t want = std::max(a.level, 0);
   if (a.key >= n->right_low()) {
-    RouteToNode(n->right(), n->level(), std::move(a));
+    ChaseRight(*n, std::move(a));
     return;
   }
   if (n->level() > want) {
-    NodeId child = n->ChildFor(a.key);
-    RouteToNode(child, n->level() - 1, std::move(a));
+    Descend(*n, std::move(a));
     return;
   }
   LAZYTREE_CHECK(n->level() == want && a.key >= n->range().low)
@@ -126,12 +111,11 @@ void VarCopiesProtocol::HandleInitialDelete(Action a) {
   ++a.hops;
   const int32_t want = std::max(a.level, 0);
   if (a.key >= n->right_low()) {
-    RouteToNode(n->right(), n->level(), std::move(a));
+    ChaseRight(*n, std::move(a));
     return;
   }
   if (n->level() > want) {
-    NodeId child = n->ChildFor(a.key);
-    RouteToNode(child, n->level() - 1, std::move(a));
+    Descend(*n, std::move(a));
     return;
   }
   if (a.update == kNoUpdate) {
@@ -371,12 +355,11 @@ void VarCopiesProtocol::HandleLinkChange(Action a) {
   }
   // Initial link-change: geometry corrections first, as in §4.2.
   if (a.key >= m->right_low()) {
-    RouteToNode(m->right(), m->level(), std::move(a));
+    ChaseRight(*m, std::move(a));
     return;
   }
   if (m->level() > a.level) {
-    NodeId child = m->ChildFor(a.key);
-    RouteToNode(child, m->level() - 1, std::move(a));
+    Descend(*m, std::move(a));
     return;
   }
   if (m->copies().size() > 1) {
@@ -540,32 +523,13 @@ void VarCopiesProtocol::OnMigratedNodeInstalled(Node& n) {
 
 void VarCopiesProtocol::OnNodeMigratedAway(const NodeSnapshot& snapshot) {
   if (snapshot.level != 0) return;
-  MaybeUnjoinAncestors(snapshot.parent);
-  // Parent pointers go stale across splits; sweep everything so no copy
-  // outlives the last local leaf beneath it.
-  PruneAllUnneeded();
-}
-
-void VarCopiesProtocol::PruneAllUnneeded() {
-  for (int pass = 0; pass < 4; ++pass) {
-    std::vector<NodeId> candidates;
-    p_.store().ForEach([&](const Node& n) {
-      if (!n.is_leaf()) candidates.push_back(n.id());
-    });
-    // Low levels first: freeing a level-1 copy can strand its parent.
-    std::sort(candidates.begin(), candidates.end(),
-              [&](NodeId a, NodeId b) {
-                return Local(a)->level() < Local(b)->level();
-              });
-    bool changed = false;
-    for (NodeId id : candidates) {
-      if (Local(id) == nullptr) continue;  // pruned via an earlier walk
-      const size_t before = p_.store().size();
-      MaybeUnjoinAncestors(id);
-      changed |= p_.store().size() != before;
-    }
-    if (!changed) return;
-  }
+  // Drop every interior copy left with no local leaf beneath it. That
+  // depends only on the local leaves, so one pass in any order suffices.
+  std::vector<NodeId> interior;
+  p_.store().ForEach([&](const Node& n) {
+    if (!n.is_leaf()) interior.push_back(n.id());
+  });
+  for (NodeId id : interior) MaybeUnjoinAncestors(id);
 }
 
 void VarCopiesProtocol::JoinPath(Key leaf_low) {
@@ -611,15 +575,9 @@ void VarCopiesProtocol::MaybeUnjoinAncestors(NodeId ancestor) {
     if (m == nullptr) return;
     if (!m->parent().valid()) return;    // the root stays everywhere
     if (m->pc() == p_.id()) return;      // the PC never changes (§4.3)
-    bool shelters_local_child = false;
-    p_.store().ForEach([&](const Node& node) {
-      if (node.level() == m->level() - 1 &&
-          node.range().low >= m->range().low &&
-          node.range().low < m->range().high) {
-        shelters_local_child = true;
-      }
-    });
-    if (shelters_local_child) return;
+    // Fig. 2 keeps m exactly while some local leaf lies under it.
+    const Node* leaf = p_.store().FirstAtLevel(0, m->range().low);
+    if (leaf != nullptr && leaf->range().low < m->range().high) return;
     const NodeId parent = m->parent();
     Action unjoin;
     unjoin.kind = ActionKind::kUnjoin;

@@ -78,7 +78,6 @@ class VarCopiesProtocol : public MobileProtocol {
   std::vector<ProcessorId> PlaceNewNode(NodeId id, int32_t level) override;
   std::vector<ProcessorId> PlaceSibling(const Node& splitting,
                                         NodeId sibling_id) override;
-  NodeId SplitParentTarget(const Node& node, Key sep) override;
 
   void HandleInitialInsert(Action a) override;
   void HandleRelayedInsert(Action a) override;
@@ -112,13 +111,9 @@ class VarCopiesProtocol : public MobileProtocol {
   /// parent pointers may be stale; each grant resumes the descent.
   void JoinPath(Key leaf_low);
 
-  /// Unjoins ancestors that no longer shelter any local child, walking up
+  /// Unjoins ancestors that no longer shelter any local leaf, walking up
   /// from `ancestor`. Never unjoins the root or a node we are PC of.
   void MaybeUnjoinAncestors(NodeId ancestor);
-
-  /// Fixpoint sweep over every local interior copy (leaf departures can
-  /// strand copies whose stale parent pointers the targeted walk misses).
-  void PruneAllUnneeded();
 
   // PC-side: each current member's join version (Fig.-6 machinery).
   std::unordered_map<NodeId, std::map<ProcessorId, Version>> join_versions_;

@@ -22,7 +22,13 @@ void VigorousProtocol::HandleInitialInsert(Action a) {
   }
   ++a.hops;
   if (a.key >= n->right_low()) {
-    RouteToNode(n->right(), n->level(), std::move(a));
+    ChaseRight(*n, std::move(a));
+    return;
+  }
+  if (n->level() > a.level) {
+    // A separator insert that started at a local copy above its parent
+    // level (partial interior replication): descend by key.
+    Descend(*n, std::move(a));
     return;
   }
   if (n->pc() != p_.id()) {

@@ -5,8 +5,11 @@
 
 #include <set>
 
+#include "src/core/inspect.h"
 #include "src/protocol/naive.h"
 #include "src/protocol/sync_split.h"
+#include "src/workload/distributions.h"
+#include "src/workload/driver.h"
 #include "tests/test_util.h"
 
 namespace lazytree {
@@ -252,6 +255,72 @@ TEST(ClusterBasics, PartialInteriorReplication) {
   ExpectMatchesOracle(cluster, oracle);
   ExpectCorrect(cluster);
 }
+
+struct SplitCostCase {
+  ProtocolKind protocol;
+  uint32_t interior_replication;
+};
+
+class SplitCostTest : public ::testing::TestWithParam<SplitCostCase> {};
+
+size_t LogicalNodes(Cluster& cluster) {
+  size_t nodes = 0;
+  for (const auto& [level, stats] : CollectTreeStats(cluster).levels) {
+    nodes += stats.nodes;
+  }
+  return nodes;
+}
+
+// A split's separator insert starts at the splitting processor's local
+// copy of the path above the node (§1.1, Fig. 2) and descends at most to
+// the parent level, so a 20k-key load costs at most height insert
+// actions per split. A stale stored parent pointer instead walks right
+// along the whole parent level, and the cost grows with the tree.
+TEST_P(SplitCostTest, SeparatorInsertsCostAtMostHeightPerSplit) {
+  const SplitCostCase& param = GetParam();
+  ClusterOptions o = SimOptions(param.protocol, 4, /*seed=*/1,
+                                /*fanout=*/8);
+  o.tree.track_history = false;
+  o.tree.interior_replication = param.interior_replication;
+  Cluster cluster(o);
+  cluster.Start();
+  const size_t nodes_before = LogicalNodes(cluster);
+  const uint64_t inserts_before =
+      cluster.NetStats().ActionCount(ActionKind::kInsert);
+
+  workload::UniformDist keys(1ull << 40);
+  workload::DriveResult load =
+      workload::Load(cluster, {.keys = &keys, .ops = 20000, .seed = 1});
+  ASSERT_EQ(load.failed + load.lost, 0u);
+
+  const uint64_t inserts =
+      cluster.NetStats().ActionCount(ActionKind::kInsert) - inserts_before;
+  const size_t splits = LogicalNodes(cluster) - nodes_before;
+  const int32_t height = CollectTreeStats(cluster).height;
+  ASSERT_GT(splits, 1000u);
+  EXPECT_LE(inserts, static_cast<uint64_t>(height) * splits)
+      << static_cast<double>(inserts) / static_cast<double>(splits)
+      << " insert actions per split, height " << height;
+  EXPECT_TRUE(cluster.CheckTreeStructure().empty());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Protocols, SplitCostTest,
+    ::testing::Values(SplitCostCase{ProtocolKind::kSyncSplit, 0},
+                      SplitCostCase{ProtocolKind::kSyncSplit, 2},
+                      SplitCostCase{ProtocolKind::kSemiSyncSplit, 0},
+                      SplitCostCase{ProtocolKind::kSemiSyncSplit, 2},
+                      SplitCostCase{ProtocolKind::kVigorous, 0},
+                      SplitCostCase{ProtocolKind::kVigorous, 2},
+                      SplitCostCase{ProtocolKind::kMobile, 0},
+                      SplitCostCase{ProtocolKind::kMobile, 2},
+                      SplitCostCase{ProtocolKind::kVarCopies, 0},
+                      SplitCostCase{ProtocolKind::kVarCopies, 2}),
+    [](const ::testing::TestParamInfo<SplitCostCase>& pinfo) {
+      return std::string(ProtocolKindName(pinfo.param.protocol)) +
+             "_replication" +
+             std::to_string(pinfo.param.interior_replication);
+    });
 
 }  // namespace
 }  // namespace lazytree

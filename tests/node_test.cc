@@ -1,10 +1,15 @@
 // Node and NodeStore unit tests: range logic, half-splits, snapshot
-// round trips, overflow buckets, closest-node recovery, forwarding.
+// round trips, overflow buckets, closest-node recovery, forwarding, and
+// the per-level index against a brute-force oracle.
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <vector>
+
 #include "src/node/node.h"
 #include "src/node/node_store.h"
+#include "src/util/rng.h"
 
 namespace lazytree {
 namespace {
@@ -206,6 +211,145 @@ TEST(NodeStore, ClosestPrefersLowestUsableLevel) {
   EXPECT_EQ(store.Closest(700, 2)->id(), Id(1));
   // Nothing usable (low > key at every level >= 3): falls back to root.
   EXPECT_EQ(store.Closest(5, 3)->id(), Id(1));
+}
+
+// The closest-node rule as a scan of every local copy: prefer a copy
+// whose range contains the key, then the lowest level, then the greatest
+// low; fall back to the root hint.
+const Node* BruteForceClosest(const NodeStore& store, Key key,
+                              int32_t level) {
+  const Node* best = nullptr;
+  auto better = [&](const Node& n) {
+    if (best == nullptr) return true;
+    const bool n_contains = n.Contains(key);
+    const bool b_contains = best->Contains(key);
+    if (n_contains != b_contains) return n_contains;
+    if (n.level() != best->level()) return n.level() < best->level();
+    return n.range().low > best->range().low;
+  };
+  store.ForEach([&](const Node& n) {
+    if (n.level() < level || n.range().low > key) return;
+    if (better(n)) best = &n;
+  });
+  if (best != nullptr) return best;
+  return store.root_hint().valid() ? store.Get(store.root_hint()) : nullptr;
+}
+
+const Node* BruteForceFirstAtLevel(const NodeStore& store, int32_t level,
+                                   Key from) {
+  const Node* best = nullptr;
+  store.ForEach([&](const Node& n) {
+    if (n.level() != level || n.range().low < from) return;
+    if (best == nullptr || n.range().low < best->range().low) best = &n;
+  });
+  return best;
+}
+
+// Random histories of one processor's store while a tree grows around
+// it: logical nodes split, the local copy applies a split at once or
+// stays wider until its relayed split lands, siblings install or not,
+// copies leave with a forward, come back over their tombstone, get
+// replaced in place, and the store crashes (Reset). After every step the
+// indexed lookups must equal the brute-force scans.
+TEST(NodeStore, IndexMatchesBruteForceOverRandomHistories) {
+  constexpr Key kSpace = 1024;
+  constexpr int32_t kTop = 3;  // the root level; the root never splits
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng rng(seed);
+    NodeStore store;
+    struct Logical {
+      int32_t level;
+      Key low;
+      Key high;
+    };
+    std::map<NodeId, Logical> logical;  // the tree's current ranges
+    // Splits a local copy has not applied yet, oldest first.
+    std::map<NodeId, std::vector<std::pair<Key, NodeId>>> pending;
+    uint32_t next_seq = 1;
+    auto fresh = [&](int32_t level, Key low, Key high) {
+      NodeId id = Id(next_seq++);
+      logical[id] = Logical{level, low, high};
+      return id;
+    };
+    auto install = [&](NodeId id) {
+      const Logical& l = logical.at(id);
+      store.Install(std::make_unique<Node>(id, l.level,
+                                           KeyRange{l.low, l.high}, false));
+      pending.erase(id);
+    };
+    NodeId root;
+    for (int32_t level = 0; level <= kTop; ++level) {
+      root = fresh(level, 0, kKeyInfinity);
+      if (level == kTop || rng.Below(2) == 0) install(root);
+    }
+    store.SetRootHint(root, kTop);
+    for (int step = 0; step < 1500; ++step) {
+      const uint64_t op = rng.Below(100);
+      auto it = logical.begin();
+      std::advance(it, rng.Below(logical.size()));
+      const NodeId id = it->first;
+      Logical& l = it->second;
+      Node* copy = store.Get(id);
+      if (op < 50) {
+        // The logical node splits at its PC.
+        const Key hi = std::min(l.high, kSpace);
+        if (l.level == kTop || hi <= l.low + 1) continue;
+        const Key sep = l.low + 1 + rng.Below(hi - l.low - 1);
+        const Key old_high = l.high;
+        l.high = sep;
+        const NodeId sibling = fresh(l.level, sep, old_high);
+        if (copy != nullptr) {
+          auto& waiting = pending[id];
+          if (waiting.empty() && rng.Below(2) == 0) {
+            copy->ApplySplit(sep, sibling);
+          } else {
+            waiting.emplace_back(sep, sibling);  // relayed split in flight
+          }
+        }
+        if (rng.Below(2) == 0) install(sibling);
+      } else if (op < 65) {
+        // The oldest relayed split for a stale copy lands.
+        auto p = pending.begin();
+        if (p == pending.end()) continue;
+        std::advance(p, rng.Below(pending.size()));
+        if (p->second.empty()) continue;
+        auto [sep, sibling] = p->second.front();
+        p->second.erase(p->second.begin());
+        store.Get(p->first)->ApplySplit(sep, sibling);
+      } else if (op < 78) {
+        // Migration away, leaving a forwarding address.
+        if (copy == nullptr) continue;
+        store.Remove(id, /*forward_to=*/1);
+        pending.erase(id);
+      } else if (op < 92) {
+        // (Re-)install: over a tombstone, fresh, or in place of a copy.
+        install(id);
+      } else if (op < 94) {
+        store.Reset();  // crash and restart with a root copy
+        pending.clear();
+        install(root);
+        store.SetRootHint(root, kTop);
+      }
+      for (int q = 0; q < 24; ++q) {
+        const Key key = rng.Below(kSpace + 64);
+        const int32_t level = static_cast<int32_t>(rng.Below(kTop + 3)) - 1;
+        ASSERT_EQ(store.Closest(key, level),
+                  BruteForceClosest(store, key, level))
+            << "seed " << seed << " step " << step << " key " << key
+            << " level " << level;
+        if (level >= 0) {
+          ASSERT_EQ(store.FirstAtLevel(level, key),
+                    BruteForceFirstAtLevel(store, level, key))
+              << "seed " << seed << " step " << step;
+        }
+      }
+      for (int32_t level = 0; level <= kTop; ++level) {
+        size_t count = 0;
+        store.ForEach([&](const Node& n) { count += n.level() == level; });
+        ASSERT_EQ(store.CountAtLevel(level), count);
+      }
+    }
+  }
 }
 
 }  // namespace
