@@ -289,7 +289,7 @@ void PrintRows(const std::vector<Row>& rows) {
   Table table({"mix          ", "transport", "protocol", "P", "k", "drop%",
                "rel", "ops/s", "p50us", "p99us", "sim_p50us", "sim_p99us",
                "rmsg/op", "comb/op", "fast/op", "not_found", "failed",
-               "lost", "dropped", "rexmit", "linkdown"});
+               "lost", "dropped", "rexmit", "pureack", "linkdown"});
   const char* group = "";
   for (const Row& r : rows) {
     if (std::strcmp(group, r.spec.group) != 0) {
@@ -310,7 +310,7 @@ void PrintRows(const std::vector<Row>& rows) {
                Fmt("%.2f", r.run.PerOp(n.fastpath_reads)),
                FmtU(r.run.not_found), FmtU(r.failed()), FmtU(r.lost()),
                FmtU(r.dropped), FmtU(r.total.retransmits),
-               FmtU(r.total.link_down)});
+               FmtU(r.total.pure_acks), FmtU(r.total.link_down)});
   }
   std::printf("\n");
 }
@@ -346,7 +346,7 @@ void WriteJson(const std::string& path, const std::vector<Row>& rows,
         "\"not_found\": %llu, \"failed\": %llu, \"lost\": %llu, "
         "\"messages_dropped\": %llu, \"retransmits\": %llu, "
         "\"duplicates_dropped\": %llu, \"acks_piggybacked\": %llu, "
-        "\"link_down\": %llu}%s\n",
+        "\"pure_acks\": %llu, \"link_down\": %llu}%s\n",
         r.spec.group, r.spec.mix->name, r.spec.threads ? "threads" : "sim",
         ProtocolKindName(r.spec.protocol), r.spec.processors, r.spec.window,
         r.spec.drop * 100, r.spec.reliable ? "true" : "false",
@@ -361,6 +361,7 @@ void WriteJson(const std::string& path, const std::vector<Row>& rows,
         static_cast<unsigned long long>(r.total.retransmits),
         static_cast<unsigned long long>(r.total.duplicates_dropped),
         static_cast<unsigned long long>(r.total.acks_piggybacked),
+        static_cast<unsigned long long>(r.total.pure_acks),
         static_cast<unsigned long long>(r.total.link_down),
         i + 1 < rows.size() ? "," : "");
   }

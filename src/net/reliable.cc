@@ -1,25 +1,22 @@
 #include "src/net/reliable.h"
 
 #include <algorithm>
+#include <thread>
 #include <utility>
 
 #include "src/util/rng.h"
 
 namespace lazytree::net {
+namespace {
+
+constexpr auto kNever = std::chrono::steady_clock::time_point::max();
+
+}  // namespace
 
 ReliableNetwork::ReliableNetwork(Network* base, ReliabilityOptions options)
     : base_(base),
       options_(options),
       epoch_(std::chrono::steady_clock::now()) {}
-
-ReliableNetwork::~ReliableNetwork() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stopped_ = true;
-  }
-  timer_cv_.notify_all();
-  if (timer_thread_.joinable()) timer_thread_.join();
-}
 
 void ReliableNetwork::Register(ProcessorId id, Receiver* receiver) {
   if (endpoints_.size() <= static_cast<size_t>(id)) {
@@ -34,31 +31,22 @@ ProcessorId ReliableNetwork::size() const { return base_->size(); }
 void ReliableNetwork::EnsureChannels() {
   std::call_once(channels_once_, [this] {
     num_processors_ = base_->size();
-    tx_.resize(num_processors_ * num_processors_);
-    rx_.resize(num_processors_ * num_processors_);
-    for (TxChannel& tx : tx_) tx.next_seq = options_.initial_seq;
-    for (RxChannel& rxc : rx_) rxc.expected = options_.initial_seq;
+    shards_ = std::make_unique<Shard[]>(num_processors_);
+    for (size_t p = 0; p < num_processors_; ++p) {
+      shards_[p].tx.resize(num_processors_);
+      shards_[p].rx.resize(num_processors_);
+      for (TxChannel& tx : shards_[p].tx) tx.next_seq = options_.initial_seq;
+      for (RxChannel& rxc : shards_[p].rx) rxc.expected = options_.initial_seq;
+    }
   });
 }
 
 void ReliableNetwork::Start() {
-  base_->Start();
   EnsureChannels();
-  epoch_ = std::chrono::steady_clock::now();
-  if (options_.real_timers && !timer_thread_.joinable()) {
-    timer_thread_ = std::thread([this] { TimerLoop(); });
-  }
+  base_->Start();
 }
 
-void ReliableNetwork::Stop() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stopped_ = true;
-  }
-  timer_cv_.notify_all();
-  if (timer_thread_.joinable()) timer_thread_.join();
-  base_->Stop();
-}
+void ReliableNetwork::Stop() { base_->Stop(); }
 
 uint64_t ReliableNetwork::NowUs() const {
   if (!options_.real_timers) return virtual_now_us_;
@@ -83,8 +71,8 @@ uint64_t ReliableNetwork::BackoffUs(ProcessorId from, ProcessorId to,
   return base + jitter;
 }
 
-void ReliableNetwork::AttachAckLocked(Message* m) {
-  RxChannel& rxc = rx_[Index(m->to, m->from)];
+void ReliableNetwork::AttachAckLocked(Shard& shard, Message* m) {
+  RxChannel& rxc = shard.rx[m->to];
   m->ack = rxc.expected - 1;  // cumulative: everything below expected
   m->flags |= Message::kHasAck;
   if (rxc.ack_pending) {
@@ -103,22 +91,29 @@ void ReliableNetwork::Send(Message m) {
     return;
   }
   EnsureChannels();
+  const ProcessorId from = m.from;
   bool wake = false;
   {
-    std::lock_guard<std::mutex> lock(mu_);
-    TxChannel& tx = tx_[Index(m.from, m.to)];
+    Shard& shard = shards_[from];
+    std::lock_guard<std::mutex> lock(shard.mu);
+    TxChannel& tx = shard.tx[m.to];
     if (tx.dead) return;  // link declared down; ops already failed
     m.seq = tx.next_seq++;
     m.flags = 0;
-    AttachAckLocked(&m);
+    AttachAckLocked(shard, &m);
     tx.unacked.push_back(m);  // window copy for retransmission
     if (tx.unacked.size() == 1) {
-      tx.rto_deadline = NowUs() + BackoffUs(m.from, m.to, 0);
-      wake = true;
+      tx.rto_deadline = NowUs() + BackoffUs(from, m.to, 0);
+      // Only a send from outside `from`'s delivery can land here: the
+      // worker is parked (or about to park) past the new deadline.
+      if (tx.rto_deadline < shard.parked_until) {
+        shard.parked_until = tx.rto_deadline;
+        wake = true;
+      }
     }
   }
   base_->Send(std::move(m));
-  if (wake && options_.real_timers) timer_cv_.notify_all();
+  if (wake) base_->Wake(from);
 }
 
 void ReliableNetwork::Endpoint::Deliver(Message m) {
@@ -133,183 +128,199 @@ void ReliableNetwork::Endpoint::DeliverBatch(std::vector<Message>& batch) {
   if (!out.empty()) real_->DeliverBatch(out);
 }
 
+std::chrono::steady_clock::time_point ReliableNetwork::Endpoint::Poll() {
+  return net_->Poll(id_);
+}
+
 void ReliableNetwork::ProcessBatch(ProcessorId id, std::vector<Message>& in,
                                    std::vector<Message>* out) {
   EnsureChannels();
-  bool wake = false;
-  bool settled = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const uint64_t now = NowUs();
-    for (Message& m : in) {
-      if (m.from == m.to || m.from == kInvalidProcessor) {
-        out->push_back(std::move(m));
-        continue;
-      }
-      if (m.flags & Message::kHasAck) {
-        // The peer acks our `id -> m.from` channel cumulatively.
-        TxChannel& tx = tx_[Index(id, m.from)];
-        bool progress = false;
-        while (!tx.unacked.empty() &&
-               static_cast<int64_t>(tx.unacked.front().seq - m.ack) <= 0) {
-          tx.unacked.pop_front();
-          progress = true;
-        }
-        if (progress) {
-          tx.retries = 0;
-          if (tx.unacked.empty()) {
-            tx.rto_deadline = kNoDeadline;
-            settled = true;
-          } else {
-            tx.rto_deadline = now + BackoffUs(id, m.from, 0);
-            wake = true;
-          }
-        }
-      }
-      if (m.flags & Message::kAckOnly) continue;  // never delivered upward
-
-      RxChannel& rxc = rx_[Index(m.from, id)];
-      const int64_t diff = static_cast<int64_t>(m.seq - rxc.expected);
-      if (diff == 0) {
-        out->push_back(std::move(m));
-        ++rxc.expected;
-        while (!rxc.reorder.empty() &&
-               rxc.reorder.begin()->first == rxc.expected) {
-          out->push_back(std::move(rxc.reorder.begin()->second));
-          rxc.reorder.erase(rxc.reorder.begin());
-          ++rxc.expected;
-        }
-        if (!rxc.ack_pending) {
-          rxc.ack_pending = true;
-          rxc.ack_deadline = now + options_.ack_delay_us;
-          wake = true;
-        }
-      } else if (diff < 0 || rxc.reorder.count(m.seq) != 0) {
-        // Stale or duplicate frame: the peer is (re)sending something we
-        // already have, so re-ack eagerly to shut its timer down.
-        stats().OnDuplicateDropped();
-        rxc.ack_pending = true;
-        rxc.ack_deadline = now;
-        wake = true;
-      } else if (rxc.reorder.size() < options_.reorder_window) {
-        rxc.reorder.emplace(m.seq, std::move(m));
-      }
-      // else: reorder window overflow — drop; go-back-N recovers it.
+  Shard& shard = shards_[id];
+  std::lock_guard<std::mutex> lock(shard.mu);
+  // The worker polls again after this batch, so nothing armed before then
+  // needs a wake.
+  shard.parked_until = 0;
+  const uint64_t now = NowUs();
+  for (Message& m : in) {
+    if (m.from == m.to || m.from == kInvalidProcessor) {
+      out->push_back(std::move(m));
+      continue;
     }
+    if (m.flags & Message::kHasAck) {
+      // The peer acks our `id -> m.from` channel cumulatively.
+      TxChannel& tx = shard.tx[m.from];
+      bool progress = false;
+      while (!tx.unacked.empty() &&
+             static_cast<int64_t>(tx.unacked.front().seq - m.ack) <= 0) {
+        tx.unacked.pop_front();
+        progress = true;
+      }
+      if (progress) {
+        tx.retries = 0;
+        tx.rto_deadline = tx.unacked.empty()
+                              ? kNoDeadline
+                              : now + BackoffUs(id, m.from, 0);
+      }
+    }
+    if (m.flags & Message::kAckOnly) continue;  // never delivered upward
+
+    RxChannel& rxc = shard.rx[m.from];
+    const int64_t diff = static_cast<int64_t>(m.seq - rxc.expected);
+    if (diff == 0) {
+      out->push_back(std::move(m));
+      ++rxc.expected;
+      while (!rxc.reorder.empty() &&
+             rxc.reorder.begin()->first == rxc.expected) {
+        out->push_back(std::move(rxc.reorder.begin()->second));
+        rxc.reorder.erase(rxc.reorder.begin());
+        ++rxc.expected;
+      }
+      if (!rxc.ack_pending) {
+        rxc.ack_pending = true;
+        rxc.ack_deadline = now + options_.ack_delay_us;
+      }
+    } else if (diff < 0 || rxc.reorder.count(m.seq) != 0) {
+      // Stale or duplicate frame: the peer is (re)sending something we
+      // already have, so re-ack eagerly to shut its timer down.
+      stats().OnDuplicateDropped();
+      rxc.ack_pending = true;
+      rxc.ack_deadline = now;
+    } else if (rxc.reorder.size() < options_.reorder_window) {
+      rxc.reorder.emplace(m.seq, std::move(m));
+    }
+    // else: reorder window overflow — drop; go-back-N recovers it.
   }
-  if (wake && options_.real_timers) timer_cv_.notify_all();
-  if (settled) settled_cv_.notify_all();
 }
 
-uint64_t ReliableNetwork::NextDeadlineLocked() const {
+uint64_t ReliableNetwork::NextDeadlineLocked(const Shard& shard) {
   uint64_t next = kNoDeadline;
-  for (const TxChannel& tx : tx_) {
+  for (const TxChannel& tx : shard.tx) {
     if (!tx.dead && !tx.unacked.empty()) next = std::min(next, tx.rto_deadline);
   }
-  for (const RxChannel& rxc : rx_) {
+  for (const RxChannel& rxc : shard.rx) {
     if (rxc.ack_pending) next = std::min(next, rxc.ack_deadline);
   }
   return next;
 }
 
-void ReliableNetwork::FireDueLocked(
-    uint64_t now, std::vector<Message>* sends,
-    std::vector<std::pair<ProcessorId, ProcessorId>>* downs) {
-  // Deterministic firing order: tx channels then rx channels, both in
-  // (from, to) index order — required for replayable schedules.
-  for (size_t i = 0; i < tx_.size(); ++i) {
-    TxChannel& tx = tx_[i];
-    if (tx.dead || tx.unacked.empty() || tx.rto_deadline > now) continue;
-    const ProcessorId from = static_cast<ProcessorId>(i / num_processors_);
-    const ProcessorId to = static_cast<ProcessorId>(i % num_processors_);
-    if (tx.retries >= options_.max_retransmits) {
-      // Budget spent: declare the link down instead of hanging Settle().
-      tx.dead = true;
-      tx.unacked.clear();
-      tx.rto_deadline = kNoDeadline;
-      any_link_down_ = true;
-      stats().OnLinkDown();
-      downs->emplace_back(from, to);
-      continue;
-    }
-    ++tx.retries;
-    stats().OnRetransmit(tx.unacked.size());
-    for (const Message& pending : tx.unacked) {
-      Message copy = pending;
-      copy.flags |= Message::kRetransmit;
-      AttachAckLocked(&copy);
-      sends->push_back(std::move(copy));
-    }
-    tx.rto_deadline = now + BackoffUs(from, to, tx.retries);
+void ReliableNetwork::FireTxLocked(ProcessorId from, ProcessorId to,
+                                   uint64_t now, std::vector<Message>* sends,
+                                   LinkList* downs) {
+  Shard& shard = shards_[from];
+  TxChannel& tx = shard.tx[to];
+  if (tx.dead || tx.unacked.empty() || tx.rto_deadline > now) return;
+  if (tx.retries >= options_.max_retransmits) {
+    // Budget spent: declare the link down instead of hanging Settle().
+    tx.dead = true;
+    tx.unacked.clear();
+    tx.rto_deadline = kNoDeadline;
+    any_link_down_.store(true, std::memory_order_relaxed);
+    stats().OnLinkDown();
+    downs->emplace_back(from, to);
+    return;
   }
-  for (size_t i = 0; i < rx_.size(); ++i) {
-    RxChannel& rxc = rx_[i];
-    if (!rxc.ack_pending || rxc.ack_deadline > now) continue;
-    const ProcessorId from = static_cast<ProcessorId>(i / num_processors_);
-    const ProcessorId to = static_cast<ProcessorId>(i % num_processors_);
-    Message ack;
-    ack.from = to;  // the rx channel's owner acks back to the sender
-    ack.to = from;
-    ack.flags = Message::kHasAck | Message::kAckOnly;
-    ack.ack = rxc.expected - 1;
-    rxc.ack_pending = false;
-    rxc.ack_deadline = kNoDeadline;
-    sends->push_back(std::move(ack));
+  ++tx.retries;
+  stats().OnRetransmit(tx.unacked.size());
+  for (const Message& pending : tx.unacked) {
+    Message copy = pending;
+    copy.flags |= Message::kRetransmit;
+    AttachAckLocked(shard, &copy);
+    sends->push_back(std::move(copy));
   }
+  tx.rto_deadline = now + BackoffUs(from, to, tx.retries);
 }
 
-void ReliableNetwork::DispatchDowns(
-    const std::vector<std::pair<ProcessorId, ProcessorId>>& downs) {
+void ReliableNetwork::FireRxLocked(ProcessorId from, ProcessorId to,
+                                   uint64_t now, std::vector<Message>* sends) {
+  RxChannel& rxc = shards_[to].rx[from];
+  if (!rxc.ack_pending || rxc.ack_deadline > now) return;
+  Message ack;
+  ack.from = to;  // the rx channel's owner acks back to the sender
+  ack.to = from;
+  ack.flags = Message::kHasAck | Message::kAckOnly;
+  ack.ack = rxc.expected - 1;
+  rxc.ack_pending = false;
+  rxc.ack_deadline = kNoDeadline;
+  stats().OnPureAck();
+  sends->push_back(std::move(ack));
+}
+
+void ReliableNetwork::DispatchDowns(const LinkList& downs) {
   if (!on_link_down_) return;
   for (const auto& [from, to] : downs) on_link_down_(from, to);
+}
+
+std::chrono::steady_clock::time_point ReliableNetwork::Poll(ProcessorId id) {
+  if (!options_.real_timers) return kNever;
+  EnsureChannels();
+  std::vector<Message> sends;
+  LinkList downs;
+  uint64_t next;
+  {
+    // Only `id`'s own channel halves: another processor's fields belong
+    // to its worker.
+    Shard& shard = shards_[id];
+    std::lock_guard<std::mutex> lock(shard.mu);
+    const uint64_t now = NowUs();
+    for (ProcessorId peer = 0; peer < num_processors_; ++peer) {
+      FireTxLocked(id, peer, now, &sends, &downs);
+      FireRxLocked(peer, id, now, &sends);
+    }
+    next = NextDeadlineLocked(shard);
+    shard.parked_until = next;
+  }
+  for (Message& m : sends) base_->Send(std::move(m));
+  DispatchDowns(downs);
+  if (next == kNoDeadline) return kNever;
+  return epoch_ + std::chrono::microseconds(next);
+}
+
+std::vector<std::unique_lock<std::mutex>> ReliableNetwork::LockAll() const {
+  std::vector<std::unique_lock<std::mutex>> locks;
+  locks.reserve(num_processors_);
+  for (size_t p = 0; p < num_processors_; ++p) {
+    locks.emplace_back(shards_[p].mu);
+  }
+  return locks;
 }
 
 bool ReliableNetwork::Pump() {
   if (options_.real_timers) return false;
   EnsureChannels();
   std::vector<Message> sends;
-  std::vector<std::pair<ProcessorId, ProcessorId>> downs;
+  LinkList downs;
   {
-    std::lock_guard<std::mutex> lock(mu_);
-    const uint64_t next = NextDeadlineLocked();
+    const auto locks = LockAll();
+    uint64_t next = kNoDeadline;
+    for (size_t p = 0; p < num_processors_; ++p) {
+      next = std::min(next, NextDeadlineLocked(shards_[p]));
+    }
     if (next == kNoDeadline) return false;
     if (next > virtual_now_us_) virtual_now_us_ = next;
-    FireDueLocked(virtual_now_us_, &sends, &downs);
+    // Deterministic firing order: tx channels then rx channels, both in
+    // (from, to) order — required for replayable schedules.
+    const ProcessorId n = static_cast<ProcessorId>(num_processors_);
+    for (ProcessorId from = 0; from < n; ++from) {
+      for (ProcessorId to = 0; to < n; ++to) {
+        FireTxLocked(from, to, virtual_now_us_, &sends, &downs);
+      }
+    }
+    for (ProcessorId from = 0; from < n; ++from) {
+      for (ProcessorId to = 0; to < n; ++to) {
+        FireRxLocked(from, to, virtual_now_us_, &sends);
+      }
+    }
   }
   for (Message& m : sends) base_->Send(std::move(m));
   DispatchDowns(downs);
   return !sends.empty() || !downs.empty();
 }
 
-void ReliableNetwork::TimerLoop() {
-  std::unique_lock<std::mutex> lock(mu_);
-  while (!stopped_) {
-    const uint64_t next = NextDeadlineLocked();
-    if (next == kNoDeadline) {
-      timer_cv_.wait(lock);
-      continue;
-    }
-    const uint64_t now = NowUs();
-    if (now < next) {
-      timer_cv_.wait_for(lock, std::chrono::microseconds(next - now));
-      continue;
-    }
-    std::vector<Message> sends;
-    std::vector<std::pair<ProcessorId, ProcessorId>> downs;
-    FireDueLocked(now, &sends, &downs);
-    lock.unlock();
-    for (Message& m : sends) base_->Send(std::move(m));
-    DispatchDowns(downs);
-    if (!downs.empty()) settled_cv_.notify_all();
-    lock.lock();
-  }
-}
-
-bool ReliableNetwork::AllSettledLocked() const {
-  for (const TxChannel& tx : tx_) {
+bool ReliableNetwork::SettledLocked(const Shard& shard) {
+  for (const TxChannel& tx : shard.tx) {
     if (!tx.dead && !tx.unacked.empty()) return false;
   }
-  for (const RxChannel& rxc : rx_) {
+  for (const RxChannel& rxc : shard.rx) {
     if (rxc.ack_pending) return false;
   }
   return true;
@@ -318,6 +329,13 @@ bool ReliableNetwork::AllSettledLocked() const {
 bool ReliableNetwork::WaitQuiescent(std::chrono::milliseconds timeout) {
   EnsureChannels();
   const auto deadline = std::chrono::steady_clock::now() + timeout;
+  const auto all_settled = [this] {
+    for (size_t p = 0; p < num_processors_; ++p) {
+      std::lock_guard<std::mutex> lock(shards_[p].mu);
+      if (!SettledLocked(shards_[p])) return false;
+    }
+    return true;
+  };
   while (true) {
     const auto now = std::chrono::steady_clock::now();
     const auto remaining =
@@ -327,68 +345,67 @@ bool ReliableNetwork::WaitQuiescent(std::chrono::milliseconds timeout) {
                                   : std::chrono::milliseconds(0))) {
       return false;
     }
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      if (AllSettledLocked()) return true;
-      if (options_.real_timers) {
-        if (std::chrono::steady_clock::now() >= deadline) return false;
-        // The timer thread owns firing; wait for acks/retransmits/link
-        // declarations to move the state, then re-check the base.
-        settled_cv_.wait_for(lock, std::chrono::milliseconds(1));
-        continue;
-      }
+    if (all_settled()) return true;
+    if (options_.real_timers) {
+      if (std::chrono::steady_clock::now() >= deadline) return false;
+      // The workers own firing; give their timers (acks are due within
+      // ack_delay_us) time to move the state, then re-check the base.
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+      continue;
     }
     // Virtual timers: fire the earliest deadline ourselves. Pump returning
     // false with unsettled channels cannot happen (unacked windows and
     // pending acks always carry deadlines) — bail out rather than spin.
-    if (!Pump()) {
-      std::lock_guard<std::mutex> lock(mu_);
-      return AllSettledLocked();
-    }
+    if (!Pump()) return all_settled();
   }
 }
 
 bool ReliableNetwork::AnyLinkDown() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return any_link_down_;
+  return any_link_down_.load(std::memory_order_relaxed);
 }
 
 bool ReliableNetwork::IsLinkDown(ProcessorId from, ProcessorId to) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (tx_.empty()) return false;
-  return tx_[Index(from, to)].dead;
+  if (shards_ == nullptr) return false;
+  std::lock_guard<std::mutex> lock(shards_[from].mu);
+  return shards_[from].tx[to].dead;
 }
 
 size_t ReliableNetwork::Unacked() const {
-  std::lock_guard<std::mutex> lock(mu_);
   size_t total = 0;
-  for (const TxChannel& tx : tx_) total += tx.unacked.size();
+  for (size_t p = 0; p < num_processors_; ++p) {
+    std::lock_guard<std::mutex> lock(shards_[p].mu);
+    for (const TxChannel& tx : shards_[p].tx) total += tx.unacked.size();
+  }
   return total;
 }
 
 void ReliableNetwork::MixState(Fingerprint& fp) const {
-  std::lock_guard<std::mutex> lock(mu_);
+  const auto locks = LockAll();
+  // Deadlines mix relative to the virtual clock: absolute times grow
+  // monotonically and would make every state unique.
+  const auto relative = [this](uint64_t deadline) {
+    return deadline == kNoDeadline ? 0 : deadline - virtual_now_us_ + 1;
+  };
   fp.Mix(0x52454C4E45544D58ull);  // "RELNETMX"
-  for (const TxChannel& tx : tx_) {
-    fp.Mix(tx.next_seq);
-    fp.Mix(tx.unacked.size());
-    for (const Message& m : tx.unacked) fp.Mix(m.seq);
-    fp.Mix(tx.retries);
-    fp.Mix(tx.dead ? 1 : 0);
-    // Deadlines mix relative to the virtual clock: absolute times grow
-    // monotonically and would make every state unique.
-    fp.Mix(tx.rto_deadline == kNoDeadline
-               ? 0
-               : tx.rto_deadline - virtual_now_us_ + 1);
+  for (size_t from = 0; from < num_processors_; ++from) {
+    for (const TxChannel& tx : shards_[from].tx) {
+      fp.Mix(tx.next_seq);
+      fp.Mix(tx.unacked.size());
+      for (const Message& m : tx.unacked) fp.Mix(m.seq);
+      fp.Mix(tx.retries);
+      fp.Mix(tx.dead ? 1 : 0);
+      fp.Mix(relative(tx.rto_deadline));
+    }
   }
-  for (const RxChannel& rxc : rx_) {
-    fp.Mix(rxc.expected);
-    fp.Mix(rxc.reorder.size());
-    for (const auto& [seq, m] : rxc.reorder) fp.Mix(seq);
-    fp.Mix(rxc.ack_pending ? 1 : 0);
-    fp.Mix(rxc.ack_deadline == kNoDeadline
-               ? 0
-               : rxc.ack_deadline - virtual_now_us_ + 1);
+  for (size_t from = 0; from < num_processors_; ++from) {
+    for (size_t to = 0; to < num_processors_; ++to) {
+      const RxChannel& rxc = shards_[to].rx[from];
+      fp.Mix(rxc.expected);
+      fp.Mix(rxc.reorder.size());
+      for (const auto& [seq, m] : rxc.reorder) fp.Mix(seq);
+      fp.Mix(rxc.ack_pending ? 1 : 0);
+      fp.Mix(relative(rxc.ack_deadline));
+    }
   }
 }
 

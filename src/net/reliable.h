@@ -30,30 +30,40 @@
 //     `ack_delay_us`, a pure ack frame (Message::kAckOnly, never
 //     delivered to the application) is emitted by a timer.
 //
-// Timer discipline: with `real_timers` (ThreadNetwork) a dedicated timer
-// thread fires deadlines on the steady clock. Without it (SimNetwork) the
-// layer keeps a *virtual* clock that only advances when Pump() is called —
-// at quiescent points of the simulation — so timer firings are
-// deterministic, schedulable events and fault-bearing explorer traces
-// replay byte-for-byte.
+// Timer discipline: every channel half has one owning processor. The
+// sender half of (from, to) belongs to `from`, the receiver half to `to`,
+// so processor p owns tx(p, *) and rx(*, p), behind p's own shard mutex.
+// With `real_timers` (ThreadNetwork) p's worker thread fires p's timers
+// itself: after every delivered batch it calls Receiver::Poll, which fires
+// p's due retransmits and pure acks and returns p's next deadline, and the
+// worker parks in its inbox until that deadline or the next message. A
+// send from any other thread (Settle flushing held relays) that arms a
+// deadline earlier than the one p is parked for calls Network::Wake(p).
+// The layer starts no thread of its own. Without real timers (SimNetwork)
+// the layer keeps a *virtual* clock that only advances when Pump() is
+// called — at quiescent points of the simulation — and Pump fires every
+// channel's timers in one deterministic order, so timer firings are
+// schedulable events and fault-bearing explorer traces replay
+// byte-for-byte.
 //
 // Quiescence: dropped messages never reach the base transport and
 // retransmits re-enter it as fresh sends, so the base's atomic
 // inflight-counter accounting stays exact. This layer's WaitQuiescent
 // additionally requires every channel to be settled (window empty or link
-// down, no ack pending), pumping its own timers until that holds.
+// down, no ack pending): on the sim it pumps the virtual timers until that
+// holds, on threads it waits for the workers to fire theirs.
 
 #ifndef LAZYTREE_NET_RELIABLE_H_
 #define LAZYTREE_NET_RELIABLE_H_
 
-#include <condition_variable>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 #include "src/msg/fingerprint.h"
@@ -78,7 +88,8 @@ struct ReliabilityOptions {
   /// Receiver out-of-order buffer cap per channel; frames beyond it are
   /// dropped and recovered by retransmission.
   size_t reorder_window = 1024;
-  /// Real timer thread (ThreadNetwork) vs virtual Pump()-driven clock
+  /// Steady-clock timers fired by each processor's worker through
+  /// Receiver::Poll (ThreadNetwork) vs a virtual Pump()-driven clock
   /// (SimNetwork). Set by Cluster from the transport kind.
   bool real_timers = false;
 };
@@ -86,9 +97,10 @@ struct ReliabilityOptions {
 class ReliableNetwork : public Network {
  public:
   ReliableNetwork(Network* base, ReliabilityOptions options);
-  ~ReliableNetwork() override;
+  /// Stops the base: its workers poll this layer's endpoints.
+  ~ReliableNetwork() override { base_->Stop(); }
 
-  /// Called (outside this layer's lock) when a channel exhausts its
+  /// Called (outside every shard lock) when a channel exhausts its
   /// retransmit budget. `from -> to` is the dead direction.
   using LinkDownFn = std::function<void(ProcessorId from, ProcessorId to)>;
   void SetLinkDownCallback(LinkDownFn fn) { on_link_down_ = std::move(fn); }
@@ -99,6 +111,7 @@ class ReliableNetwork : public Network {
   void Start() override;
   void Stop() override;
   bool WaitQuiescent(std::chrono::milliseconds timeout) override;
+  void Wake(ProcessorId id) override { base_->Wake(id); }
   NetworkStats& stats() override { return base_->stats(); }
 
   /// Virtual-timer pump: advances the virtual clock to the earliest
@@ -132,7 +145,7 @@ class ReliableNetwork : public Network {
 
   static constexpr uint64_t kNoDeadline = ~0ull;
 
-  // Sender half of ordered channel (from, to).
+  // Sender half of ordered channel (from, to), owned by `from`.
   struct TxChannel {
     uint64_t next_seq = 0;
     std::deque<Message> unacked;  // retransmission window (go-back-N)
@@ -141,7 +154,7 @@ class ReliableNetwork : public Network {
     bool dead = false;
   };
 
-  // Receiver half of ordered channel (from, to), owned by endpoint `to`.
+  // Receiver half of ordered channel (from, to), owned by `to`.
   struct RxChannel {
     uint64_t expected = 0;  // next in-sequence seq; cum ack = expected - 1
     std::map<uint64_t, Message, SerialLess> reorder;  // out-of-order frames
@@ -149,15 +162,31 @@ class ReliableNetwork : public Network {
     uint64_t ack_deadline = kNoDeadline;
   };
 
+  // Everything processor p owns: tx(p, to) at tx[to], rx(from, p) at
+  // rx[from]. Only p's worker and the quiescence-time callers (Settle,
+  // WaitQuiescent, MixState, Unacked) take `mu`; a remote send from
+  // another thread is the rare exception.
+  struct alignas(64) Shard {
+    std::mutex mu;
+    std::vector<TxChannel> tx;
+    std::vector<RxChannel> rx;
+    // The deadline p's worker parks until, from its last Poll; 0 while a
+    // delivered batch guarantees another Poll. A send arming an earlier
+    // deadline lowers it and wakes the worker.
+    uint64_t parked_until = 0;
+  };
+
   /// Receiver wrapper registered with the base transport: runs the
   /// ack/dedup/reorder state machine, then forwards the surviving batch
-  /// to the real receiver (preserving DeliverBatch combining).
+  /// to the real receiver (preserving DeliverBatch combining), and fires
+  /// its processor's timers on Poll.
   class Endpoint : public Receiver {
    public:
     Endpoint(ReliableNetwork* net, ProcessorId id, Receiver* real)
         : net_(net), id_(id), real_(real) {}
     void Deliver(Message m) override;
     void DeliverBatch(std::vector<Message>& batch) override;
+    std::chrono::steady_clock::time_point Poll() override;
 
    private:
     ReliableNetwork* net_;
@@ -165,51 +194,50 @@ class ReliableNetwork : public Network {
     Receiver* real_;
   };
 
+  using LinkList = std::vector<std::pair<ProcessorId, ProcessorId>>;
+
   void EnsureChannels();
-  size_t Index(ProcessorId from, ProcessorId to) const {
-    return static_cast<size_t>(from) * num_processors_ + to;
-  }
 
   uint64_t NowUs() const;
   uint64_t BackoffUs(ProcessorId from, ProcessorId to,
                      uint32_t retries) const;
-  uint64_t NextDeadlineLocked() const;
-  /// Fires every timer due at `now`. Appends outgoing frames to `sends`
-  /// and dead links to `downs`; the caller dispatches both after
+  static uint64_t NextDeadlineLocked(const Shard& shard);
+  static bool SettledLocked(const Shard& shard);
+  /// Fires the tx(from, to) retransmit timer, or declares the link down,
+  /// if due at `now`. Requires shard `from` held. Outgoing frames go to
+  /// `sends` and dead links to `downs`; the caller dispatches both after
   /// releasing the lock.
-  void FireDueLocked(uint64_t now, std::vector<Message>* sends,
-                     std::vector<std::pair<ProcessorId, ProcessorId>>* downs);
-  bool AllSettledLocked() const;
+  void FireTxLocked(ProcessorId from, ProcessorId to, uint64_t now,
+                    std::vector<Message>* sends, LinkList* downs);
+  /// Emits the rx(from, to) pure ack if due at `now`. Requires shard `to`
+  /// held.
+  void FireRxLocked(ProcessorId from, ProcessorId to, uint64_t now,
+                    std::vector<Message>* sends);
+  /// Fires processor `id`'s due timers from its worker; returns its next
+  /// deadline.
+  std::chrono::steady_clock::time_point Poll(ProcessorId id);
+  /// Locks every shard in processor order (the quiescence-time callers).
+  std::vector<std::unique_lock<std::mutex>> LockAll() const;
   /// Stamps the cumulative ack for `to -> from` onto an outgoing
-  /// `from -> to` frame, clearing any pending delayed ack.
-  void AttachAckLocked(Message* m);
+  /// `from -> to` frame, clearing any pending delayed ack. Requires shard
+  /// `from` held.
+  void AttachAckLocked(Shard& shard, Message* m);
   void ProcessBatch(ProcessorId id, std::vector<Message>& in,
                     std::vector<Message>* out);
-  void DispatchDowns(
-      const std::vector<std::pair<ProcessorId, ProcessorId>>& downs);
-  void TimerLoop();
-  void WakeTimerLocked();
+  void DispatchDowns(const LinkList& downs);
 
   Network* base_;
   ReliabilityOptions options_;
   LinkDownFn on_link_down_;
+  const std::chrono::steady_clock::time_point epoch_;
 
   std::once_flag channels_once_;
   size_t num_processors_ = 0;
   std::vector<std::unique_ptr<Endpoint>> endpoints_;
 
-  mutable std::mutex mu_;
-  std::vector<TxChannel> tx_;
-  std::vector<RxChannel> rx_;
-  uint64_t virtual_now_us_ = 0;
-  bool any_link_down_ = false;
-  bool stopped_ = false;
-
-  // Real-timer machinery (options_.real_timers only).
-  std::thread timer_thread_;
-  std::condition_variable timer_cv_;
-  std::condition_variable settled_cv_;
-  std::chrono::steady_clock::time_point epoch_;
+  std::unique_ptr<Shard[]> shards_;
+  uint64_t virtual_now_us_ = 0;  // written by Pump under every shard lock
+  std::atomic<bool> any_link_down_{false};
 };
 
 }  // namespace lazytree::net

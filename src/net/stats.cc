@@ -16,6 +16,7 @@ StatsSnapshot StatsSnapshot::operator-(const StatsSnapshot& rhs) const {
   d.duplicates_dropped = duplicates_dropped - rhs.duplicates_dropped;
   d.acks_piggybacked = acks_piggybacked - rhs.acks_piggybacked;
   d.link_down = link_down - rhs.link_down;
+  d.pure_acks = pure_acks - rhs.pure_acks;
   for (size_t i = 0; i < actions_by_kind.size(); ++i) {
     d.actions_by_kind[i] = actions_by_kind[i] - rhs.actions_by_kind[i];
   }
@@ -29,11 +30,12 @@ std::string StatsSnapshot::ToString() const {
      << " piggybacked=" << piggybacked_actions
      << " combined=" << combined_actions
      << " fastpath_reads=" << fastpath_reads;
-  if (retransmits || duplicates_dropped || acks_piggybacked || link_down) {
+  if (retransmits || duplicates_dropped || acks_piggybacked || link_down ||
+      pure_acks) {
     os << " retransmits=" << retransmits
        << " dups_dropped=" << duplicates_dropped
        << " acks_piggybacked=" << acks_piggybacked
-       << " link_down=" << link_down;
+       << " pure_acks=" << pure_acks << " link_down=" << link_down;
   }
   for (size_t i = 1; i < actions_by_kind.size(); ++i) {
     if (actions_by_kind[i] == 0) continue;
@@ -89,6 +91,10 @@ void NetworkStats::OnLinkDown() {
   link_down_.fetch_add(1, std::memory_order_relaxed);
 }
 
+void NetworkStats::OnPureAck() {
+  pure_acks_.fetch_add(1, std::memory_order_relaxed);
+}
+
 StatsSnapshot NetworkStats::Snapshot() const {
   StatsSnapshot s;
   s.remote_messages = remote_messages_.load(std::memory_order_relaxed);
@@ -102,6 +108,7 @@ StatsSnapshot NetworkStats::Snapshot() const {
   s.duplicates_dropped = duplicates_dropped_.load(std::memory_order_relaxed);
   s.acks_piggybacked = acks_piggybacked_.load(std::memory_order_relaxed);
   s.link_down = link_down_.load(std::memory_order_relaxed);
+  s.pure_acks = pure_acks_.load(std::memory_order_relaxed);
   for (size_t i = 0; i < s.actions_by_kind.size(); ++i) {
     s.actions_by_kind[i] =
         actions_by_kind_[i].load(std::memory_order_relaxed);
@@ -122,6 +129,7 @@ void NetworkStats::Reset() {
   duplicates_dropped_.store(0, std::memory_order_relaxed);
   acks_piggybacked_.store(0, std::memory_order_relaxed);
   link_down_.store(0, std::memory_order_relaxed);
+  pure_acks_.store(0, std::memory_order_relaxed);
   for (auto& c : actions_by_kind_) c.store(0, std::memory_order_relaxed);
 }
 

@@ -25,6 +25,7 @@ struct StatsSnapshot {
   uint64_t duplicates_dropped = 0;  ///< stale/duplicate frames deduped away
   uint64_t acks_piggybacked = 0;    ///< cumulative acks that rode data frames
   uint64_t link_down = 0;  ///< channels declared dead (retransmit budget spent)
+  uint64_t pure_acks = 0;  ///< ack-only frames sent when no data rode back
   std::array<uint64_t, static_cast<size_t>(ActionKind::kMaxKind)>
       actions_by_kind{};
 
@@ -54,6 +55,7 @@ class NetworkStats {
   void OnDuplicateDropped();
   void OnAckPiggybacked();
   void OnLinkDown();
+  void OnPureAck();
   StatsSnapshot Snapshot() const;
   void Reset();
 
@@ -68,6 +70,7 @@ class NetworkStats {
   std::atomic<uint64_t> duplicates_dropped_{0};
   std::atomic<uint64_t> acks_piggybacked_{0};
   std::atomic<uint64_t> link_down_{0};
+  std::atomic<uint64_t> pure_acks_{0};
   std::array<std::atomic<uint64_t>,
              static_cast<size_t>(ActionKind::kMaxKind)>
       actions_by_kind_{};

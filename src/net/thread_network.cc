@@ -74,11 +74,21 @@ void ThreadNetwork::WorkerLoop(Station* station) {
   if (pin_threads_ && AvailableCpus() > 1) {
     PinCurrentThreadToCpu(static_cast<unsigned>(station->id));
   }
-  std::vector<Message> batch;  // recycled across PopAll swaps
-  while (station->inbox.PopAll(batch, max_batch_)) {
-    station->receiver->DeliverBatch(batch);
-    OnHandled(static_cast<int64_t>(batch.size()));
+  std::vector<Message> batch;  // recycled across PopAllUntil swaps
+  auto deadline = station->receiver->Poll();
+  while (station->inbox.PopAllUntil(batch, max_batch_, deadline)) {
+    if (!batch.empty()) {
+      station->receiver->DeliverBatch(batch);
+      OnHandled(static_cast<int64_t>(batch.size()));
+    }
+    deadline = station->receiver->Poll();
   }
+}
+
+void ThreadNetwork::Wake(ProcessorId id) {
+  LAZYTREE_CHECK(id < stations_.size() && stations_[id] != nullptr)
+      << "wake of unregistered p" << id;
+  stations_[id]->inbox.Poke();
 }
 
 void ThreadNetwork::OnHandled(int64_t n) {

@@ -4,7 +4,10 @@
 // Receiver::Deliver serially, which gives the paper's one-node-manager-
 // per-processor execution model with genuine hardware parallelism across
 // processors. FIFO per (from, to) pair holds because a sender enqueues in
-// program order and the inbox is a single FIFO queue.
+// program order and the inbox is a single FIFO queue. Between batches the
+// worker calls Receiver::Poll and waits for the next message no later than
+// the deadline it returns, so the receiver's timers fire on its own
+// thread; Wake cuts that wait short.
 //
 // Send *moves* the Message straight into the destination's batched MPSC
 // inbox — no wire encode/decode — and NetworkStats byte counts come from
@@ -62,6 +65,7 @@ class ThreadNetwork : public Network {
   void Start() override;
   void Stop() override;
   bool WaitQuiescent(std::chrono::milliseconds timeout) override;
+  void Wake(ProcessorId id) override;
 
  private:
   struct Station {

@@ -45,6 +45,15 @@ class Receiver {
   virtual void DeliverBatch(std::vector<Message>& batch) {
     for (Message& m : batch) Deliver(std::move(m));
   }
+
+  /// Fires this processor's due timers and returns its next deadline
+  /// (time_point::max() for none). A ThreadNetwork worker calls it on
+  /// its own thread before it first waits and after every batch, then
+  /// waits for the next message no later than the deadline. The reliable
+  /// layer's per-processor retransmit and ack timers run here.
+  virtual std::chrono::steady_clock::time_point Poll() {
+    return std::chrono::steady_clock::time_point::max();
+  }
 };
 
 /// Reliable exactly-once FIFO transport between registered processors.
@@ -72,6 +81,11 @@ class Network {
   /// timeout elapses. Returns true on quiescence. For SimNetwork this *is*
   /// the execution loop.
   virtual bool WaitQuiescent(std::chrono::milliseconds timeout) = 0;
+
+  /// Makes `id`'s worker return from its wait and Poll again, without a
+  /// message: a send from another thread armed a deadline earlier than
+  /// the one the worker waits for. No-op where nothing waits.
+  virtual void Wake(ProcessorId /*id*/) {}
 
   /// Counter sink. Decorators (the reliable layer) override this
   /// to return the base transport's sink, so a whole decorator stack

@@ -46,6 +46,7 @@ inline void CpuRelax() {
 
 /// Unbounded MPSC queue drained in batches. Close() wakes the consumer;
 /// after close, PopAll keeps returning queued batches until empty.
+/// PopAllUntil bounds the wait by a deadline, and Poke() ends it early.
 template <typename T>
 class MpscBatchQueue {
  public:
@@ -76,6 +77,14 @@ class MpscBatchQueue {
   /// handled as one atomic chunk during which the worker never revisits
   /// the queue, and every message that arrived mid-chunk waits for the
   /// whole chunk — a tail-latency amplifier proportional to burst size.
+  bool PopAll(std::vector<T>& out,
+              size_t max_items = std::numeric_limits<size_t>::max()) {
+    return PopAllUntil(out, max_items,
+                       std::chrono::steady_clock::time_point::max());
+  }
+
+  /// PopAll that also returns (true, `out` empty) once `deadline` passes
+  /// or a Poke arrives first — the worker's cue to fire its timers.
   ///
   /// Spin-then-park: before taking the sleep path the consumer spins on
   /// the lock-free size hint (multicore only — on a single hardware
@@ -83,28 +92,53 @@ class MpscBatchQueue {
   /// the next batch arrives within microseconds, and dodging the futex
   /// sleep/wake round trip keeps the consumer out of the producers' Push
   /// path entirely.
-  bool PopAll(std::vector<T>& out,
-              size_t max_items = std::numeric_limits<size_t>::max()) {
+  bool PopAllUntil(std::vector<T>& out, size_t max_items,
+                   std::chrono::steady_clock::time_point deadline) {
+    using Clock = std::chrono::steady_clock;
     static const int kSpins =
         std::thread::hardware_concurrency() > 1 ? 4096 : 0;
+    constexpr int kClockEvery = 64;  // spins between deadline checks
     out.clear();
     if (TakeStaged(out, max_items)) return true;
+    const bool timed = deadline != Clock::time_point::max();
     for (int spin = 0; spin < kSpins; ++spin) {
       if (size_hint_.load(std::memory_order_acquire) > 0) {
         if (SwapAndTake(out, max_items)) return true;
       }
       if (closed_hint_.load(std::memory_order_acquire)) break;
+      if (timed && spin % kClockEvery == 0 && Clock::now() >= deadline) {
+        break;
+      }
       CpuRelax();
     }
     std::unique_lock<std::mutex> lock(mu_);
     parked_ = true;
-    cv_.wait(lock, [&] { return !items_.empty() || closed_; });
+    const auto ready = [&] { return !items_.empty() || closed_ || poked_; };
+    if (timed) {
+      cv_.wait_until(lock, deadline, ready);
+    } else {
+      cv_.wait(lock, ready);
+    }
     parked_ = false;
-    if (items_.empty()) return false;
+    poked_ = false;
+    if (items_.empty()) return !closed_;
     StageLocked();
     lock.unlock();
     TakeStaged(out, max_items);
     return true;
+  }
+
+  /// Wakes the consumer without an item: its pending (or next) PopAllUntil
+  /// returns with `out` empty. A poke that lands before the consumer
+  /// parks is kept until it does.
+  void Poke() {
+    bool consumer_parked;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      poked_ = true;
+      consumer_parked = parked_;
+    }
+    if (consumer_parked) cv_.notify_one();
   }
 
   /// Non-blocking variant: moves up to `max_items` pending items into
@@ -173,6 +207,7 @@ class MpscBatchQueue {
   std::vector<T> items_;
   bool closed_ = false;
   bool parked_ = false;  // guarded by mu_; read by producers under mu_
+  bool poked_ = false;   // guarded by mu_; consumed by the next park
 
   // Lock-free mirror of items_.size() / closed_ for the consumer's spin
   // phase — advisory only; every take re-checks under the mutex.

@@ -7,16 +7,20 @@
 //   * a partition window healing in the middle of a leaf split,
 //   * bounded retransmit budget: link-down fails pending ops with a
 //     retriable status instead of hanging Settle(),
+//   * on real threads, Settle arming a retransmit deadline from outside
+//     the owning worker, which must wake it,
 //   * fault-bearing episode traces recording byte-for-byte identically
 //     and replaying without divergence.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <thread>
 #include <vector>
 
 #include "src/core/cluster.h"
@@ -24,6 +28,7 @@
 #include "src/net/reliable.h"
 #include "src/net/sim_network.h"
 #include "src/sim/explorer.h"
+#include "tests/test_util.h"
 
 namespace lazytree {
 namespace {
@@ -251,6 +256,67 @@ TEST(ReliableNetTest, LinkDownFailsPendingOpsWithRetriableStatus) {
   }
   EXPECT_GT(unavailable, 0u)
       << "cross-link ops must fail retriable, not silently vanish";
+  cluster.Stop();
+}
+
+// ---------------------------------------------------------------------------
+// Foreign-thread deadlines: on real threads each worker fires its own
+// processor's timers and parks until the next one is due. Settle sends
+// the relays held in the outboxes from the caller's thread once every
+// worker has parked with nothing armed — the one path that arms a parked
+// worker's retransmit deadline from outside its deliveries. A flushed
+// relay that is dropped comes back only if that send wakes the sending
+// processor's worker (Network::Wake); otherwise Settle runs out its
+// timeout. Repeated rounds of concurrent clients, each ended by Settle.
+TEST(ReliableNetTest, SettleWakesWorkersParkedPastForeignDeadlines) {
+  constexpr uint32_t kProcessors = 3;
+  ClusterOptions options;
+  options.processors = kProcessors;
+  options.protocol = ProtocolKind::kSemiSyncSplit;
+  options.transport = TransportKind::kThreads;
+  options.seed = 41;
+  options.tree.max_entries = 8;
+  options.tree.leaf_replication = 2;  // every insert relays to a replica
+  options.piggyback_window = 4;
+  options.faults.drop = 0.2;
+  options.faults.seed = 43;
+  options.reliable = 1;
+  options.reliability.max_retransmits = 16;  // no link dies at 20% loss
+
+  Cluster cluster(options);
+  cluster.Start();
+  Oracle oracle;
+  constexpr int kRounds = 30;
+  constexpr int kClients = 3;
+  constexpr int kPerClient = 12;
+  const std::vector<Key> keys =
+      testing::RandomKeys(kRounds * kClients * kPerClient, 47);
+  std::atomic<int> failures{0};
+  for (int round = 0; round < kRounds; ++round) {
+    const Key* round_keys = &keys[round * kClients * kPerClient];
+    std::vector<std::thread> clients;
+    for (int c = 0; c < kClients; ++c) {
+      clients.emplace_back([&cluster, &failures, round_keys, c] {
+        for (int i = 0; i < kPerClient; ++i) {
+          const Key k = round_keys[c * kPerClient + i];
+          const auto home = static_cast<ProcessorId>((c + i) % kProcessors);
+          if (!cluster.Insert(home, k, k + 1).ok()) failures.fetch_add(1);
+        }
+      });
+    }
+    for (auto& t : clients) t.join();
+    for (int i = 0; i < kClients * kPerClient; ++i) {
+      ASSERT_TRUE(oracle.Insert(round_keys[i], round_keys[i] + 1).ok());
+    }
+    ASSERT_TRUE(cluster.Settle(std::chrono::seconds(10)))
+        << "round " << round << ": Settle timed out";
+  }
+  EXPECT_EQ(failures.load(), 0) << "an op was lost or failed";
+  testing::ExpectMatchesOracle(cluster, oracle);
+  const net::StatsSnapshot snap = cluster.NetStats();
+  EXPECT_GT(snap.piggybacked_actions, 0u) << "no relay was held for Settle";
+  EXPECT_GT(snap.retransmits, 0u);
+  EXPECT_EQ(snap.link_down, 0u);
   cluster.Stop();
 }
 

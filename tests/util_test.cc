@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <functional>
+#include <future>
 #include <set>
 #include <thread>
 
@@ -182,6 +185,86 @@ TEST(MpscBatchQueue, CloseWakesAndDrains) {
   ASSERT_TRUE(q.PopAll(batch)) << "drains remaining items after close";
   EXPECT_EQ(batch, std::vector<int>({1}));
   EXPECT_FALSE(q.PopAll(batch)) << "closed and drained";
+}
+
+TEST(MpscBatchQueue, DeadlinePassingReturnsEmpty) {
+  MpscBatchQueue<int> q;
+  std::vector<int> batch = {7};
+  const auto start = std::chrono::steady_clock::now();
+  const auto deadline = start + std::chrono::milliseconds(20);
+  ASSERT_TRUE(q.PopAllUntil(batch, 16, deadline));
+  EXPECT_TRUE(batch.empty()) << "nothing pushed: out comes back empty";
+  EXPECT_GE(std::chrono::steady_clock::now(), deadline);
+}
+
+// Runs PopAllUntil with no deadline on its own thread; true if it returned
+// within `limit` (the queue is closed afterwards either way, so a missed
+// wakeup fails the test instead of hanging it).
+bool ReturnsWithin(MpscBatchQueue<int>& q, std::vector<int>& batch,
+                   const std::function<void()>& after_start,
+                   std::chrono::milliseconds limit) {
+  std::promise<bool> result;
+  std::future<bool> returned = result.get_future();
+  std::thread consumer([&] {
+    result.set_value(q.PopAllUntil(
+        batch, 16, std::chrono::steady_clock::time_point::max()));
+  });
+  after_start();
+  const bool woke =
+      returned.wait_for(limit) == std::future_status::ready && returned.get();
+  q.Close();
+  consumer.join();
+  return woke;
+}
+
+TEST(MpscBatchQueue, PokeWakesParkedConsumer) {
+  MpscBatchQueue<int> q;
+  std::vector<int> batch = {7};
+  EXPECT_TRUE(ReturnsWithin(
+      q, batch,
+      [&q] {
+        // Long past the spin phase: the consumer is parked.
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        q.Poke();
+      },
+      std::chrono::seconds(10)));
+  EXPECT_TRUE(batch.empty()) << "a poke carries no item";
+}
+
+TEST(MpscBatchQueue, PokeRacingTheParkIsNotLost) {
+  {
+    // A poke before the consumer waits at all is kept for its park.
+    MpscBatchQueue<int> q;
+    q.Poke();
+    std::vector<int> batch;
+    EXPECT_TRUE(ReturnsWithin(q, batch, [] {}, std::chrono::seconds(10)));
+  }
+  // Pokes landing anywhere in the spin-then-park window.
+  for (int i = 0; i < 200; ++i) {
+    MpscBatchQueue<int> q;
+    std::vector<int> batch;
+    ASSERT_TRUE(ReturnsWithin(
+        q, batch,
+        [&q, i] {
+          std::this_thread::sleep_for(std::chrono::microseconds(i * 5));
+          q.Poke();
+        },
+        std::chrono::seconds(10)))
+        << "poke " << i << " was lost";
+  }
+}
+
+TEST(MpscBatchQueue, ClosedAndDrainedReturnsFalseDespiteDeadlineOrPoke) {
+  MpscBatchQueue<int> q;
+  q.Push(1);
+  q.Close();
+  q.Poke();
+  const auto past = std::chrono::steady_clock::now();
+  std::vector<int> batch;
+  ASSERT_TRUE(q.PopAllUntil(batch, 16, past)) << "queued items still drain";
+  EXPECT_EQ(batch, std::vector<int>({1}));
+  EXPECT_FALSE(q.PopAllUntil(batch, 16, past)) << "closed and drained";
+  EXPECT_FALSE(q.PopAll(batch));
 }
 
 TEST(MpscBatchQueue, MultiProducerKeepsPerProducerOrder) {

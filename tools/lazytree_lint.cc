@@ -323,10 +323,11 @@ const char* const kApprovedConcurrencyFiles[] = {
     "src/util/affinity.h", "src/util/affinity.cc",
     // The thread transport.
     "src/net/thread_network.h", "src/net/thread_network.cc",
-    // The reliable-delivery layer: channel windows and timers are shared
-    // between sender threads, the delivery path, and the real-timer
-    // thread, guarded by one decorator-internal mutex; processors still
-    // see the §1.1 single-threaded delivery model above it.
+    // The reliable-delivery layer: processor p's worker owns the channel
+    // halves tx(p, *) and rx(*, p) and fires their timers itself, behind
+    // one shard mutex per processor that only the quiescence-time callers
+    // and rare foreign-thread sends also take; processors still see the
+    // §1.1 single-threaded delivery model above it.
     "src/net/reliable.h", "src/net/reliable.cc",
     // Client-thread completion handoff.
     "src/server/op_tracker.h", "src/server/op_tracker.cc",
