@@ -29,9 +29,12 @@
 // (p50_us…), never in one column. The fault counters (dropped, rexmit,
 // linkdown) and the lost and failed counts cover the load and the run.
 // The run fails if any row loses or fails an op or takes a link down, if
-// a lossy row shows no drops or no retransmits, or if a hotspot-shift row
-// misses more than 1% of its reads (all its keys are loaded, so misses
-// mean it measures the wrong path).
+// a lossy row shows no drops or no retransmits, if a lossy sim row
+// retransmits more than twice per drop (selective repeat resends the
+// holes only), or if a hotspot-shift row misses more than 1% of its reads
+// (all its keys are loaded, so misses mean it measures the wrong path).
+// Threads rows are exempt from the per-drop bound: a worker descheduled
+// past the retransmission timeout resends frames that were never lost.
 
 #include <algorithm>
 #include <cstdio>
@@ -270,6 +273,11 @@ std::string CheckRow(const Row& r) {
   if (r.total.link_down > 0) fail("a link went down");
   if (r.spec.drop > 0 && (r.dropped == 0 || r.total.retransmits == 0)) {
     fail("loss without drops or retransmissions");
+  }
+  if (!r.spec.threads && r.spec.drop > 0 &&
+      r.total.retransmits > 2 * r.dropped) {
+    fail(std::to_string(r.total.retransmits) + " retransmits for " +
+         std::to_string(r.dropped) + " drops (> 2 per drop)");
   }
   if (std::strcmp(r.spec.mix->name, "hotspot-shift") == 0 &&
       r.run.not_found * 100 > r.run.completed) {

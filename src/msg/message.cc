@@ -8,6 +8,7 @@ std::string Message::ToString() const {
   std::ostringstream os;
   os << "p" << from << "->p" << to << "#" << seq;
   if (flags & kHasAck) os << "~a" << ack;
+  if (flags & kHasSack) os << "~s" << std::hex << sack << std::dec;
   if (flags & kAckOnly) os << "!ack";
   if (flags & kRetransmit) os << "!rtx";
   os << "{";

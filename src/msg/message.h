@@ -23,12 +23,16 @@ struct Message {
   static constexpr uint8_t kHasAck = 1 << 0;      ///< `ack` field is valid
   static constexpr uint8_t kAckOnly = 1 << 1;     ///< pure ack, no payload
   static constexpr uint8_t kRetransmit = 1 << 2;  ///< resent copy
+  static constexpr uint8_t kHasSack = 1 << 3;     ///< `sack` field is valid
 
   ProcessorId from = kInvalidProcessor;
   ProcessorId to = kInvalidProcessor;
   uint64_t seq = 0;  ///< per-(from,to) channel sequence, assigned by net
   uint64_t ack = 0;  ///< cumulative ack for the reverse channel (kHasAck)
-  uint8_t flags = 0;  ///< Message::kHasAck | kAckOnly | kRetransmit
+  /// Selective ack for the reverse channel (kHasSack): bit i set means
+  /// the receiver holds seq `ack + 2 + i`, past the hole at `ack + 1`.
+  uint64_t sack = 0;
+  uint8_t flags = 0;  ///< Message::kHasAck | kAckOnly | kRetransmit | kHasSack
   std::vector<Action> actions;
 
   Message() = default;

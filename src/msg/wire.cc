@@ -149,6 +149,7 @@ void EncodeMessageTo(Sink& w, const Message& m) {
   w.PutVarint(m.seq);
   w.PutVarint(m.ack);
   w.PutFixed8(m.flags);
+  if (m.flags & Message::kHasSack) w.PutVarint(m.sack);
   w.PutVarint(m.actions.size());
   for (const Action& a : m.actions) EncodeActionTo(w, a);
 }
@@ -299,6 +300,7 @@ StatusOr<Message> DecodeMessage(const std::vector<uint8_t>& bytes) {
   LT_GET(m.seq, r.GetVarint());
   LT_GET(m.ack, r.GetVarint());
   LT_GET(m.flags, r.GetFixed8());
+  if (m.flags & Message::kHasSack) LT_GET(m.sack, r.GetVarint());
   uint64_t n;
   LT_GET(n, r.GetVarint());
   m.actions.reserve(n);

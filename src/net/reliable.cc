@@ -71,10 +71,34 @@ uint64_t ReliableNetwork::BackoffUs(ProcessorId from, ProcessorId to,
   return base + jitter;
 }
 
-void ReliableNetwork::AttachAckLocked(Shard& shard, Message* m) {
-  RxChannel& rxc = shard.rx[m->to];
+void ReliableNetwork::StampAck(const RxChannel& rxc, Message* m) {
   m->ack = rxc.expected - 1;  // cumulative: everything below expected
   m->flags |= Message::kHasAck;
+  // Selective: every buffered frame within 64 of the hole. The buffer
+  // holds only seqs past `expected`, in serial order.
+  uint64_t sack = 0;
+  for (const auto& entry : rxc.reorder) {
+    const uint64_t bit = entry.first - rxc.expected - 1;
+    if (bit >= 64) break;
+    sack |= 1ull << bit;
+  }
+  m->sack = sack;
+  if (sack != 0) {
+    m->flags |= Message::kHasSack;
+  } else {
+    m->flags &= static_cast<uint8_t>(~Message::kHasSack);
+  }
+}
+
+void ReliableNetwork::ArmAck(RxChannel& rxc, uint64_t deadline) {
+  if (rxc.ack_pending && rxc.ack_deadline <= deadline) return;
+  rxc.ack_pending = true;
+  rxc.ack_deadline = deadline;
+}
+
+void ReliableNetwork::AttachAckLocked(Shard& shard, Message* m) {
+  RxChannel& rxc = shard.rx[m->to];
+  StampAck(rxc, m);
   if (rxc.ack_pending) {
     rxc.ack_pending = false;
     rxc.ack_deadline = kNoDeadline;
@@ -101,7 +125,7 @@ void ReliableNetwork::Send(Message m) {
     m.seq = tx.next_seq++;
     m.flags = 0;
     AttachAckLocked(shard, &m);
-    tx.unacked.push_back(m);  // window copy for retransmission
+    tx.unacked.push_back(Pending{m});  // window copy for retransmission
     if (tx.unacked.size() == 1) {
       tx.rto_deadline = NowUs() + BackoffUs(from, m.to, 0);
       // Only a send from outside `from`'s delivery can land here: the
@@ -117,23 +141,77 @@ void ReliableNetwork::Send(Message m) {
 }
 
 void ReliableNetwork::Endpoint::Deliver(Message m) {
-  std::vector<Message> batch;
-  batch.push_back(std::move(m));
-  DeliverBatch(batch);
+  in_.push_back(std::move(m));
+  DeliverBatch(in_);
+  in_.clear();
 }
 
 void ReliableNetwork::Endpoint::DeliverBatch(std::vector<Message>& batch) {
-  std::vector<Message> out;
-  net_->ProcessBatch(id_, batch, &out);
-  if (!out.empty()) real_->DeliverBatch(out);
+  net_->ProcessBatch(id_, batch, &out_, &sends_);
+  for (Message& m : sends_) net_->base_->Send(std::move(m));
+  sends_.clear();
+  if (!out_.empty()) real_->DeliverBatch(out_);
+  out_.clear();
 }
 
 std::chrono::steady_clock::time_point ReliableNetwork::Endpoint::Poll() {
   return net_->Poll(id_);
 }
 
+Message ReliableNetwork::ResendLocked(Shard& shard, Pending& pending) {
+  pending.resent = true;
+  Message copy = pending.m;
+  copy.flags |= Message::kRetransmit;
+  AttachAckLocked(shard, &copy);
+  return copy;
+}
+
+void ReliableNetwork::OnAckLocked(ProcessorId id, const Message& m,
+                                  uint64_t now, std::vector<Message>* sends) {
+  Shard& shard = shards_[id];
+  TxChannel& tx = shard.tx[m.from];
+  bool progress = false;
+  while (!tx.unacked.empty() &&
+         static_cast<int64_t>(tx.unacked.front().m.seq - m.ack) <= 0) {
+    tx.unacked.pop_front();
+    progress = true;
+  }
+  if (progress) {
+    tx.retries = 0;
+    tx.rto_deadline = tx.unacked.empty() ? kNoDeadline
+                                         : now + BackoffUs(id, m.from, 0);
+  }
+  if (!(m.flags & Message::kHasSack)) return;
+  // Bit i is seq ack + 2 + i. The peer never discards a frame it holds, so
+  // held marks only accumulate, even from a stale ack.
+  size_t holes_end = 0;  // one past the highest held frame
+  for (size_t i = 0; i < tx.unacked.size(); ++i) {
+    Pending& pending = tx.unacked[i];
+    const uint64_t bit = pending.m.seq - m.ack - 2;
+    if (bit < 64 && ((m.sack >> bit) & 1) != 0) pending.held = true;
+    if (pending.held) holes_end = i + 1;
+  }
+  size_t resent = 0;
+  bool head_resent = false;
+  for (size_t i = 0; i < holes_end; ++i) {
+    Pending& pending = tx.unacked[i];
+    if (pending.held || pending.resent) continue;
+    sends->push_back(ResendLocked(shard, pending));
+    ++resent;
+    head_resent = head_resent || i == 0;
+  }
+  if (resent == 0) return;
+  stats().OnRetransmit(resent);
+  // Fast retransmits spend no budget. The timer guards the window head:
+  // a resent head gets a full timeout to land, while later holes' resends
+  // leave the deadline alone, so a head whose resend is lost too is not
+  // starved by fresh holes behind it.
+  if (head_resent) tx.rto_deadline = now + BackoffUs(id, m.from, tx.retries);
+}
+
 void ReliableNetwork::ProcessBatch(ProcessorId id, std::vector<Message>& in,
-                                   std::vector<Message>* out) {
+                                   std::vector<Message>* out,
+                                   std::vector<Message>* sends) {
   EnsureChannels();
   Shard& shard = shards_[id];
   std::lock_guard<std::mutex> lock(shard.mu);
@@ -146,22 +224,8 @@ void ReliableNetwork::ProcessBatch(ProcessorId id, std::vector<Message>& in,
       out->push_back(std::move(m));
       continue;
     }
-    if (m.flags & Message::kHasAck) {
-      // The peer acks our `id -> m.from` channel cumulatively.
-      TxChannel& tx = shard.tx[m.from];
-      bool progress = false;
-      while (!tx.unacked.empty() &&
-             static_cast<int64_t>(tx.unacked.front().seq - m.ack) <= 0) {
-        tx.unacked.pop_front();
-        progress = true;
-      }
-      if (progress) {
-        tx.retries = 0;
-        tx.rto_deadline = tx.unacked.empty()
-                              ? kNoDeadline
-                              : now + BackoffUs(id, m.from, 0);
-      }
-    }
+    // The peer acks our `id -> m.from` channel.
+    if (m.flags & Message::kHasAck) OnAckLocked(id, m, now, sends);
     if (m.flags & Message::kAckOnly) continue;  // never delivered upward
 
     RxChannel& rxc = shard.rx[m.from];
@@ -175,20 +239,20 @@ void ReliableNetwork::ProcessBatch(ProcessorId id, std::vector<Message>& in,
         rxc.reorder.erase(rxc.reorder.begin());
         ++rxc.expected;
       }
-      if (!rxc.ack_pending) {
-        rxc.ack_pending = true;
-        rxc.ack_deadline = now + options_.ack_delay_us;
-      }
+      ArmAck(rxc, now + options_.ack_delay_us);
     } else if (diff < 0 || rxc.reorder.count(m.seq) != 0) {
       // Stale or duplicate frame: the peer is (re)sending something we
       // already have, so re-ack eagerly to shut its timer down.
       stats().OnDuplicateDropped();
-      rxc.ack_pending = true;
-      rxc.ack_deadline = now;
+      ArmAck(rxc, now);
     } else if (rxc.reorder.size() < options_.reorder_window) {
+      // A missing predecessor is a new hole: report it at once so the
+      // sender fast-retransmits it. Later frames refresh the report.
+      const bool new_hole = rxc.reorder.count(m.seq - 1) == 0;
+      ArmAck(rxc, new_hole ? now : now + options_.ack_delay_us);
       rxc.reorder.emplace(m.seq, std::move(m));
     }
-    // else: reorder window overflow — drop; go-back-N recovers it.
+    // else: reorder window overflow — drop; the sender resends it.
   }
 }
 
@@ -219,14 +283,16 @@ void ReliableNetwork::FireTxLocked(ProcessorId from, ProcessorId to,
     downs->emplace_back(from, to);
     return;
   }
+  // A new timeout epoch: resend every frame the peer is not known to
+  // hold, held frames never.
   ++tx.retries;
-  stats().OnRetransmit(tx.unacked.size());
-  for (const Message& pending : tx.unacked) {
-    Message copy = pending;
-    copy.flags |= Message::kRetransmit;
-    AttachAckLocked(shard, &copy);
-    sends->push_back(std::move(copy));
+  size_t resent = 0;
+  for (Pending& pending : tx.unacked) {
+    if (pending.held) continue;
+    sends->push_back(ResendLocked(shard, pending));
+    ++resent;
   }
+  stats().OnRetransmit(resent);
   tx.rto_deadline = now + BackoffUs(from, to, tx.retries);
 }
 
@@ -237,8 +303,8 @@ void ReliableNetwork::FireRxLocked(ProcessorId from, ProcessorId to,
   Message ack;
   ack.from = to;  // the rx channel's owner acks back to the sender
   ack.to = from;
-  ack.flags = Message::kHasAck | Message::kAckOnly;
-  ack.ack = rxc.expected - 1;
+  ack.flags = Message::kAckOnly;
+  StampAck(rxc, &ack);
   rxc.ack_pending = false;
   rxc.ack_deadline = kNoDeadline;
   stats().OnPureAck();
@@ -391,7 +457,10 @@ void ReliableNetwork::MixState(Fingerprint& fp) const {
     for (const TxChannel& tx : shards_[from].tx) {
       fp.Mix(tx.next_seq);
       fp.Mix(tx.unacked.size());
-      for (const Message& m : tx.unacked) fp.Mix(m.seq);
+      for (const Pending& pending : tx.unacked) {
+        fp.Mix(pending.m.seq);
+        fp.Mix((pending.held ? 1 : 0) | (pending.resent ? 2 : 0));
+      }
       fp.Mix(tx.retries);
       fp.Mix(tx.dead ? 1 : 0);
       fp.Mix(relative(tx.rto_deadline));

@@ -3,18 +3,24 @@
 // ReliableNetwork is a Network decorator that restores the paper's §4
 // channel assumption — reliable, exactly-once, in-order delivery — on top
 // of a transport that drops, duplicates, reorders, or delays messages
-// (net/faults.h). The machinery is classic go-back-N:
+// (net/faults.h). The machinery is selective repeat driven by selective
+// acks (TCP SACK, RFC 2018):
 //
 //   sender, per ordered channel (from, to):
 //     every data message gets the channel's next sequence number and a
-//     copy is kept in an unacked window; an armed retransmission timer
-//     resends the whole window with exponential backoff + deterministic
-//     jitter; a cumulative ack prunes the window. A bounded retransmit
-//     budget declares the link *down* instead of retrying forever: the
-//     window is discarded, the link-down callback fires (Cluster fails
-//     pending ops with a retriable kUnavailable status), and quiescence
-//     treats the channel as settled — Settle() degrades gracefully rather
-//     than hanging.
+//     copy is kept in an unacked window; a cumulative ack prunes the
+//     window, and a selective ack marks the window frames the peer holds
+//     past its first hole. Every unheld frame below the highest held one
+//     is then resent at once (fast retransmit), each at most once per
+//     timeout epoch. The retransmission timer guards the window head
+//     (only a resend of the head re-arms it); it resends only the unheld
+//     frames, with exponential backoff + deterministic jitter, and starts
+//     a new epoch. Only timer firings spend the bounded retransmit
+//     budget, which declares the link *down* instead of retrying forever:
+//     the window is discarded, the link-down callback fires (Cluster
+//     fails pending ops with a retriable kUnavailable status), and
+//     quiescence treats the channel as settled — Settle() degrades
+//     gracefully rather than hanging.
 //
 //   receiver, per ordered channel:
 //     tracks the next expected sequence number with serial-number
@@ -22,13 +28,19 @@
 //     sequence overflow; stale/duplicate frames are dropped (and trigger
 //     an eager re-ack, since a duplicate means the peer is resending);
 //     out-of-order frames wait in a bounded reorder buffer and are
-//     released in sequence order.
+//     released in sequence order. A gap is taken for a loss: a frame
+//     whose predecessor is missing arms an immediate ack, so the sender
+//     learns of the hole within one trip.
 //
 //   acks: every outgoing data message piggybacks the cumulative ack for
 //     its reverse channel (§1.1's piggybacking discipline applied to
 //     control traffic); when no reverse traffic shows up within
 //     `ack_delay_us`, a pure ack frame (Message::kAckOnly, never
-//     delivered to the application) is emitted by a timer.
+//     delivered to the application) is emitted by a timer. While the
+//     reorder buffer holds frames, the ack also carries a 64-bit SACK
+//     bitmap (Message::sack, flag kHasSack): bit i set means the receiver
+//     holds seq `ack + 2 + i`. Frames further than 64 past the hole go
+//     unreported until the hole moves; the timer recovers such holes.
 //
 // Timer discipline: every channel half has one owning processor. The
 // sender half of (from, to) belongs to `from`, the receiver half to `to`,
@@ -119,6 +131,8 @@ class ReliableNetwork : public Network {
   /// link-down declarations) in deterministic channel order. Returns true
   /// if any timer fired. No-op (false) under real timers.
   bool Pump();
+  /// The virtual clock Pump advances, in µs (0 under real timers).
+  uint64_t VirtualNowUs() const { return virtual_now_us_; }
 
   /// True if any directed channel has been declared down.
   bool AnyLinkDown() const;
@@ -128,10 +142,10 @@ class ReliableNetwork : public Network {
   size_t Unacked() const;
 
   /// Mixes the reliable layer's schedule-relevant state (sequence
-  /// numbers, unacked windows, reorder buffers, relative deadlines) into
-  /// an exhaustive-verifier state fingerprint. Canonical: iterates
-  /// channels in index order and mixes deadlines relative to the virtual
-  /// clock, never absolute times.
+  /// numbers, unacked windows with their held and resent marks, reorder
+  /// buffers, relative deadlines) into an exhaustive-verifier state
+  /// fingerprint. Canonical: iterates channels in index order and mixes
+  /// deadlines relative to the virtual clock, never absolute times.
   void MixState(Fingerprint& fp) const;
 
  private:
@@ -145,10 +159,17 @@ class ReliableNetwork : public Network {
 
   static constexpr uint64_t kNoDeadline = ~0ull;
 
+  // One unacked frame of a sender window.
+  struct Pending {
+    Message m;
+    bool held = false;    // a selective ack reported the peer holds it
+    bool resent = false;  // resent since the last timer firing
+  };
+
   // Sender half of ordered channel (from, to), owned by `from`.
   struct TxChannel {
     uint64_t next_seq = 0;
-    std::deque<Message> unacked;  // retransmission window (go-back-N)
+    std::deque<Pending> unacked;  // retransmission window
     uint32_t retries = 0;
     uint64_t rto_deadline = kNoDeadline;
     bool dead = false;
@@ -192,6 +213,8 @@ class ReliableNetwork : public Network {
     ReliableNetwork* net_;
     ProcessorId id_;
     Receiver* real_;
+    // Scratch reused across deliveries; only the owning worker touches it.
+    std::vector<Message> in_, out_, sends_;
   };
 
   using LinkList = std::vector<std::pair<ProcessorId, ProcessorId>>;
@@ -218,12 +241,25 @@ class ReliableNetwork : public Network {
   std::chrono::steady_clock::time_point Poll(ProcessorId id);
   /// Locks every shard in processor order (the quiescence-time callers).
   std::vector<std::unique_lock<std::mutex>> LockAll() const;
-  /// Stamps the cumulative ack for `to -> from` onto an outgoing
-  /// `from -> to` frame, clearing any pending delayed ack. Requires shard
-  /// `from` held.
+  /// Arms `rxc`'s pending ack to fire no later than `deadline`.
+  static void ArmAck(RxChannel& rxc, uint64_t deadline);
+  /// Stamps the cumulative and selective ack of `rxc` onto `m`.
+  static void StampAck(const RxChannel& rxc, Message* m);
+  /// Stamps the acks for `to -> from` onto an outgoing `from -> to`
+  /// frame, clearing any pending delayed ack. Requires shard `from` held.
   void AttachAckLocked(Shard& shard, Message* m);
+  /// A resend of `pending`'s frame with fresh acks, marked resent.
+  /// Requires shard `from` held.
+  Message ResendLocked(Shard& shard, Pending& pending);
+  /// Applies the acks `m` carries to tx(id, m.from): prunes the window,
+  /// marks held frames and fast-retransmits the holes below them into
+  /// `sends`. Requires shard `id` held.
+  void OnAckLocked(ProcessorId id, const Message& m, uint64_t now,
+                   std::vector<Message>* sends);
+  /// Runs processor `id`'s receive state machine over `in`: surviving
+  /// frames go to `out` in order, fast retransmits to `sends`.
   void ProcessBatch(ProcessorId id, std::vector<Message>& in,
-                    std::vector<Message>* out);
+                    std::vector<Message>* out, std::vector<Message>* sends);
   void DispatchDowns(const LinkList& downs);
 
   Network* base_;

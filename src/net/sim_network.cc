@@ -1,5 +1,7 @@
 #include "src/net/sim_network.h"
 
+#include <algorithm>
+#include <functional>
 #include <tuple>
 
 #include "src/msg/wire.h"
@@ -78,8 +80,10 @@ void SimNetwork::Send(Message m) {
     uint64_t& last = last_arrival_[{m.from, m.to}];
     uint64_t arrival = std::max(now_us_ + latency, last);  // FIFO clamp
     last = arrival;
-    timeline_.push(TimedEvent{arrival, event_seq_++, m.from, m.to,
-                              std::move(encoded)});
+    timeline_.push_back(TimedEvent{arrival, event_seq_++, m.from, m.to,
+                                   std::move(encoded)});
+    std::push_heap(timeline_.begin(), timeline_.end(),
+                   std::greater<TimedEvent>());
     ++pending_;
     return;
   }
@@ -95,8 +99,10 @@ bool SimNetwork::Step() {
   ProcessorId to;
   std::vector<uint8_t> encoded;
   if (latency_mode_) {
-    TimedEvent event = timeline_.top();
-    timeline_.pop();
+    std::pop_heap(timeline_.begin(), timeline_.end(),
+                  std::greater<TimedEvent>());
+    TimedEvent event = std::move(timeline_.back());
+    timeline_.pop_back();
     now_us_ = std::max(now_us_, event.arrival_us);
     from = event.from;
     to = event.to;

@@ -11,7 +11,6 @@
 #define LAZYTREE_NET_SIM_NETWORK_H_
 
 #include <map>
-#include <queue>
 #include <utility>
 #include <vector>
 
@@ -150,9 +149,9 @@ class SimNetwork : public Network {
   uint64_t now_us_ = 0;
   uint64_t event_seq_ = 0;
   std::map<std::pair<ProcessorId, ProcessorId>, uint64_t> last_arrival_;
-  std::priority_queue<TimedEvent, std::vector<TimedEvent>,
-                      std::greater<TimedEvent>>
-      timeline_;
+  // Min-heap on (arrival_us, seq) under std::greater, kept with
+  // std::push_heap/pop_heap so Step can move the earliest event out.
+  std::vector<TimedEvent> timeline_;
 };
 
 }  // namespace lazytree::net

@@ -606,18 +606,22 @@ std::vector<BatteryItem> VerifyBattery() {
   // more ops than the small config: the floors are the transitions the
   // battery explored when every hop was a self-send (4 ops clean, 3 under
   // the drop budget), and each size is the smallest that reaches them.
+  // The drop-budget-2 floors are half the transitions those items explored
+  // when they were added: a budget that stops placing second drops falls
+  // to the budget-1 count, well below them.
   struct Sizing {
     ProtocolKind protocol;
     uint32_t ops;
     uint64_t min_transitions;
     uint32_t lossy_ops;
     uint64_t lossy_min_transitions;
+    uint64_t drop2_min_transitions;
   };
   const Sizing sizings[] = {
-      {ProtocolKind::kSyncSplit, 6, 17380, 5, 5487},
-      {ProtocolKind::kSemiSyncSplit, 7, 10080, 5, 5487},
-      {ProtocolKind::kMobile, 6, 3675, 4, 1915},
-      {ProtocolKind::kVarCopies, 5, 2622, 4, 1376},
+      {ProtocolKind::kSyncSplit, 6, 17380, 5, 5487, 30000},
+      {ProtocolKind::kSemiSyncSplit, 7, 10080, 5, 5487, 23000},
+      {ProtocolKind::kMobile, 6, 3675, 4, 1915, 7100},
+      {ProtocolKind::kVarCopies, 5, 2622, 4, 1376, 9800},
   };
   std::vector<BatteryItem> items;
   for (const Sizing& s : sizings) {
@@ -630,15 +634,21 @@ std::vector<BatteryItem> VerifyBattery() {
   // reliable layer recovering every loss. Each DFS frame forks a drop
   // branch per enabled channel and retransmission deepens schedules, so
   // the episodes are smaller; every schedule — including every placement
-  // of the drop — must stay §3.1-green and oracle-exact.
-  for (const Sizing& s : sizings) {
-    BatteryItem item{std::string(ProtocolKindName(s.protocol)) + "-drop1",
-                     BoundedConfig(s.protocol)};
-    item.config.episode.ops_per_round = s.lossy_ops;
-    item.config.episode.reliable = true;
-    item.config.drop_budget = 1;
-    item.min_transitions = s.lossy_min_transitions;
-    items.push_back(std::move(item));
+  // of the drop — must stay §3.1-green and oracle-exact. A budget of 2
+  // adds windows with two holes, which selective acks report together and
+  // fast retransmit resends together.
+  for (const uint32_t budget : {1u, 2u}) {
+    for (const Sizing& s : sizings) {
+      BatteryItem item{std::string(ProtocolKindName(s.protocol)) + "-drop" +
+                           std::to_string(budget),
+                       BoundedConfig(s.protocol)};
+      item.config.episode.ops_per_round = s.lossy_ops;
+      item.config.episode.reliable = true;
+      item.config.drop_budget = budget;
+      item.min_transitions = budget == 1 ? s.lossy_min_transitions
+                                         : s.drop2_min_transitions;
+      items.push_back(std::move(item));
+    }
   }
   {
     BatteryItem drop{"selftest-drop-relay",

@@ -4,6 +4,9 @@
 //   * dedup-window wraparound at sequence-number overflow,
 //   * the cumulative ack riding the last in-flight (reverse) message,
 //   * a retransmission racing the original's late delivery,
+//   * selective repeat: scripted drops resend only the holes, at once,
+//     only the timer path spends the retransmit budget, and the timer
+//     guards the window head,
 //   * a partition window healing in the middle of a leaf split,
 //   * bounded retransmit budget: link-down fails pending ops with a
 //     retriable status instead of hanging Settle(),
@@ -18,9 +21,11 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/core/cluster.h"
@@ -68,6 +73,82 @@ Action KeyedAction(Key k) {
   a.kind = ActionKind::kSearch;
   a.key = k;
   return a;
+}
+
+/// Network decorator over the sim that scripts the fate of data frames at
+/// send time: a scripted frame is dropped, or held back until Release()
+/// sends it behind everything queued meanwhile (a late original).
+class ScriptedLinks : public net::Network {
+ public:
+  explicit ScriptedLinks(net::Network* base) : base_(base) {}
+
+  /// Drops the first `copies` sends (original first) of `from`'s seq.
+  void Drop(ProcessorId from, uint64_t seq, int copies = 1) {
+    drops_[{from, seq}] = copies;
+  }
+  /// Holds the original send of `from`'s seq until Release().
+  void Hold(ProcessorId from, uint64_t seq) { holds_[{from, seq}] = 1; }
+  void Release() {
+    for (Message& m : held_) base_->Send(std::move(m));
+    held_.clear();
+  }
+  /// The receiver the layer above registered for `id`.
+  net::Receiver* receiver(ProcessorId id) { return receivers_.at(id); }
+
+  void Register(ProcessorId id, net::Receiver* receiver) override {
+    receivers_[id] = receiver;
+    base_->Register(id, receiver);
+  }
+  ProcessorId size() const override { return base_->size(); }
+  void Send(Message m) override {
+    if (!(m.flags & Message::kAckOnly)) {
+      if (int& left = drops_[{m.from, m.seq}]; left > 0) {
+        --left;
+        return;
+      }
+      if (int& left = holds_[{m.from, m.seq}]; left > 0) {
+        --left;
+        held_.push_back(std::move(m));
+        return;
+      }
+    }
+    base_->Send(std::move(m));
+  }
+  void Start() override { base_->Start(); }
+  void Stop() override { base_->Stop(); }
+  bool WaitQuiescent(std::chrono::milliseconds timeout) override {
+    return base_->WaitQuiescent(timeout);
+  }
+  net::NetworkStats& stats() override { return base_->stats(); }
+
+ private:
+  net::Network* base_;
+  std::map<ProcessorId, net::Receiver*> receivers_;
+  std::map<std::pair<ProcessorId, uint64_t>, int> drops_, holds_;
+  std::vector<Message> held_;
+};
+
+/// Sends keys 1..count from p0 to p1; channel seqs start at 1, so key k
+/// rides seq k.
+void SendKeys(net::ReliableNetwork& reliable, Key count) {
+  for (Key k = 1; k <= count; ++k) {
+    reliable.Send(Message(0, 1, KeyedAction(k)));
+  }
+}
+
+void ExpectKeysInOrder(Recorder& r, Key count) {
+  const std::vector<Key> keys = r.keys();
+  ASSERT_EQ(keys.size(), count);
+  for (Key k = 1; k <= count; ++k) EXPECT_EQ(keys[k - 1], k);
+}
+
+/// Options under which any retransmission-timer firing takes the link
+/// down, and the first one is due at exactly virtual `rto_us`.
+net::ReliabilityOptions NoTimerOptions() {
+  net::ReliabilityOptions ropt;
+  ropt.jitter_us = 0;
+  ropt.max_retransmits = 0;
+  return ropt;
 }
 
 // ---------------------------------------------------------------------------
@@ -162,6 +243,184 @@ TEST(ReliableNetTest, RetransmitRacingLateOriginalIsDeduped) {
   EXPECT_EQ(reliable.stats().Snapshot().duplicates_dropped, 1u);
   EXPECT_EQ(reliable.Unacked(), 0u);
   reliable.Stop();
+}
+
+// ---------------------------------------------------------------------------
+// Selective repeat: one frame lost in a window of 8. The receiver's gap
+// ack reports the frames it holds past the hole, and the sender resends
+// the hole alone, at once: one retransmission, and the window drains
+// before the retransmission timer could first fire (go-back-N waits for
+// it and resends the rest of the window).
+TEST(ReliableNetTest, OneDropInWindowResendsOnlyTheHoleBeforeTimeout) {
+  net::SimNetwork sim(7);
+  ScriptedLinks links(&sim);
+  links.Drop(0, 3);
+  const net::ReliabilityOptions ropt = NoTimerOptions();
+  net::ReliableNetwork reliable(&links, ropt);
+  Recorder r0, r1;
+  reliable.Register(0, &r0);
+  reliable.Register(1, &r1);
+  reliable.Start();
+
+  SendKeys(reliable, 8);
+  ASSERT_TRUE(reliable.WaitQuiescent(std::chrono::milliseconds(5000)));
+  const net::StatsSnapshot snap = reliable.stats().Snapshot();
+  EXPECT_EQ(snap.retransmits, 1u);
+  EXPECT_EQ(snap.duplicates_dropped, 0u);
+  EXPECT_LT(reliable.VirtualNowUs(), ropt.rto_us);
+  EXPECT_FALSE(reliable.AnyLinkDown()) << "the timer fired";
+  ExpectKeysInOrder(r1, 8);
+  EXPECT_EQ(reliable.Unacked(), 0u);
+  reliable.Stop();
+}
+
+// Two holes in one window: one selective ack reports both, and both are
+// fast-retransmitted; the timer never fires.
+TEST(ReliableNetTest, TwoDropsInWindowResendTwoWithoutTimeout) {
+  net::SimNetwork sim(7);
+  ScriptedLinks links(&sim);
+  links.Drop(0, 3);
+  links.Drop(0, 6);
+  const net::ReliabilityOptions ropt = NoTimerOptions();
+  net::ReliableNetwork reliable(&links, ropt);
+  Recorder r0, r1;
+  reliable.Register(0, &r0);
+  reliable.Register(1, &r1);
+  reliable.Start();
+
+  SendKeys(reliable, 8);
+  ASSERT_TRUE(reliable.WaitQuiescent(std::chrono::milliseconds(5000)));
+  EXPECT_EQ(reliable.stats().Snapshot().retransmits, 2u);
+  EXPECT_LT(reliable.VirtualNowUs(), ropt.rto_us);
+  EXPECT_FALSE(reliable.AnyLinkDown()) << "the timer fired";
+  ExpectKeysInOrder(r1, 8);
+  EXPECT_EQ(reliable.Unacked(), 0u);
+  reliable.Stop();
+}
+
+// A hole further than 64 frames behind held frames: seq 1 is lost twice
+// (its original and its fast retransmit) while 2..80 arrive. The gap ack
+// can report only 2..65, so the timer recovers the hole, and it resends
+// only the frames not known held: seq 1 and 66..80, never 2..65.
+TEST(ReliableNetTest, HoleBeyondSackReachIsRecoveredByTimerResendingUnheld) {
+  net::SimNetwork sim(7);
+  ScriptedLinks links(&sim);
+  links.Drop(0, 1, /*copies=*/2);
+  net::ReliabilityOptions ropt;
+  ropt.jitter_us = 0;
+  net::ReliableNetwork reliable(&links, ropt);
+  Recorder r0, r1;
+  reliable.Register(0, &r0);
+  reliable.Register(1, &r1);
+  reliable.Start();
+
+  SendKeys(reliable, 80);
+  ASSERT_TRUE(reliable.WaitQuiescent(std::chrono::milliseconds(5000)));
+  const net::StatsSnapshot snap = reliable.stats().Snapshot();
+  EXPECT_EQ(snap.retransmits, 1u + 16u) << "one fast, then 1 + 66..80";
+  EXPECT_EQ(snap.duplicates_dropped, 15u) << "66..80 arrived twice";
+  EXPECT_GE(reliable.VirtualNowUs(), ropt.rto_us) << "the timer recovered";
+  EXPECT_FALSE(reliable.AnyLinkDown());
+  ExpectKeysInOrder(r1, 80);
+  EXPECT_EQ(reliable.Unacked(), 0u);
+  reliable.Stop();
+}
+
+// The timer guards the window head. Seq 2 is lost twice (its original
+// and its fast retransmit at virtual time 0); a later hole, seq 6, is
+// fast-resent at 50. That resend must not postpone the head's timer: it
+// fires at rto_us, and the final ack follows ack_delay_us later. p1's one
+// frame to p2 only supplies the delayed ack that moves the clock to 50.
+TEST(ReliableNetTest, LaterHoleResendDoesNotPostponeTheHeadTimer) {
+  net::SimNetwork sim(7);
+  ScriptedLinks links(&sim);
+  links.Drop(0, 2, /*copies=*/2);
+  links.Drop(0, 6);
+  net::ReliabilityOptions ropt;
+  ropt.jitter_us = 0;
+  net::ReliableNetwork reliable(&links, ropt);
+  Recorder r0, r1, r2;
+  reliable.Register(0, &r0);
+  reliable.Register(1, &r1);
+  reliable.Register(2, &r2);
+  reliable.Start();
+
+  SendKeys(reliable, 4);
+  reliable.Send(Message(1, 2, KeyedAction(100)));
+  ASSERT_TRUE(sim.WaitQuiescent(std::chrono::milliseconds(1000)));
+  ASSERT_TRUE(reliable.Pump());  // the gap ack, at 0
+  ASSERT_TRUE(sim.WaitQuiescent(std::chrono::milliseconds(1000)));
+  EXPECT_EQ(reliable.stats().Snapshot().retransmits, 1u) << "seq 2, lost";
+  ASSERT_TRUE(reliable.Pump());  // p2's delayed ack to p1, at 50
+  ASSERT_EQ(reliable.VirtualNowUs(), ropt.ack_delay_us);
+
+  for (Key k = 5; k <= 8; ++k) reliable.Send(Message(0, 1, KeyedAction(k)));
+  ASSERT_TRUE(reliable.WaitQuiescent(std::chrono::milliseconds(5000)));
+  EXPECT_EQ(reliable.stats().Snapshot().retransmits, 3u)
+      << "seq 2 and 6 fast, then seq 2 alone by the timer";
+  EXPECT_EQ(reliable.VirtualNowUs(), ropt.rto_us + ropt.ack_delay_us);
+  ExpectKeysInOrder(r1, 8);
+  EXPECT_EQ(reliable.Unacked(), 0u);
+  reliable.Stop();
+}
+
+// A fast retransmit whose original was only late, not lost: the resend
+// fills the hole, and the original, arriving last, is deduped once.
+TEST(ReliableNetTest, FastResendWithLateOriginalIsDedupedOnce) {
+  net::SimNetwork sim(7);
+  ScriptedLinks links(&sim);
+  links.Hold(0, 3);
+  net::ReliableNetwork reliable(&links, net::ReliabilityOptions{});
+  Recorder r0, r1;
+  reliable.Register(0, &r0);
+  reliable.Register(1, &r1);
+  reliable.Start();
+
+  SendKeys(reliable, 8);
+  ASSERT_TRUE(reliable.WaitQuiescent(std::chrono::milliseconds(5000)));
+  EXPECT_EQ(reliable.stats().Snapshot().retransmits, 1u);
+  ExpectKeysInOrder(r1, 8);
+
+  links.Release();  // the original seq 3 arrives after all
+  ASSERT_TRUE(reliable.WaitQuiescent(std::chrono::milliseconds(5000)));
+  EXPECT_EQ(reliable.stats().Snapshot().duplicates_dropped, 1u);
+  ExpectKeysInOrder(r1, 8);
+  EXPECT_EQ(reliable.Unacked(), 0u);
+  reliable.Stop();
+}
+
+// The held marks decide future sends, so the verifier's fingerprint must
+// tell apart two states that differ only in them: both senders hold seqs
+// 1..3 unacked with seq 1 already fast-resent, and only one has learnt
+// that the peer holds seq 3.
+TEST(ReliableNetTest, MixStateSeesHeldMarks) {
+  const auto fingerprint = [](bool third_held) {
+    net::SimNetwork sim(7);
+    ScriptedLinks links(&sim);
+    net::ReliableNetwork reliable(&links, net::ReliabilityOptions{});
+    Recorder r0, r1;
+    reliable.Register(0, &r0);
+    reliable.Register(1, &r1);
+    reliable.Start();
+    SendKeys(reliable, 3);  // stays queued in the sim
+    const auto sack_from_p1 = [](uint64_t sack) {
+      Message ack;
+      ack.from = 1;
+      ack.to = 0;
+      ack.flags = Message::kHasAck | Message::kAckOnly | Message::kHasSack;
+      ack.ack = 0;
+      ack.sack = sack;  // bit i: p1 holds seq 2 + i
+      return ack;
+    };
+    links.receiver(0)->Deliver(sack_from_p1(0b01));
+    if (third_held) links.receiver(0)->Deliver(sack_from_p1(0b11));
+    EXPECT_EQ(reliable.stats().Snapshot().retransmits, 1u);
+    EXPECT_EQ(reliable.Unacked(), 3u);
+    Fingerprint fp;
+    reliable.MixState(fp);
+    return fp.digest();
+  };
+  EXPECT_NE(fingerprint(false), fingerprint(true));
 }
 
 // ---------------------------------------------------------------------------

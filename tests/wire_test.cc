@@ -112,6 +112,44 @@ TEST(Wire, MessageRoundTripFull) {
   ExpectActionsEqual(decoded->actions[0], m.actions[0]);
 }
 
+// The selective ack rides only under kHasSack; a message without the flag
+// encodes exactly as before the field existed: from, to, seq, ack, flags,
+// then the actions.
+TEST(Wire, SackRoundTripsUnderItsFlagOnly) {
+  Message m(1, 2, FullActionFixture());
+  m.seq = 42;
+  m.ack = 17;
+  m.flags = Message::kHasAck | Message::kHasSack;
+  m.sack = 0x8000000000000005ull;
+  const std::vector<uint8_t> bytes = wire::EncodeMessage(m);
+  EXPECT_EQ(wire::EncodedSize(m), bytes.size());
+  auto decoded = wire::DecodeMessage(bytes);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->flags, m.flags);
+  EXPECT_EQ(decoded->ack, 17u);
+  EXPECT_EQ(decoded->sack, m.sack);
+  ASSERT_EQ(decoded->actions.size(), 1u);
+  ExpectActionsEqual(decoded->actions[0], m.actions[0]);
+  EXPECT_EQ(wire::EncodeMessage(*decoded), bytes);
+
+  Message plain = m;
+  plain.flags = Message::kHasAck;
+  plain.sack = 0;
+  wire::Writer w;
+  w.PutVarint(plain.from + 1);
+  w.PutVarint(plain.to + 1);
+  w.PutVarint(plain.seq);
+  w.PutVarint(plain.ack);
+  w.PutFixed8(plain.flags);
+  w.PutVarint(plain.actions.size());
+  wire::EncodeAction(w, plain.actions[0]);
+  const std::vector<uint8_t> expected = w.Take();
+  EXPECT_EQ(wire::EncodeMessage(plain), expected);
+  EXPECT_EQ(wire::EncodedSize(plain), expected.size());
+  EXPECT_EQ(bytes.size(),
+            expected.size() + 10) << "a 64-bit sack costs its varint only";
+}
+
 TEST(Wire, MessageRoundTripDefaults) {
   Action a;
   a.kind = ActionKind::kSearch;
