@@ -51,6 +51,7 @@ struct NodeSnapshot {
   std::vector<UpdateId> applied_updates;
 
   bool valid() const { return id.valid(); }
+  friend bool operator==(const NodeSnapshot&, const NodeSnapshot&) = default;
 };
 
 /// Every kind of action exchanged by the protocols.
@@ -287,6 +288,7 @@ struct Action {
   std::vector<Entry> range_results;
 
   std::string ToString() const;
+  friend bool operator==(const Action&, const Action&) = default;
 
   /// Initial/relayed distinction (§3): relays never spawn client-visible
   /// subsequent actions.

@@ -10,10 +10,12 @@
 // produced them (sort unordered containers; never mix raw pointers, wall
 // clock, or global append orders that vary across equivalent schedules).
 //
-// Actions and node snapshots are mixed through their wire encoding
-// (wire::EncodeAction / wire::EncodeSnapshot), which already covers every
-// field — the lint wire-coverage pass keeps that honest, so a new Action
-// field is automatically part of the fingerprint.
+// Actions, node snapshots and in-flight messages are mixed through their
+// wire encoding (wire::EncodeAction / EncodeSnapshot / EncodeMessage; the
+// sim's channels hold Message values, and SimNetwork::MixPending encodes
+// each queued one into a reused buffer). The encoding already covers
+// every field — the lint wire-coverage pass keeps that honest, so a new
+// Action field is automatically part of the fingerprint.
 
 #ifndef LAZYTREE_MSG_FINGERPRINT_H_
 #define LAZYTREE_MSG_FINGERPRINT_H_

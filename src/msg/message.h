@@ -40,6 +40,7 @@ struct Message {
       : from(f), to(t), actions{std::move(a)} {}
 
   std::string ToString() const;
+  friend bool operator==(const Message&, const Message&) = default;
 };
 
 }  // namespace lazytree

@@ -170,6 +170,11 @@ std::vector<uint8_t> EncodeMessage(const Message& m) {
   return w.Take();
 }
 
+void EncodeMessage(Writer& w, const Message& m) {
+  w.Reserve(MessageReserveHint(m));
+  EncodeMessageTo(w, m);
+}
+
 size_t EncodedSize(const Message& m) {
   SizeCounter c;
   EncodeMessageTo(c, m);

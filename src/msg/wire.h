@@ -1,10 +1,10 @@
 // Wire format: compact binary encoding of messages.
 //
-// The in-process transports could pass Message objects directly, but the
-// library encodes every message to bytes and decodes it at the receiver so
-// that (a) byte counts reported by the benches reflect a real RPC cost
-// model and (b) nothing accidentally shares mutable state across
-// "processors". Varint-based, little-endian, no alignment requirements.
+// The in-process transports move Message values and never run the codec
+// per message. The format is what a real RPC would carry: EncodedSize
+// gives the benches their byte counts, and the exhaustive verifier mixes
+// in-flight messages into its state fingerprints through the encoding.
+// Varint-based, little-endian, no alignment requirements.
 
 #ifndef LAZYTREE_MSG_WIRE_H_
 #define LAZYTREE_MSG_WIRE_H_
@@ -28,6 +28,10 @@ class Writer {
   /// (every field here is a 1-10 byte varint) lands in one allocation.
   void Reserve(size_t n) { buf_.reserve(buf_.size() + n); }
   std::vector<uint8_t> Take() { return std::move(buf_); }
+  /// The bytes written so far, and a reset that keeps the capacity, so
+  /// one Writer can encode many messages without reallocating.
+  const std::vector<uint8_t>& bytes() const { return buf_; }
+  void Clear() { buf_.clear(); }
   size_t size() const { return buf_.size(); }
 
  private:
@@ -53,6 +57,8 @@ class Reader {
 
 /// Encodes a full message (envelope + all actions).
 std::vector<uint8_t> EncodeMessage(const Message& m);
+/// Appends the same encoding to `w`.
+void EncodeMessage(Writer& w, const Message& m);
 
 /// Decodes a message; fails on truncation or unknown kinds.
 StatusOr<Message> DecodeMessage(const std::vector<uint8_t>& bytes);

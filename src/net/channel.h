@@ -3,30 +3,33 @@
 #ifndef LAZYTREE_NET_CHANNEL_H_
 #define LAZYTREE_NET_CHANNEL_H_
 
-#include <cstdint>
 #include <deque>
 #include <utility>
-#include <vector>
 
 #include "src/msg/message.h"
+#include "src/util/logging.h"
 
 namespace lazytree::net {
 
-/// FIFO queue of encoded messages with per-channel sequence numbers.
+/// FIFO queue of in-flight messages, held as moved `Message` values: a
+/// Message owns its actions outright (no pointers, no shared buffers), so
+/// the queued copy is isolated from the sender without an encode step.
 /// Single-threaded (SimNetwork only).
 class Channel {
  public:
-  /// Appends a message; assigns and returns its channel sequence number.
-  uint64_t Push(std::vector<uint8_t> encoded);
+  void Push(Message m) { queue_.push_back(std::move(m)); }
 
   /// Pops the head. Precondition: !Empty().
-  std::vector<uint8_t> Pop();
+  Message Pop() {
+    LAZYTREE_CHECK(!queue_.empty()) << "Pop on empty channel";
+    Message head = std::move(queue_.front());
+    queue_.pop_front();
+    return head;
+  }
 
   /// Queued message at `index` (0 = head). Precondition: index < Size().
   /// The exhaustive verifier inspects pending messages without popping.
-  const std::vector<uint8_t>& Peek(size_t index = 0) const {
-    return queue_[index];
-  }
+  const Message& Peek(size_t index = 0) const { return queue_[index]; }
 
   /// Swaps the first two queued messages (planted-mutation self-test:
   /// deliberately violates per-channel FIFO). Precondition: Size() >= 2.
@@ -36,8 +39,7 @@ class Channel {
   size_t Size() const { return queue_.size(); }
 
  private:
-  std::deque<std::vector<uint8_t>> queue_;
-  uint64_t next_seq_ = 1;
+  std::deque<Message> queue_;
 };
 
 }  // namespace lazytree::net

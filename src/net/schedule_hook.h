@@ -17,7 +17,7 @@
 #include <string>
 #include <vector>
 
-#include "src/msg/key.h"
+#include "src/msg/message.h"
 
 namespace lazytree::net {
 
@@ -94,9 +94,9 @@ class DeliveryObserver {
  public:
   virtual ~DeliveryObserver() = default;
 
-  /// One message left channel (from, to) with the given outcome.
-  virtual void OnDelivery(ProcessorId from, ProcessorId to,
-                          DeliveryOutcome outcome) = 0;
+  /// Message `m` left channel (m.from, m.to) with the given outcome. The
+  /// reference is valid only for the duration of the call.
+  virtual void OnDelivery(const Message& m, DeliveryOutcome outcome) = 0;
 
   /// Processor `p` crashed (inbound messages drop until restart).
   virtual void OnCrash(ProcessorId p) = 0;

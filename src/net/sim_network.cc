@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <tuple>
 
 #include "src/msg/wire.h"
 #include "src/util/logging.h"
@@ -70,8 +69,9 @@ void SimNetwork::Restart(ProcessorId p) {
 void SimNetwork::Send(Message m) {
   LAZYTREE_CHECK(m.to < receivers_.size() && receivers_[m.to] != nullptr)
       << "send to unregistered p" << m.to;
-  std::vector<uint8_t> encoded = wire::EncodeMessage(m);
-  stats_.OnSend(m, encoded.size());
+  // Self-sends are never counted as network bytes, so skip their sizing.
+  stats_.OnSend(m, m.from != m.to ? wire::EncodedSize(m) : 0);
+  ++pending_;
   if (latency_mode_) {
     uint64_t latency =
         m.from == m.to
@@ -80,33 +80,25 @@ void SimNetwork::Send(Message m) {
     uint64_t& last = last_arrival_[{m.from, m.to}];
     uint64_t arrival = std::max(now_us_ + latency, last);  // FIFO clamp
     last = arrival;
-    timeline_.push_back(TimedEvent{arrival, event_seq_++, m.from, m.to,
-                                   std::move(encoded)});
+    timeline_.push_back(TimedEvent{arrival, event_seq_++, std::move(m)});
     std::push_heap(timeline_.begin(), timeline_.end(),
                    std::greater<TimedEvent>());
-    ++pending_;
     return;
   }
-  Channel& ch = channels_[{m.from, m.to}];
-  ch.Push(std::move(encoded));
-  ++pending_;
+  channels_[{m.from, m.to}].Push(std::move(m));
 }
 
 bool SimNetwork::Step() {
   if (pending_ == 0) return false;
   LAZYTREE_CHECK(!in_step_) << "reentrant Step";
-  ProcessorId from;
-  ProcessorId to;
-  std::vector<uint8_t> encoded;
+  Message m;
   if (latency_mode_) {
     std::pop_heap(timeline_.begin(), timeline_.end(),
                   std::greater<TimedEvent>());
     TimedEvent event = std::move(timeline_.back());
     timeline_.pop_back();
     now_us_ = std::max(now_us_, event.arrival_us);
-    from = event.from;
-    to = event.to;
-    encoded = std::move(event.encoded);
+    m = std::move(event.m);
   } else {
     nonempty_.clear();
     for (auto& [key, ch] : channels_) {
@@ -126,12 +118,11 @@ bool SimNetwork::Step() {
     } else {
       index = rng_.Below(nonempty_.size());
     }
-    std::tie(from, to) = nonempty_[index];
-    Channel& channel = channels_[{from, to}];
+    Channel& channel = channels_[nonempty_[index]];
     if (mutation_ == ScheduleMutation::kSwapOrdered && !mutation_applied_) {
       mutation_applied_ = MaybeSwapOrdered(channel);
     }
-    encoded = channel.Pop();
+    m = channel.Pop();
   }
   --pending_;
 
@@ -139,41 +130,42 @@ bool SimNetwork::Step() {
   // strategy may force an outcome (trace replay); otherwise the fault
   // plan decides. Every decision reaches the observer, so faults are
   // recorded, replayed and minimized like any other scheduling choice.
+  // The strategy is asked even when a crash drops the message, since a
+  // replaying strategy consumes one recorded outcome per call. Only a
+  // crash drops with kCrashDrop, so it also stands for "not forced".
+  const DeliveryOutcome forced =
+      strategy_ != nullptr
+          ? strategy_->ForceOutcome().value_or(DeliveryOutcome::kCrashDrop)
+          : DeliveryOutcome::kCrashDrop;
   DeliveryOutcome outcome = DeliveryOutcome::kDeliver;
-  std::optional<DeliveryOutcome> forced =
-      strategy_ != nullptr ? strategy_->ForceOutcome() : std::nullopt;
-  if (IsCrashed(to)) {
+  if (IsCrashed(m.to)) {
     outcome = DeliveryOutcome::kCrashDrop;
-  } else if (forced.has_value() && *forced != DeliveryOutcome::kCrashDrop) {
-    outcome = *forced;
+  } else if (forced != DeliveryOutcome::kCrashDrop) {
+    outcome = forced;
   } else if (faults_ != nullptr) {
-    outcome = faults_->Next(from, to);
+    outcome = faults_->Next(m.from, m.to);
   }
-  if (observer_ != nullptr) observer_->OnDelivery(from, to, outcome);
+  if (observer_ != nullptr) observer_->OnDelivery(m, outcome);
   if (outcome == DeliveryOutcome::kDrop ||
       outcome == DeliveryOutcome::kCrashDrop) {
     return true;
   }
-  auto decoded = wire::DecodeMessage(encoded);
-  LAZYTREE_CHECK(decoded.ok()) << "wire corruption: "
-                               << decoded.status().ToString();
   if (mutation_ == ScheduleMutation::kDropRelay && !mutation_applied_) {
-    mutation_applied_ = MaybeDropRelay(*decoded);
+    mutation_applied_ = MaybeDropRelay(m);
   }
   in_step_ = true;
   if (outcome == DeliveryOutcome::kDuplicate) {
     ++delivered_;
-    receivers_[to]->Deliver(*decoded);
+    receivers_[m.to]->Deliver(m);  // a copy, then the moved original
   }
   ++delivered_;
-  receivers_[to]->Deliver(std::move(*decoded));
+  receivers_[m.to]->Deliver(std::move(m));
   in_step_ = false;
   return true;
 }
 
-const std::vector<uint8_t>& SimNetwork::PeekChannel(ProcessorId from,
-                                                    ProcessorId to,
-                                                    size_t index) const {
+const Message& SimNetwork::PeekChannel(ProcessorId from, ProcessorId to,
+                                       size_t index) const {
   auto it = channels_.find({from, to});
   LAZYTREE_CHECK(it != channels_.end() && index < it->second.Size())
       << "PeekChannel(" << from << "," << to << "," << index
@@ -187,12 +179,17 @@ void SimNetwork::MixPending(Fingerprint& fp) const {
     if (!ch.Empty()) ++nonempty;
   }
   fp.Mix(nonempty);
+  wire::Writer w;  // one buffer, reused for every queued message
   for (const auto& [key, ch] : channels_) {  // std::map: sorted by (from,to)
     if (ch.Empty()) continue;
     fp.Mix(key.first);
     fp.Mix(key.second);
     fp.Mix(ch.Size());
-    for (size_t i = 0; i < ch.Size(); ++i) fp.MixBytes(ch.Peek(i));
+    for (size_t i = 0; i < ch.Size(); ++i) {
+      w.Clear();
+      wire::EncodeMessage(w, ch.Peek(i));
+      fp.MixBytes(w.bytes());
+    }
   }
   fp.Mix(crashed_.size());
   for (size_t p = 0; p < crashed_.size(); ++p) fp.Mix(crashed_[p] ? 1 : 0);
@@ -202,12 +199,9 @@ void SimNetwork::MixPending(Fingerprint& fp) const {
 
 bool SimNetwork::MaybeSwapOrdered(Channel& ch) {
   if (ch.Size() < 2) return false;
-  auto head = wire::DecodeMessage(ch.Peek(0));
-  auto second = wire::DecodeMessage(ch.Peek(1));
-  LAZYTREE_CHECK(head.ok() && second.ok()) << "wire corruption in peek";
-  for (const Action& a : head->actions) {
+  for (const Action& a : ch.Peek(0).actions) {
     if (OrderClassOf(a.kind) != OrderClass::kMembership) continue;
-    for (const Action& b : second->actions) {
+    for (const Action& b : ch.Peek(1).actions) {
       // Only same-kind registration pairs (two joins, two unjoins) about
       // the same node: the version gate then drops the older registration
       // outright, leaving the receiving copy's membership (and history)

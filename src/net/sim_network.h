@@ -5,7 +5,9 @@
 // the receiver synchronously. Per-channel FIFO is preserved (the paper's
 // assumption); *cross*-channel order is adversarially random, which models
 // arbitrary relative network latency. The same seed always yields the same
-// interleaving, so failing schedules replay exactly.
+// interleaving, so failing schedules replay exactly. Messages travel as
+// moved `Message` values, never through the wire codec; Send sizes remote
+// ones with wire::EncodedSize for the byte statistics.
 
 #ifndef LAZYTREE_NET_SIM_NETWORK_H_
 #define LAZYTREE_NET_SIM_NETWORK_H_
@@ -84,15 +86,16 @@ class SimNetwork : public Network {
 
   // --- exhaustive-verifier hooks (queue mode only) ---
 
-  /// Encoded message at queue position `index` of channel (from, to).
+  /// Message at queue position `index` of channel (from, to).
   /// Precondition: the channel exists and index < its size. The verifier
-  /// decodes heads to evaluate delivery independence (POR).
-  const std::vector<uint8_t>& PeekChannel(ProcessorId from, ProcessorId to,
-                                          size_t index = 0) const;
+  /// reads heads to evaluate delivery independence (POR).
+  const Message& PeekChannel(ProcessorId from, ProcessorId to,
+                             size_t index = 0) const;
 
   /// Folds all in-flight state into a verifier fingerprint: every
-  /// non-empty channel (sorted by (from, to)) with its queued message
-  /// bytes in FIFO order, plus crash flags and the scheduler PRNG.
+  /// non-empty channel (sorted by (from, to)) with the wire encoding of
+  /// each queued message in FIFO order, plus crash flags and the
+  /// scheduler PRNG.
   void MixPending(Fingerprint& fp) const;
 
   /// Plants a one-shot protocol mutation (self-test of the verifier): the
@@ -108,8 +111,8 @@ class SimNetwork : public Network {
   /// Applies a planted kSwapOrdered to the picked channel if its first two
   /// messages qualify; returns true when the swap fired.
   bool MaybeSwapOrdered(Channel& ch);
-  /// Applies a planted kDropRelay to a decoded message about to be
-  /// delivered; returns true when an action was stripped.
+  /// Applies a planted kDropRelay to a message about to be delivered;
+  /// returns true when an action was stripped.
   bool MaybeDropRelay(Message& m);
 
   Rng rng_;
@@ -133,9 +136,7 @@ class SimNetwork : public Network {
   struct TimedEvent {
     uint64_t arrival_us;
     uint64_t seq;  // tie-breaker keeps the order deterministic
-    ProcessorId from;
-    ProcessorId to;
-    std::vector<uint8_t> encoded;
+    Message m;
     bool operator>(const TimedEvent& other) const {
       return arrival_us != other.arrival_us
                  ? arrival_us > other.arrival_us

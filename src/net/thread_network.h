@@ -12,9 +12,10 @@
 // Send *moves* the Message straight into the destination's batched MPSC
 // inbox — no wire encode/decode — and NetworkStats byte counts come from
 // wire::EncodedSize, so the RPC cost model the benches report is
-// unchanged. The wire format stays an exercised contract elsewhere: the
-// sim transport round-trips every message through the codec, and the
-// codec has its own fuzz test.
+// unchanged. The sim transport moves messages the same way; the wire
+// format stays a held contract through wire_test (the codec fuzz and the
+// WireContract suite over every message of sim episodes) and the lint's
+// wire-coverage pass.
 
 #ifndef LAZYTREE_NET_THREAD_NETWORK_H_
 #define LAZYTREE_NET_THREAD_NETWORK_H_

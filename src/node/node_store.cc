@@ -8,32 +8,32 @@ namespace lazytree {
 
 Node* NodeStore::Install(std::unique_ptr<Node> node) {
   NodeId id = node->id();
+  LAZYTREE_CHECK(id.valid() && id.creator() < by_id_.size())
+      << "install of " << id.ToString() << " in a " << by_id_.size()
+      << "-processor cluster";
   forwarding_.erase(id);  // the node is back; any forward is stale
-  std::unique_ptr<Node>& slot = nodes_[id];
-  if (slot != nullptr) Unindex(slot.get());
+  std::vector<std::unique_ptr<Node>>& row = by_id_[id.creator()];
+  if (id.seq() >= row.size()) row.resize(id.seq() + 1);
+  std::unique_ptr<Node>& slot = row[id.seq()];
+  if (slot != nullptr) {
+    Unindex(slot.get());
+  } else {
+    ++size_;
+  }
   slot = std::move(node);
   Index(slot.get());
   return slot.get();
 }
 
 void NodeStore::Remove(NodeId id, ProcessorId forward_to) {
-  auto it = nodes_.find(id);
-  LAZYTREE_CHECK(it != nodes_.end())
+  Node* node = Get(id);
+  LAZYTREE_CHECK(node != nullptr)
       << "remove of unknown node " << id.ToString();
-  Unindex(it->second.get());
-  nodes_.erase(it);
+  Unindex(node);
+  by_id_[id.creator()][id.seq()].reset();
+  --size_;
   if (forward_to != kInvalidProcessor) forwarding_[id] = forward_to;
   // The root hint survives: it names a logical node, not a local copy.
-}
-
-Node* NodeStore::Get(NodeId id) {
-  auto it = nodes_.find(id);
-  return it == nodes_.end() ? nullptr : it->second.get();
-}
-
-const Node* NodeStore::Get(NodeId id) const {
-  auto it = nodes_.find(id);
-  return it == nodes_.end() ? nullptr : it->second.get();
 }
 
 ProcessorId NodeStore::Forwarding(NodeId id) const {

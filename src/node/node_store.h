@@ -18,16 +18,21 @@ namespace lazytree {
 
 class NodeStore {
  public:
-  /// Installs a copy. Replaces any dead tombstone with the same id.
+  /// `processors` is the cluster size: every NodeId's creator is below it.
+  explicit NodeStore(uint32_t processors) : by_id_(processors) {}
+
+  /// Installs a copy, replacing any copy with the same id. The id's
+  /// creator must be below the cluster size, so a corrupt id cannot grow
+  /// the table.
   Node* Install(std::unique_ptr<Node> node);
 
   /// Removes a copy (unjoin / migration away). Optionally records a
   /// forwarding address (§4.2) pointing at the node's new host.
   void Remove(NodeId id, ProcessorId forward_to = kInvalidProcessor);
 
-  /// Local copy, or nullptr.
-  Node* Get(NodeId id);
-  const Node* Get(NodeId id) const;
+  /// Local copy, or nullptr: two bounds checks and a load.
+  Node* Get(NodeId id) { return Lookup(id); }
+  const Node* Get(NodeId id) const { return Lookup(id); }
 
   /// Forwarding address left by a migrated node, if still retained.
   ProcessorId Forwarding(NodeId id) const;
@@ -68,37 +73,38 @@ class NodeStore {
                : 0;
   }
 
-  size_t size() const { return nodes_.size(); }
+  size_t size() const { return size_; }
 
   /// Drops every copy, forwarding address, and the root hint — a crashed
   /// processor's volatile state. The caller is responsible for recording
   /// the copy deaths with the history log first (Processor::Crash does).
   void Reset() {
-    nodes_.clear();
+    for (auto& row : by_id_) row.clear();
+    size_ = 0;
     levels_.clear();
     forwarding_.clear();
     root_hint_ = kInvalidNode;
     root_level_ = -1;
   }
 
-  /// Iteration for snapshot collection at quiescence.
+  /// Visits every local copy in id order. `fn` must not install or
+  /// remove copies.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
-    for (const auto& [id, node] : nodes_) fn(*node);
+    for (const auto& row : by_id_) {
+      for (const auto& node : row) {
+        if (node != nullptr) fn(*node);
+      }
+    }
   }
 
-  /// Folds every local copy (sorted by id, encoded via its snapshot so all
+  /// Folds every local copy (in id order, encoded via its snapshot so all
   /// node fields are covered), forwarding address, and the root hint into
   /// a verifier state fingerprint. The level index is derived from the
   /// copies and is not mixed.
   void MixState(Fingerprint& fp) const {
-    std::vector<const Node*> copies;
-    copies.reserve(nodes_.size());
-    for (const auto& [id, node] : nodes_) copies.push_back(node.get());
-    std::sort(copies.begin(), copies.end(),
-              [](const Node* a, const Node* b) { return a->id() < b->id(); });
-    fp.Mix(copies.size());
-    for (const Node* n : copies) MixSnapshot(fp, n->ToSnapshot());
+    fp.Mix(size_);
+    ForEach([&](const Node& n) { MixSnapshot(fp, n.ToSnapshot()); });
     std::vector<std::pair<NodeId, ProcessorId>> fwd(forwarding_.begin(),
                                                     forwarding_.end());
     std::sort(fwd.begin(), fwd.end());
@@ -125,13 +131,23 @@ class NodeStore {
     std::vector<Node*> overlapping;
   };
 
+  Node* Lookup(NodeId id) const {
+    if (id.creator() >= by_id_.size()) return nullptr;
+    const std::vector<std::unique_ptr<Node>>& row = by_id_[id.creator()];
+    return id.seq() < row.size() ? row[id.seq()].get() : nullptr;
+  }
   void Index(Node* node);
   void Unindex(const Node* node);
   /// The tightest copy in `lv.overlapping` that contains `key`, pruning
   /// copies that no longer overlap their successor.
   Node* TightestOverlapping(Level& lv, Key key);
 
-  std::unordered_map<NodeId, std::unique_ptr<Node>> nodes_;
+  // The copies, by_id_[creator][seq]. A NodeId is a creator plus a dense
+  // per-creator sequence number, so the table is a collision-free index
+  // costing one pointer per id this processor ever installed from that
+  // creator; a removed copy leaves an empty slot.
+  std::vector<std::vector<std::unique_ptr<Node>>> by_id_;
+  size_t size_ = 0;
   std::vector<Level> levels_;
   std::unordered_map<NodeId, ProcessorId> forwarding_;
   NodeId root_hint_ = kInvalidNode;

@@ -12,6 +12,7 @@ Processor::Processor(ProcessorId id, uint32_t cluster_size,
       config_(config),
       network_(network),
       history_(history),
+      store_(cluster_size),
       out_(id, network, piggyback_window),
       ops_(id) {
   network_->Register(id_, this);

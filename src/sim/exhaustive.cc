@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "src/core/cluster.h"
-#include "src/msg/wire.h"
 #include "src/net/sim_network.h"
 #include "src/sim/minimize.h"
 #include "src/util/logging.h"
@@ -81,14 +80,13 @@ uint64_t StateFingerprint(Cluster& cluster, net::SimNetwork& sim,
 /// with the destination check today — it keeps the reduction sound if a
 /// handler ever grows cross-processor shared state, and it is the
 /// "commutativity-guided" half the cross-check below validates at runtime.
-bool IndependentHeads(net::SimNetwork& sim, const ChannelKey& c1,
+bool IndependentHeads(const net::SimNetwork& sim, const ChannelKey& c1,
                       const ChannelKey& c2) {
   if (c1.second == c2.second) return false;
-  auto m1 = wire::DecodeMessage(sim.PeekChannel(c1.first, c1.second));
-  auto m2 = wire::DecodeMessage(sim.PeekChannel(c2.first, c2.second));
-  LAZYTREE_CHECK(m1.ok() && m2.ok()) << "wire corruption in verifier peek";
-  for (const Action& a : m1->actions) {
-    for (const Action& b : m2->actions) {
+  const Message& m1 = sim.PeekChannel(c1.first, c1.second);
+  const Message& m2 = sim.PeekChannel(c2.first, c2.second);
+  for (const Action& a : m1.actions) {
+    for (const Action& b : m2.actions) {
       if (!ActionsCommute(a.kind, b.kind) && a.target == b.target) {
         return false;
       }
@@ -628,6 +626,34 @@ std::vector<BatteryItem> VerifyBattery() {
     BatteryItem item{ProtocolKindName(s.protocol), BoundedConfig(s.protocol)};
     item.config.episode.ops_per_round = s.ops;
     item.min_transitions = s.min_transitions;
+    items.push_back(std::move(item));
+  }
+  // Deep trees for the two fixed-copies split protocols. Fanout 2 grows
+  // the tree to three levels in two rounds of three ops, and in the
+  // second round leaves and their level-1 parent split while separator
+  // inserts are in flight. A separator insert starts at the splitter's
+  // local parent copy, often a non-PC one and sometimes a stale one,
+  // which sync blocks in the AAS (§4.1.1) and semisync rewrites at the PC
+  // (§4.1.2). Each workload seed is one whose schedules reach those
+  // cases; the floors are half the transitions each item explored when
+  // it was added.
+  struct Deep {
+    ProtocolKind protocol;
+    uint64_t seed;
+    uint64_t min_transitions;
+  };
+  const Deep deep[] = {
+      {ProtocolKind::kSyncSplit, 18, 6900},
+      {ProtocolKind::kSemiSyncSplit, 3, 2200},
+  };
+  for (const Deep& d : deep) {
+    BatteryItem item{std::string(ProtocolKindName(d.protocol)) + "-deep",
+                     BoundedConfig(d.protocol)};
+    item.config.episode.seed = d.seed;
+    item.config.episode.rounds = 2;
+    item.config.episode.ops_per_round = 3;
+    item.config.episode.fanout = 2;
+    item.min_transitions = d.min_transitions;
     items.push_back(std::move(item));
   }
   // Bounded loss: the same protocols with a drop budget of 1 and the

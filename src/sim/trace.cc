@@ -150,11 +150,10 @@ StatusOr<ScheduleTrace> ScheduleTrace::LoadFile(const std::string& path) {
   return Parse(text);
 }
 
-void TraceRecorder::OnDelivery(ProcessorId from, ProcessorId to,
-                               net::DeliveryOutcome outcome) {
+void TraceRecorder::OnDelivery(const Message& m, net::DeliveryOutcome outcome) {
   TraceEvent e;
-  e.from = from;
-  e.to = to;
+  e.from = m.from;
+  e.to = m.to;
   switch (outcome) {
     case net::DeliveryOutcome::kDeliver:
       e.kind = TraceEvent::Kind::kDeliver;

@@ -77,8 +77,7 @@ struct ScheduleTrace {
 /// Records one episode's decisions (attach via SimNetwork::SetObserver).
 class TraceRecorder : public net::DeliveryObserver {
  public:
-  void OnDelivery(ProcessorId from, ProcessorId to,
-                  net::DeliveryOutcome outcome) override;
+  void OnDelivery(const Message& m, net::DeliveryOutcome outcome) override;
   void OnCrash(ProcessorId p) override;
   void OnRestart(ProcessorId p) override;
 

@@ -220,9 +220,8 @@ TEST(SimNetworkLatency, DeterministicPerSeed) {
 /// Tallies the fault outcomes the scheduler reports, split by link kind.
 class FaultTally : public net::DeliveryObserver {
  public:
-  void OnDelivery(ProcessorId from, ProcessorId to,
-                  net::DeliveryOutcome outcome) override {
-    if (from == to) {
+  void OnDelivery(const Message& m, net::DeliveryOutcome outcome) override {
+    if (m.from == m.to) {
       if (outcome != net::DeliveryOutcome::kDeliver) ++self_faults;
     } else if (outcome == net::DeliveryOutcome::kDrop) {
       ++remote_drops;

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <map>
 #include <vector>
 
@@ -153,7 +155,7 @@ TEST(Node, CopyMembership) {
 }
 
 TEST(NodeStore, InstallGetRemove) {
-  NodeStore store;
+  NodeStore store(1);
   store.Install(std::make_unique<Node>(Id(1), 0, KeyRange{}, false));
   EXPECT_NE(store.Get(Id(1)), nullptr);
   EXPECT_EQ(store.Get(Id(2)), nullptr);
@@ -163,8 +165,78 @@ TEST(NodeStore, InstallGetRemove) {
   EXPECT_EQ(store.size(), 0u);
 }
 
+// The id table: by_id_[creator][seq], sized by the cluster, rows grown
+// on install.
+TEST(NodeStore, GetOutsideTheTableIsNull) {
+  NodeStore store(2);
+  store.Install(std::make_unique<Node>(NodeId::Make(1, 3), 0, KeyRange{},
+                                       false));
+  EXPECT_NE(store.Get(NodeId::Make(1, 3)), nullptr);
+  EXPECT_EQ(store.Get(NodeId::Make(2, 3)), nullptr) << "unknown creator";
+  EXPECT_EQ(store.Get(NodeId::Make(7, 1)), nullptr) << "unknown creator";
+  EXPECT_EQ(store.Get(NodeId::Make(1, 4)), nullptr) << "seq past the row";
+  EXPECT_EQ(store.Get(NodeId::Make(1, 2)), nullptr) << "empty slot";
+  EXPECT_EQ(store.Get(NodeId::Make(0, 3)), nullptr) << "empty row";
+  EXPECT_EQ(store.Get(kInvalidNode), nullptr);
+}
+
+TEST(NodeStore, ReinstallKeepsSizeAndLevelIndex) {
+  NodeStore store(1);
+  store.Install(std::make_unique<Node>(Id(1), 1, KeyRange{0, 100}, false));
+  store.Install(std::make_unique<Node>(Id(2), 0, KeyRange{0, 50}, false));
+  store.Remove(Id(2));
+  EXPECT_EQ(store.size(), 1u);
+  EXPECT_EQ(store.CountAtLevel(0), 0u);
+  EXPECT_EQ(store.FirstAtLevel(0, 0), nullptr);
+  store.Install(std::make_unique<Node>(Id(2), 0, KeyRange{0, 50}, false));
+  EXPECT_EQ(store.size(), 2u);
+  EXPECT_EQ(store.CountAtLevel(0), 1u);
+  EXPECT_EQ(store.FirstAtLevel(0, 0), store.Get(Id(2)));
+  EXPECT_EQ(store.Closest(10, 0), store.Get(Id(2)));
+  // Installing over a live copy replaces it in place.
+  store.Install(std::make_unique<Node>(Id(2), 0, KeyRange{0, 50}, false));
+  EXPECT_EQ(store.size(), 2u);
+  EXPECT_EQ(store.CountAtLevel(0), 1u);
+  EXPECT_EQ(store.CountAtLevel(1), 1u);
+}
+
+TEST(NodeStore, ResetEmptiesEverything) {
+  NodeStore store(2);
+  store.Install(std::make_unique<Node>(NodeId::Make(0, 1), 1, KeyRange{},
+                                       false));
+  store.Install(std::make_unique<Node>(NodeId::Make(1, 1), 0, KeyRange{},
+                                       false));
+  store.Remove(NodeId::Make(1, 1), /*forward_to=*/0);
+  store.SetRootHint(NodeId::Make(0, 1), 1);
+  store.Reset();
+  EXPECT_EQ(store.size(), 0u);
+  EXPECT_EQ(store.Get(NodeId::Make(0, 1)), nullptr);
+  EXPECT_EQ(store.CountAtLevel(1), 0u);
+  EXPECT_EQ(store.ForwardingCount(), 0u);
+  EXPECT_FALSE(store.root_hint().valid());
+  EXPECT_EQ(store.Closest(5, 0), nullptr);
+  int visited = 0;
+  store.ForEach([&](const Node&) { ++visited; });
+  EXPECT_EQ(visited, 0);
+}
+
+TEST(NodeStore, ForEachVisitsInIdOrder) {
+  NodeStore store(3);
+  const NodeId ids[] = {NodeId::Make(2, 1), NodeId::Make(0, 9),
+                        NodeId::Make(1, 4), NodeId::Make(0, 2),
+                        NodeId::Make(2, 7), NodeId::Make(1, 1)};
+  for (NodeId id : ids) {
+    store.Install(std::make_unique<Node>(id, 0, KeyRange{}, false));
+  }
+  std::vector<NodeId> visited;
+  store.ForEach([&](const Node& n) { visited.push_back(n.id()); });
+  std::vector<NodeId> sorted(std::begin(ids), std::end(ids));
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(visited, sorted);
+}
+
 TEST(NodeStore, ForwardingAddressesAndGC) {
-  NodeStore store;
+  NodeStore store(1);
   store.Install(std::make_unique<Node>(Id(1), 0, KeyRange{}, false));
   store.Remove(Id(1), /*forward_to=*/3);
   EXPECT_EQ(store.Forwarding(Id(1)), 3u);
@@ -172,13 +244,14 @@ TEST(NodeStore, ForwardingAddressesAndGC) {
   // Reinstalling clears the stale forward.
   store.Install(std::make_unique<Node>(Id(1), 0, KeyRange{}, false));
   EXPECT_EQ(store.Forwarding(Id(1)), kInvalidProcessor);
+  EXPECT_EQ(store.ForwardingCount(), 0u);
   store.Remove(Id(1), 2);
   store.DropForwardingAddresses();
   EXPECT_EQ(store.Forwarding(Id(1)), kInvalidProcessor);
 }
 
 TEST(NodeStore, RootHintIsLevelOrdered) {
-  NodeStore store;
+  NodeStore store(1);
   store.SetRootHint(Id(1), 1);
   store.SetRootHint(Id(2), 3);
   store.SetRootHint(Id(3), 2);  // lower: ignored
@@ -187,7 +260,7 @@ TEST(NodeStore, RootHintIsLevelOrdered) {
 }
 
 TEST(NodeStore, ClosestPrefersLowestUsableLevel) {
-  NodeStore store;
+  NodeStore store(1);
   // Level 2 spans everything; level 1 has [0,500) and [500,1000);
   // level 0 has [0,100).
   auto mk = [&](uint32_t seq, int32_t level, Key low, Key high) {
@@ -256,7 +329,7 @@ TEST(NodeStore, IndexMatchesBruteForceOverRandomHistories) {
   constexpr int32_t kTop = 3;  // the root level; the root never splits
   for (uint64_t seed = 1; seed <= 8; ++seed) {
     Rng rng(seed);
-    NodeStore store;
+    NodeStore store(1);
     struct Logical {
       int32_t level;
       Key low;
