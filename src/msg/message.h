@@ -36,12 +36,39 @@ struct Message {
   std::vector<Action> actions;
 
   Message() = default;
-  Message(ProcessorId f, ProcessorId t, Action a)
-      : from(f), to(t), actions{std::move(a)} {}
+  /// One-action message. The action is moved in (a braced init list
+  /// would copy it: its elements are const).
+  Message(ProcessorId f, ProcessorId t, Action a) : from(f), to(t) {
+    actions.push_back(std::move(a));
+  }
 
   std::string ToString() const;
   friend bool operator==(const Message&, const Message&) = default;
 };
+
+/// A client operation on its way from a client thread into its home
+/// processor's message queue: what Processor::Submit* hand the network
+/// (Network::SubmitLocal), small enough to copy into a lock-free queue
+/// cell. The worker turns it into the self-addressed one-action message
+/// the paper's model has a client operation become (§1.1). Never encoded.
+struct ClientOp {
+  ActionKind kind = ActionKind::kInvalid;  ///< kSearch .. kScanOp
+  ProcessorId origin = kInvalidProcessor;  ///< home processor
+  OpId op = kNoOp;
+  Key key = 0;
+  Value value = 0;  ///< insert value, or scan limit
+
+  Action ToAction() const {
+    Action a;
+    a.kind = kind;
+    a.op = op;
+    a.key = key;
+    a.value = value;
+    a.origin = origin;
+    return a;
+  }
+};
+static_assert(sizeof(ClientOp) == 32, "ClientOp fills half a cache line");
 
 }  // namespace lazytree
 

@@ -120,6 +120,10 @@ class ReliableNetwork : public Network {
   void Register(ProcessorId id, Receiver* receiver) override;
   ProcessorId size() const override;
   void Send(Message m) override;
+  /// Client ops are self-sends, which this layer never sequences.
+  void SubmitLocal(ProcessorId p, const ClientOp& op) override {
+    base_->SubmitLocal(p, op);
+  }
   void Start() override;
   void Stop() override;
   bool WaitQuiescent(std::chrono::milliseconds timeout) override;

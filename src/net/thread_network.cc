@@ -40,6 +40,19 @@ void ThreadNetwork::Send(Message m) {
   Enqueue(std::move(m));
 }
 
+void ThreadNetwork::SubmitLocal(ProcessorId p, const ClientOp& op) {
+  LAZYTREE_CHECK(p < stations_.size() && stations_[p] != nullptr)
+      << "submit to unregistered p" << p;
+  Station& station = *stations_[p];
+  // In flight before it is visible, so quiescence cannot miss it.
+  inflight_.fetch_add(1, std::memory_order_relaxed);
+  if (!station.clients.Push(op)) {
+    OnHandled(1);  // stopped: handled, as a closed inbox's message is
+    return;
+  }
+  station.inbox.WakeIfParked();
+}
+
 void ThreadNetwork::Enqueue(Message m) {
   Station& station = *stations_[m.to];
   // Opt-in byte counts are exact even though no buffer is materialized;
@@ -75,14 +88,24 @@ void ThreadNetwork::WorkerLoop(Station* station) {
     PinCurrentThreadToCpu(static_cast<unsigned>(station->id));
   }
   std::vector<Message> batch;  // recycled across PopAllUntil swaps
+  const ProcessorId id = station->id;
   auto deadline = station->receiver->Poll();
-  while (station->inbox.PopAllUntil(batch, max_batch_, deadline)) {
+  while (station->inbox.PopAllUntil(
+      batch, max_batch_, deadline,
+      [station] { return station->clients.Ready(); })) {
+    station->clients.Drain(max_batch_, [&](const ClientOp& op) {
+      batch.emplace_back(id, id, op.ToAction());
+      stats_.OnSend(batch.back(), 0);
+    });
     if (!batch.empty()) {
       station->receiver->DeliverBatch(batch);
       OnHandled(static_cast<int64_t>(batch.size()));
     }
     deadline = station->receiver->Poll();
   }
+  // Stop closed the client queue first: retire what it still holds.
+  const size_t left = station->clients.DrainClosed();
+  if (left > 0) OnHandled(static_cast<int64_t>(left));
 }
 
 void ThreadNetwork::Wake(ProcessorId id) {
@@ -109,7 +132,10 @@ void ThreadNetwork::Stop() {
     return;
   }
   for (auto& station : stations_) {
-    if (station) station->inbox.Close();
+    if (station) {
+      station->clients.Close();
+      station->inbox.Close();
+    }
   }
   for (auto& station : stations_) {
     if (station && station->worker.joinable()) station->worker.join();

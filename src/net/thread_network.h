@@ -9,6 +9,16 @@
 // the deadline it returns, so the receiver's timers fire on its own
 // thread; Wake cuts that wait short.
 //
+// Client operations take a second, lock-free path: SubmitLocal counts the
+// op in flight and pushes its 32-byte ClientOp into the station's
+// MpscRingQueue (no lock, no allocation in steady state), and pokes the
+// worker only if it has parked (MpscBatchQueue::WakeIfParked). The worker
+// probes that queue while it spins and drains it at every loop turn: it
+// builds each op's self-addressed Message on its own thread, counts it as
+// a local message there, and delivers it in the same batch as the inbox's
+// messages. A submit from inside a delivery scope never gets here; the
+// QueueManager buffers it in the outbox's self lane.
+//
 // Send *moves* the Message straight into the destination's batched MPSC
 // inbox — no wire encode/decode — and NetworkStats byte counts come from
 // wire::EncodedSize, so the RPC cost model the benches report is
@@ -63,6 +73,7 @@ class ThreadNetwork : public Network {
   void Register(ProcessorId id, Receiver* receiver) override;
   ProcessorId size() const override;
   void Send(Message m) override;
+  void SubmitLocal(ProcessorId p, const ClientOp& op) override;
   void Start() override;
   void Stop() override;
   bool WaitQuiescent(std::chrono::milliseconds timeout) override;
@@ -74,6 +85,8 @@ class ThreadNetwork : public Network {
     Receiver* receiver = nullptr;
     // Messages moved in whole, drained in batches.
     MpscBatchQueue<Message> inbox;
+    // Client ops from SubmitLocal; the worker parks on `inbox`.
+    MpscRingQueue<ClientOp> clients;
     std::thread worker;
   };
 

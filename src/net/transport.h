@@ -13,6 +13,13 @@
 // Receiver::Deliver for one message at a time per processor (this provides
 // the paper's "an action on a node is implicitly atomic" guarantee —
 // §1.1). Deliver may call Send reentrantly.
+//
+// Client edge: a client operation enters its home processor's queue
+// through SubmitLocal, as a 32-byte ClientOp rather than a Message. By
+// default that is the self-send the paper describes, so SimNetwork (and
+// with it the explorer and the verifier) schedules exactly that message;
+// ThreadNetwork instead hands the op to the processor's worker through a
+// lock-free queue, and the worker builds the message on its own thread.
 
 #ifndef LAZYTREE_NET_TRANSPORT_H_
 #define LAZYTREE_NET_TRANSPORT_H_
@@ -70,6 +77,13 @@ class Network {
 
   /// Enqueues a message. `m.from`/`m.to` must be registered. Never blocks.
   virtual void Send(Message m) = 0;
+
+  /// Enqueues client operation `op` at its home processor `p`, from any
+  /// thread outside p's delivery. Never blocks. Delivered as the message
+  /// `Message(p, p, op.ToAction())`, counted as a local message.
+  virtual void SubmitLocal(ProcessorId p, const ClientOp& op) {
+    Send(Message(p, p, op.ToAction()));
+  }
 
   /// Starts delivery (ThreadNetwork spawns workers; SimNetwork is a no-op).
   virtual void Start() = 0;

@@ -116,53 +116,38 @@ void Processor::Restart(std::unique_ptr<ProtocolHandler> handler,
   crashed_ = false;
 }
 
+OpId Processor::Submit(ActionKind kind, Key key, Value value,
+                       OpCallback callback) {
+  ClientOp op;
+  op.kind = kind;
+  op.origin = id_;
+  op.op = ops_.Begin(std::move(callback));
+  op.key = key;
+  op.value = value;
+  out_.SubmitClient(op);
+  return op.op;
+}
+
 OpId Processor::SubmitSearch(Key key, OpCallback callback) {
   LAZYTREE_CHECK(key != kKeyInfinity) << "reserved key";
-  OpId op = ops_.Begin(std::move(callback));
-  Action a;
-  a.kind = ActionKind::kSearch;
-  a.op = op;
-  a.key = key;
-  a.origin = id_;
-  out_.SendLocal(std::move(a));
-  return op;
+  return Submit(ActionKind::kSearch, key, 0, std::move(callback));
 }
 
 OpId Processor::SubmitInsert(Key key, Value value, OpCallback callback) {
   LAZYTREE_CHECK(key != kKeyInfinity) << "reserved key";
-  OpId op = ops_.Begin(std::move(callback));
-  Action a;
-  a.kind = ActionKind::kInsertOp;
-  a.op = op;
-  a.key = key;
-  a.value = value;
-  a.origin = id_;
-  out_.SendLocal(std::move(a));
-  return op;
+  return Submit(ActionKind::kInsertOp, key, value, std::move(callback));
 }
 
 OpId Processor::SubmitDelete(Key key, OpCallback callback) {
   LAZYTREE_CHECK(key != kKeyInfinity) << "reserved key";
-  OpId op = ops_.Begin(std::move(callback));
-  Action a;
-  a.kind = ActionKind::kDeleteOp;
-  a.op = op;
-  a.key = key;
-  a.origin = id_;
-  out_.SendLocal(std::move(a));
-  return op;
+  return Submit(ActionKind::kDeleteOp, key, 0, std::move(callback));
 }
 
 OpId Processor::SubmitScan(Key start, uint64_t limit, OpCallback callback) {
-  OpId op = ops_.Begin(std::move(callback));
-  Action a;
-  a.kind = ActionKind::kScanOp;
-  a.op = op;
-  a.key = start == kKeyInfinity ? kKeyInfinity - 1 : start;
-  a.value = limit;  // scan limit rides in `value`
-  a.origin = id_;
-  out_.SendLocal(std::move(a));
-  return op;
+  // The scan limit rides in `value`.
+  return Submit(ActionKind::kScanOp,
+                start == kKeyInfinity ? kKeyInfinity - 1 : start, limit,
+                std::move(callback));
 }
 
 }  // namespace lazytree

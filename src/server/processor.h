@@ -143,6 +143,7 @@ class Processor : public net::Receiver {
 
  private:
   void HandleAction(Action& action);
+  OpId Submit(ActionKind kind, Key key, Value value, OpCallback callback);
 
   ProcessorId id_;
   uint32_t cluster_size_;

@@ -25,19 +25,23 @@
 // waiting. TakeDeferred hands whatever is still held to Cluster::Settle,
 // which sends it at quiescence.
 //
-// Thread safety: Submit* enqueues client actions from arbitrary threads
-// through SendLocal. Only the network worker that opened the scope may
-// buffer — everyone else must go straight to the network — so the routing
-// decision keys on an atomic owner-thread id. Client threads read
-// `combine_owner_`, see "not me", and take the direct path; the buffers
-// themselves are touched only by the owner, or by TakeDeferred while the
-// network is quiescent.
+// Client operations enter through SubmitClient. Inside the owner's
+// delivery scope (a completion callback submitting to its own processor)
+// the op is buffered in the self lane like any other local action, which
+// keeps the sim's schedules what they were; anywhere else it goes to
+// Network::SubmitLocal, the network's client edge.
+//
+// Thread safety: SubmitClient may be called from any thread, everything
+// else only by the processor's delivery thread. The buffers are touched
+// only inside a scope, on the thread that opened it, or by TakeDeferred
+// while the network is quiescent. Whether the calling thread is inside
+// this manager's scope is one read of a thread_local pointer to the
+// manager whose scope the thread has open; no state is shared across
+// threads to answer it.
 
 #ifndef LAZYTREE_SERVER_QUEUE_MANAGER_H_
 #define LAZYTREE_SERVER_QUEUE_MANAGER_H_
 
-#include <atomic>
-#include <thread>
 #include <vector>
 
 #include "src/net/transport.h"
@@ -68,6 +72,15 @@ class QueueManager {
   /// Re-enqueues an action locally (deferred work, local hops).
   void SendLocal(Action action) { SendAction(self_, std::move(action)); }
 
+  /// Enqueues a client operation at this processor. Any thread.
+  void SubmitClient(const ClientOp& op) {
+    if (CombiningHere()) {
+      BufferAction(self_, op.ToAction());
+      return;
+    }
+    network_->SubmitLocal(self_, op);
+  }
+
   /// Sends a copy of `action` to every processor in `dests` except self.
   void Broadcast(const std::vector<ProcessorId>& dests, const Action& action) {
     for (ProcessorId d : dests) {
@@ -82,8 +95,8 @@ class QueueManager {
   /// thread, which the network serializes.
   void BeginCombine() {
     if (combine_depth_ == 0) {
-      combine_owner_.store(std::this_thread::get_id(),
-                           std::memory_order_release);
+      outer_ = combining_;
+      combining_ = this;
     }
     ++combine_depth_;
   }
@@ -94,7 +107,7 @@ class QueueManager {
   void EndCombine() {
     LAZYTREE_CHECK(combine_depth_ > 0) << "unbalanced EndCombine";
     if (--combine_depth_ > 0) return;
-    combine_owner_.store(std::thread::id(), std::memory_order_release);
+    combining_ = outer_;
     Flush();
   }
 
@@ -136,11 +149,10 @@ class QueueManager {
   };
 
   bool CombiningHere() const {
-    // Owner-thread check doubles as the "is a scope open" check: client
-    // threads never match, and they must not, because the buffers are
-    // owner-confined.
-    return combine_owner_.load(std::memory_order_acquire) ==
-           std::this_thread::get_id();
+    // Doubles as the "is a scope open" check: a thread outside this
+    // manager's scope never matches, and must not, because the buffers
+    // are confined to the scope's thread.
+    return combining_ == this;
   }
 
   void BufferAction(ProcessorId dest, Action action) {
@@ -197,9 +209,12 @@ class QueueManager {
   net::Network* network_;
   size_t window_;
 
-  // Outbox state. `combine_owner_` is the only field other threads read;
-  // depth and buffers are owner-thread-confined.
-  std::atomic<std::thread::id> combine_owner_{};
+  // The manager whose delivery scope the calling thread has open, if any.
+  static inline thread_local QueueManager* combining_ = nullptr;
+
+  // Outbox state, confined to the scope's thread. `outer_` is the scope
+  // (another manager's) this one opened inside, restored on close.
+  QueueManager* outer_ = nullptr;
   int combine_depth_ = 0;
   std::vector<Lane> lanes_;             // indexed by destination
   std::vector<ProcessorId> touched_;    // first-touch destinations

@@ -296,14 +296,16 @@ class ExhaustiveStrategy : public net::ScheduleStrategy {
     // then surface in the first few executions instead of deep in the
     // tree. Pure search-order heuristic — every candidate is still
     // explored, so exhaustiveness and sleep-set soundness are unaffected.
-    const int victim = config_.starve_victim;
+    const bool starve = config_.starve_victim >= 0;
+    const auto victim = static_cast<ProcessorId>(config_.starve_victim);
     std::vector<ChannelKey> enabled;
     enabled.reserve(views.size());
     for (const net::ChannelView& v : views) enabled.push_back({v.from, v.to});
     std::stable_sort(enabled.begin(), enabled.end(),
-                     [victim](const ChannelKey& a, const ChannelKey& b) {
-                       int sa = victim >= 0 && a.second == victim ? 1 : 0;
-                       int sb = victim >= 0 && b.second == victim ? 1 : 0;
+                     [starve, victim](const ChannelKey& a,
+                                      const ChannelKey& b) {
+                       int sa = starve && a.second == victim ? 1 : 0;
+                       int sb = starve && b.second == victim ? 1 : 0;
                        return std::tie(sa, a.second, a.first) <
                               std::tie(sb, b.second, b.first);
                      });

@@ -10,8 +10,7 @@
 // demonstrates the pipeline end-to-end (the lazy protocols assume a
 // reliable network, so drops produce real checker violations):
 //
-//   lazytree_explore --strategy=uniform --protocol=semisync --seeds=5 \
-//       --drop=0.02
+//   lazytree_explore --strategy=uniform --protocol=semisync --seeds=5 --drop=0.02
 //
 // Replay mode re-executes a saved trace (config flags must match the
 // trace's episode — they are recorded in its header):

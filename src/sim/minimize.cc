@@ -99,7 +99,7 @@ StatusOr<MinimizeResult> MinimizeTrace(const EpisodeConfig& config,
   }
 
   out.trace = BuildCandidate(trace, interesting, keep);
-  out.trace.meta["minimized"] = "1";
+  out.trace.meta.insert_or_assign("minimized", std::string("1"));
   out.trace.meta["failure"] = out.signature;
   out.final_faults = kept;
 

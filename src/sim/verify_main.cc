@@ -13,8 +13,7 @@
 // with POR and dedup disabled (capped at ratio x the reduced run) to
 // measure the reduction factor:
 //
-//   lazytree_verify --protocol=semisync --processors=2 --ops=4 \
-//       --compare-naive
+//   lazytree_verify --protocol=semisync --processors=2 --ops=4 --compare-naive
 //
 // Exit status: 0 when every run behaved as expected, 1 otherwise.
 

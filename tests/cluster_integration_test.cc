@@ -290,7 +290,11 @@ TEST_P(SplitCostTest, SeparatorInsertsCostAtMostHeightPerSplit) {
 
   workload::UniformDist keys(1ull << 40);
   workload::DriveResult load =
-      workload::Load(cluster, {.keys = &keys, .ops = 20000, .seed = 1});
+      workload::Load(cluster, {.mix = {},
+                               .keys = &keys,
+                               .ops = 20000,
+                               .seed = 1,
+                               .home = std::nullopt});
   ASSERT_EQ(load.failed + load.lost, 0u);
 
   const uint64_t inserts =

@@ -56,8 +56,10 @@ TEST(DotExport, ContainsEveryNodeAndValidStructure) {
   EXPECT_EQ(dot.back(), '\n');
   // Every logical node appears.
   for (auto& [key, snap] : cluster.CollectCopies()) {
-    EXPECT_NE(dot.find("\"" + key.node.ToString() + "\""),
-              std::string::npos)
+    std::string quoted(1, '"');
+    quoted += key.node.ToString();
+    quoted += '"';
+    EXPECT_NE(dot.find(quoted), std::string::npos)
         << key.node.ToString();
   }
   // Balanced braces (cheap well-formedness check).

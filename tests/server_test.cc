@@ -3,11 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+
 #include "src/net/sim_network.h"
 #include "src/server/aas.h"
 #include "src/server/op_tracker.h"
 #include "src/server/processor.h"
 #include "src/server/queue_manager.h"
+#include "src/util/logging.h"
 
 namespace lazytree {
 namespace {
@@ -73,6 +77,130 @@ TEST(OpTracker, DistinctIdsPerOperation) {
   OpId b = tracker.Begin([](const OpResult&) {});
   EXPECT_NE(a, b);
   EXPECT_EQ(tracker.Outstanding(), 2u);
+}
+
+OpResult ResultFor(OpId op) {
+  OpResult result;
+  result.op = op;
+  result.status = Status::OK();
+  return result;
+}
+
+TEST(OpTracker, IdsStaySequentialAcrossGrowth) {
+  OpTracker tracker(2);
+  for (uint32_t seq = 1; seq <= 40; ++seq) {
+    EXPECT_EQ(tracker.Begin([](const OpResult&) {}), MakeOpId(2, seq));
+  }
+  EXPECT_EQ(tracker.Outstanding(), 40u);
+}
+
+TEST(OpTracker, StragglerOutlivingAFullTableCompletesOnce) {
+  OpTracker tracker(1);
+  int straggler_calls = 0;
+  const OpId straggler =
+      tracker.Begin([&](const OpResult&) { ++straggler_calls; });
+  // Far more later ops than the first table holds, each completed before
+  // the next begins: every lap lands on the straggler's slot again.
+  int later_calls = 0;
+  for (uint32_t seq = 2; seq <= 300; ++seq) {
+    const OpId op = tracker.Begin([&](const OpResult&) { ++later_calls; });
+    ASSERT_EQ(op, MakeOpId(1, seq));
+    tracker.Complete(ResultFor(op));
+  }
+  EXPECT_EQ(later_calls, 299);
+  EXPECT_EQ(tracker.Outstanding(), 1u);
+  tracker.Complete(ResultFor(straggler));
+  tracker.Complete(ResultFor(straggler));
+  EXPECT_EQ(straggler_calls, 1);
+  EXPECT_EQ(tracker.completed(), 300u);
+  EXPECT_EQ(tracker.Outstanding(), 0u);
+}
+
+TEST(OpTracker, DuplicateAndUnknownCompletionsAreIgnored) {
+  const LogLevel level = GetLogLevel();
+  SetLogLevel(LogLevel::kError);  // each ignored completion warns
+  OpTracker tracker(1);
+  int calls = 0;
+  const OpId op = tracker.Begin([&](const OpResult&) { ++calls; });
+  tracker.Complete(ResultFor(MakeOpId(1, 7)));  // never begun
+  tracker.Complete(ResultFor(MakeOpId(0, 1)));  // another processor's
+  tracker.Complete(ResultFor(kNoOp));
+  EXPECT_EQ(calls, 0);
+  tracker.Complete(ResultFor(op));
+  tracker.Complete(ResultFor(op));  // duplicate
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(tracker.completed(), 1u);
+  EXPECT_EQ(tracker.FailAllPending(Status::Unavailable("x")), 0u);
+  SetLogLevel(level);
+}
+
+TEST(OpTracker, FailAllPendingSkipsFinishedOpsAndFailsInIdOrder) {
+  OpTracker tracker(0);
+  std::vector<OpId> failed;
+  std::vector<OpId> ops;
+  for (int i = 0; i < 6; ++i) {
+    ops.push_back(tracker.Begin([&](const OpResult& r) {
+      if (r.status.code() == StatusCode::kUnavailable) failed.push_back(r.op);
+    }));
+  }
+  tracker.Complete(ResultFor(ops[0]));
+  tracker.Complete(ResultFor(ops[3]));
+  EXPECT_EQ(tracker.FailAllPending(Status::Unavailable("down")), 4u);
+  EXPECT_EQ(failed, (std::vector<OpId>{ops[1], ops[2], ops[4], ops[5]}));
+  EXPECT_EQ(tracker.Outstanding(), 0u);
+}
+
+// A completion on the owning worker racing Cluster::OnLinkDown's
+// FailAllPending on another worker: each callback runs exactly once, and
+// each op is counted once. Rounds of a few ops keep both threads on the
+// same slots at the same moment.
+TEST(OpTracker, FailAllPendingRacingCompleteRunsEachCallbackOnce) {
+  const LogLevel level = GetLogLevel();
+  SetLogLevel(LogLevel::kError);  // the loser's completions warn
+  constexpr int kRounds = 4000;
+  constexpr int kOps = 4;
+  OpTracker tracker(0);
+  std::vector<std::atomic<int>> calls(kRounds * kOps);
+  std::vector<OpId> ids(kRounds * kOps);
+  std::atomic<int> round_go{-1};
+  std::atomic<int> done{0};
+  std::thread completer([&] {
+    for (int r = 0; r < kRounds; ++r) {
+      while (round_go.load(std::memory_order_acquire) < r) {
+      }
+      for (int i = 0; i < kOps; ++i) {
+        tracker.Complete(ResultFor(ids[r * kOps + i]));
+      }
+      done.fetch_add(1, std::memory_order_acq_rel);
+    }
+  });
+  std::thread failer([&] {
+    for (int r = 0; r < kRounds; ++r) {
+      while (round_go.load(std::memory_order_acquire) < r) {
+      }
+      tracker.FailAllPending(Status::Unavailable("link down"));
+      done.fetch_add(1, std::memory_order_acq_rel);
+    }
+  });
+  for (int r = 0; r < kRounds; ++r) {
+    for (int i = 0; i < kOps; ++i) {
+      const int n = r * kOps + i;
+      ids[n] = tracker.Begin([&calls, n](const OpResult&) {
+        calls[n].fetch_add(1, std::memory_order_relaxed);
+      });
+    }
+    round_go.store(r, std::memory_order_release);
+    while (done.load(std::memory_order_acquire) < 2 * (r + 1)) {
+    }
+  }
+  completer.join();
+  failer.join();
+  SetLogLevel(level);
+  int wrong = 0;
+  for (auto& c : calls) wrong += c.load() != 1;
+  EXPECT_EQ(wrong, 0) << "callbacks not run exactly once";
+  EXPECT_EQ(tracker.completed(), static_cast<uint64_t>(kRounds * kOps));
+  EXPECT_EQ(tracker.Outstanding(), 0u);
 }
 
 class CountingReceiver : public net::Receiver {

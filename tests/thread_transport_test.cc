@@ -1,10 +1,16 @@
 // End-to-end runs on the thread-backed transport: genuine parallelism,
-// multiple client threads, all protocols, history checks at quiescence.
+// multiple client threads, all protocols, history checks at quiescence;
+// and the client edge: ops handed to a worker through its lock-free queue.
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <functional>
+#include <mutex>
 #include <thread>
 
+#include "src/net/thread_network.h"
+#include "src/server/queue_manager.h"
 #include "tests/test_util.h"
 
 namespace lazytree {
@@ -168,6 +174,164 @@ TEST(ThreadTransport, MobileMigrationsRaceRealThreads) {
   ASSERT_TRUE(cluster.Settle());
   ExpectMatchesOracle(cluster, oracle);
   ExpectCorrect(cluster);
+}
+
+// --- Client edge: Network::SubmitLocal on ThreadNetwork ---
+
+ClientOp SearchOp(ProcessorId p, OpId op) {
+  ClientOp c;
+  c.kind = ActionKind::kSearch;
+  c.origin = p;
+  c.op = op;
+  return c;
+}
+
+// Records the op ids of delivered actions, in delivery order.
+class OpRecorder : public net::Receiver {
+ public:
+  void Deliver(Message m) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const Action& a : m.actions) ops_.push_back(a.op);
+  }
+  std::vector<OpId> ops() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return ops_;
+  }
+  size_t count() { return ops().size(); }
+
+ private:
+  std::mutex mu_;
+  std::vector<OpId> ops_;
+};
+
+bool WaitFor(const std::function<bool()>& done,
+             std::chrono::milliseconds limit) {
+  const auto deadline = std::chrono::steady_clock::now() + limit;
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+TEST(ClientQueue, TwoProducersEachKeepTheirOwnOrder) {
+  net::ThreadNetwork net;
+  OpRecorder recorder;
+  net.Register(0, &recorder);
+  net.Start();
+  constexpr uint32_t kPerProducer = 20000;
+  std::vector<std::thread> producers;
+  for (uint32_t p = 1; p <= 2; ++p) {
+    producers.emplace_back([&net, p] {
+      for (uint32_t seq = 1; seq <= kPerProducer; ++seq) {
+        net.SubmitLocal(0, SearchOp(0, MakeOpId(p, seq)));
+      }
+    });
+  }
+  for (auto& t : producers) t.join();
+  ASSERT_TRUE(net.WaitQuiescent(std::chrono::seconds(30)));
+  const std::vector<OpId> ops = recorder.ops();
+  ASSERT_EQ(ops.size(), 2 * kPerProducer);
+  uint32_t last[3] = {0, 0, 0};
+  for (OpId op : ops) {
+    const ProcessorId p = OpOrigin(op);
+    ASSERT_EQ(static_cast<uint32_t>(op), last[p] + 1)
+        << "producer " << p << " out of order";
+    last[p] = static_cast<uint32_t>(op);
+  }
+  EXPECT_EQ(net.stats().Snapshot().local_messages, 2 * kPerProducer);
+}
+
+// The worker parks with no deadline (this receiver has no timers), so an
+// op whose wake is lost is never delivered. Varied pauses land the push
+// before, during and after the worker's spin-then-park.
+TEST(ClientQueue, OpSubmittedToAParkedWorkerIsDeliveredPromptly) {
+  net::ThreadNetwork net;
+  OpRecorder recorder;
+  net.Register(0, &recorder);
+  net.Start();
+  for (uint32_t i = 1; i <= 300; ++i) {
+    std::this_thread::sleep_for(std::chrono::microseconds((i % 16) * 50));
+    net.SubmitLocal(0, SearchOp(0, MakeOpId(0, i)));
+    ASSERT_TRUE(WaitFor([&] { return recorder.count() == i; },
+                        std::chrono::seconds(5)))
+        << "op " << i << " not delivered: lost wake";
+  }
+}
+
+TEST(ClientQueue, SettleNeverReturnsWhileAnOpIsQueued) {
+  Cluster cluster(ThreadOptions(ProtocolKind::kSemiSyncSplit, 2));
+  cluster.Start();
+  std::atomic<int> completed{0};
+  for (int i = 0; i < 300; ++i) {
+    cluster.InsertAsync(static_cast<ProcessorId>(i % 2), 1000 + i, 1,
+                        [&](const OpResult&) {
+                          completed.fetch_add(1, std::memory_order_relaxed);
+                        });
+    ASSERT_TRUE(cluster.Settle());
+    ASSERT_EQ(completed.load(std::memory_order_relaxed), i + 1);
+  }
+}
+
+// Counts the ops that reach the network's client edge.
+class EdgeCountingNetwork : public net::ThreadNetwork {
+ public:
+  void SubmitLocal(ProcessorId p, const ClientOp& op) override {
+    submits.fetch_add(1, std::memory_order_relaxed);
+    ThreadNetwork::SubmitLocal(p, op);
+  }
+  std::atomic<int> submits{0};
+};
+
+// Delivers inside an outbox scope, as Processor does; the first delivered
+// op resubmits a second one from the worker thread.
+class ResubmittingReceiver : public net::Receiver {
+ public:
+  explicit ResubmittingReceiver(QueueManager* out) : out_(out) {}
+  void Deliver(Message m) override {
+    out_->BeginCombine();
+    for (const Action& a : m.actions) {
+      ops.push_back(a.op);
+      if (a.op == MakeOpId(0, 1)) {
+        out_->SubmitClient(SearchOp(0, MakeOpId(0, 2)));
+      }
+    }
+    out_->EndCombine();
+  }
+  std::vector<OpId> ops;  // worker thread only, read at quiescence
+
+ private:
+  QueueManager* out_;
+};
+
+TEST(ClientQueue, WorkerThreadSubmitToItsOwnProcessorUsesTheOutbox) {
+  EdgeCountingNetwork net;
+  QueueManager out(0, &net);
+  ResubmittingReceiver receiver(&out);
+  net.Register(0, &receiver);
+  net.Start();
+  out.SubmitClient(SearchOp(0, MakeOpId(0, 1)));  // client thread
+  ASSERT_TRUE(net.WaitQuiescent(std::chrono::seconds(10)));
+  EXPECT_EQ(receiver.ops,
+            (std::vector<OpId>{MakeOpId(0, 1), MakeOpId(0, 2)}));
+  EXPECT_EQ(net.submits.load(), 1) << "the in-scope submit left the outbox";
+  EXPECT_EQ(net.stats().Snapshot().local_messages, 2u);
+}
+
+TEST(ClientQueue, OpsPushedAfterStopAreCountedAsHandled) {
+  net::ThreadNetwork net;
+  OpRecorder recorder;
+  net.Register(0, &recorder);
+  net.Start();
+  net.SubmitLocal(0, SearchOp(0, MakeOpId(0, 1)));
+  ASSERT_TRUE(net.WaitQuiescent(std::chrono::seconds(10)));
+  net.Stop();
+  for (uint32_t i = 2; i < 100; ++i) {
+    net.SubmitLocal(0, SearchOp(0, MakeOpId(0, i)));
+  }
+  net.Send(Message(0, 0, SearchOp(0, MakeOpId(0, 100)).ToAction()));
+  EXPECT_TRUE(net.WaitQuiescent(std::chrono::milliseconds(0)));
+  EXPECT_EQ(recorder.count(), 1u);
 }
 
 }  // namespace

@@ -359,8 +359,8 @@ INSTANTIATE_TEST_SUITE_P(
                       TransportUnderTest::kThread,
                       TransportUnderTest::kSimLossy,
                       TransportUnderTest::kThreadLossy),
-    [](const ::testing::TestParamInfo<TransportUnderTest>& info) {
-      return TransportName(info.param);
+    [](const ::testing::TestParamInfo<TransportUnderTest>& param_info) {
+      return TransportName(param_info.param);
     });
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdint>
 #include <functional>
 #include <future>
 #include <set>
@@ -310,6 +311,36 @@ TEST(WaitGroup, WaitForTimesOutWhenPending) {
   EXPECT_FALSE(wg.WaitFor(std::chrono::milliseconds(10)));
   wg.Done();
   EXPECT_TRUE(wg.WaitFor(std::chrono::milliseconds(10)));
+}
+
+TEST(MpscRingQueue, GrowsPastItsFirstRingInOrder) {
+  MpscRingQueue<uint64_t> q(4);
+  // Never drained while pushing: the queue must link larger rings.
+  for (uint64_t i = 0; i < 1000; ++i) ASSERT_TRUE(q.Push(i));
+  std::vector<uint64_t> out;
+  EXPECT_EQ(q.Drain(10, [&](uint64_t v) { out.push_back(v); }), 10u);
+  EXPECT_TRUE(q.Ready());
+  q.Drain(SIZE_MAX, [&](uint64_t v) { out.push_back(v); });
+  ASSERT_EQ(out.size(), 1000u);
+  for (uint64_t i = 0; i < 1000; ++i) ASSERT_EQ(out[i], i);
+  EXPECT_FALSE(q.Ready());
+  // Reused cells keep order too.
+  for (uint64_t i = 0; i < 3000; ++i) {
+    ASSERT_TRUE(q.Push(i));
+    uint64_t got = 0;
+    ASSERT_EQ(q.Drain(1, [&](uint64_t v) { got = v; }), 1u);
+    ASSERT_EQ(got, i);
+  }
+}
+
+TEST(MpscRingQueue, CloseRejectsPushesAndKeepsEarlierOnes) {
+  MpscRingQueue<uint64_t> q(2);
+  for (uint64_t i = 0; i < 5; ++i) ASSERT_TRUE(q.Push(i));
+  q.Close();
+  EXPECT_FALSE(q.Push(9));
+  EXPECT_EQ(q.DrainClosed(), 5u);
+  EXPECT_FALSE(q.Push(10));
+  EXPECT_EQ(q.DrainClosed(), 0u);
 }
 
 }  // namespace

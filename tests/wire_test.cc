@@ -138,6 +138,33 @@ TEST(Wire, MessageRoundTripDefaults) {
   EXPECT_FALSE(decoded->actions[0].snapshot.valid());
 }
 
+TEST(Message, OneActionConstructorMovesTheAction) {
+  Action a;
+  a.kind = ActionKind::kReturnValue;
+  a.range_results.resize(64);
+  const Entry* buffer = a.range_results.data();
+  const Message m(1, 2, std::move(a));
+  ASSERT_EQ(m.actions.size(), 1u);
+  EXPECT_EQ(m.actions[0].range_results.data(), buffer)
+      << "the action was copied, not moved";
+}
+
+TEST(Message, ClientOpBecomesTheSubmittedAction) {
+  ClientOp op;
+  op.kind = ActionKind::kScanOp;
+  op.origin = 3;
+  op.op = MakeOpId(3, 9);
+  op.key = 40;
+  op.value = 25;
+  Action want;
+  want.kind = ActionKind::kScanOp;
+  want.origin = 3;
+  want.op = MakeOpId(3, 9);
+  want.key = 40;
+  want.value = 25;
+  EXPECT_EQ(op.ToAction(), want);
+}
+
 TEST(Wire, MultiActionMessage) {
   Message m;
   m.from = 3;
@@ -347,8 +374,12 @@ TEST_P(WireContract, EveryMessageTheSimMovesRoundTrips) {
   sim::RunEpisodeUnder(config, /*strategy=*/nullptr, /*recorder=*/nullptr,
                        hooks);
   EXPECT_GT(observer.seen, 100u);
-  if (c.faults == Faults::kLossyReliable) EXPECT_GT(observer.sacks, 0u);
-  if (c.faults == Faults::kCrash) EXPECT_GT(observer.crash_drops, 0u);
+  if (c.faults == Faults::kLossyReliable) {
+    EXPECT_GT(observer.sacks, 0u);
+  }
+  if (c.faults == Faults::kCrash) {
+    EXPECT_GT(observer.crash_drops, 0u);
+  }
   EXPECT_EQ(observer.broken, 0u) << observer.first_broken;
 }
 
@@ -376,7 +407,7 @@ std::vector<ContractCase> AllContractCases() {
 
 INSTANTIATE_TEST_SUITE_P(
     PerProtocol, WireContract, ::testing::ValuesIn(AllContractCases()),
-    [](const auto& info) { return CaseName(info.param); });
+    [](const auto& param_info) { return CaseName(param_info.param); });
 
 }  // namespace
 }  // namespace lazytree

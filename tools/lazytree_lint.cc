@@ -318,8 +318,9 @@ const char* const kApprovedConcurrencyFiles[] = {
     "src/util/threading.h", "src/util/threading.cc",
     "src/util/mpsc_queue.h",
     // Worker-thread CPU pinning (pthread affinity syscalls only). The
-    // QueueManager outbox is deliberately NOT here: its only cross-thread
-    // state is one atomic thread-id, and it must stay that way.
+    // QueueManager outbox is deliberately NOT here: it shares no state
+    // across threads (a thread_local pointer says whose delivery scope
+    // the calling thread has open), and it must stay that way.
     "src/util/affinity.h", "src/util/affinity.cc",
     // The thread transport.
     "src/net/thread_network.h", "src/net/thread_network.cc",
@@ -430,10 +431,44 @@ const AtomicOrderJustification kAtomicOrderAllowlist[] = {
     {"src/util/mpsc_queue.h", "closed_hint_",
      "release store in Close pairs with the worker's acquire poll so the "
      "final drain sees every pre-close push"},
-    {"src/server/queue_manager.h", "combine_owner_",
-     "release store on Begin/EndCombine pairs with the acquire load in "
-     "the owner check: buffered batch state must be visible to whichever "
-     "thread observes itself as owner"},
+    {"src/util/mpsc_queue.h", "parked_",
+     "seq_cst store before the consumer's last probe of the lock-free "
+     "source pairs with WakeIfParked's seq_cst load after a publish "
+     "(Dekker): the producer sees the park and pokes, or the probe sees "
+     "the item"},
+    {"src/util/mpsc_queue.h", "lap",
+     "a producer's seq_cst publish store pairs with the consumer's "
+     "seq_cst probe (the park handshake) and acquire read of the item; "
+     "the consumer's release store that frees a cell pairs with the next "
+     "lap's producer acquire load before it overwrites the item"},
+    {"src/util/mpsc_queue.h", "claim",
+     "seq_cst close (fetch_or) by a linker or by Close pairs with the "
+     "consumer's seq_cst read that steps to the next ring only once the "
+     "closed ring is drained, and with DrainClosed's acquire read"},
+    {"src/util/mpsc_queue.h", "successor",
+     "seq_cst link CAS of a grown ring (its first item already written) "
+     "pairs with the consumer's and Close's seq_cst reads; ordered "
+     "against closed_ so Close never misses a ring linked during it"},
+    {"src/util/mpsc_queue.h", "tail_ring_",
+     "acq_rel CAS that moves producers to a linked ring pairs with the "
+     "producers' acquire load of the ring they push into"},
+    {"src/util/mpsc_queue.h", "shut_",
+     "seq_cst store in Close before its walk pairs with a linker's "
+     "seq_cst load after its link: one of them closes the new ring"},
+    {"src/server/op_tracker.cc", "tag",
+     "a slot's release store (live after Begin filled the callback; "
+     "empty after a claim took it) pairs with the acquire CAS of the next "
+     "claimer (Complete / FailAllPending claim live, Begin claims empty), "
+     "so the callback is handed over whole and run exactly once"},
+    {"src/server/op_tracker.cc", "mask_",
+     "release store after Grow installs a segment pairs with the acquire "
+     "load before indexing: a visible table size implies its segments"},
+    {"src/server/op_tracker.cc", "published_",
+     "Begin's release increment after its slot is live pairs with the "
+     "walks' acquire load: a counted publish implies the live slot"},
+    {"src/server/op_tracker.cc", "next_seq_",
+     "the walks' acquire load follows their acquire load of published_, "
+     "so every counted publish has a seq below the loaded next seq"},
     {"src/net/thread_network.cc", "started_",
      "acq_rel CAS makes Start's thread spawning happen-before any "
      "acquire observer; Register's acquire load pairs with it"},
