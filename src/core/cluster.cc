@@ -69,10 +69,7 @@ Cluster::Cluster(ClusterOptions options)
     sim_ = sim.get();
     base_network_ = std::move(sim);
   } else {
-    net::ThreadNetwork::Options topt;
-    topt.pin_threads = options_.pin_threads;
-    if (options_.max_batch > 0) topt.max_batch = options_.max_batch;
-    auto thread_net = std::make_unique<net::ThreadNetwork>(topt);
+    auto thread_net = std::make_unique<net::ThreadNetwork>();
     thread_net->SetFaultInjector(faults_.get());
     base_network_ = std::move(thread_net);
   }
@@ -81,9 +78,8 @@ Cluster::Cluster(ClusterOptions options)
                                ? options_.faults.active()
                                : options_.reliable > 0;
   if (reliable_on) {
-    net::ReliabilityOptions ropt = options_.reliability;
-    ropt.real_timers = threads;
-    reliable_ = std::make_unique<net::ReliableNetwork>(network_, ropt);
+    reliable_ = std::make_unique<net::ReliableNetwork>(
+        network_, options_.reliability, /*real_timers=*/threads);
     reliable_->SetLinkDownCallback(
         [this](ProcessorId from, ProcessorId to) { OnLinkDown(from, to); });
     network_ = reliable_.get();

@@ -47,11 +47,6 @@ struct ClusterOptions {
   /// leave as one message of their own. 0 disables the deferral (the
   /// outbox still combines each delivery's actions per destination).
   size_t piggyback_window = 0;
-  /// Threads transport only: pin each worker thread to a fixed CPU.
-  bool pin_threads = true;
-  /// Threads transport only: max messages per drained inbox batch (tail-
-  /// latency bound); 0 keeps the ThreadNetwork default.
-  size_t max_batch = 0;
   /// Run the §3.1 history checks (complete/compatible/ordered) at every
   /// quiescent point Settle() reaches, aborting on the first violation so
   /// the failing schedule is caught at the earliest moment it is
@@ -78,7 +73,7 @@ struct ClusterOptions {
   /// retriable kUnavailable status instead of hanging Settle().
   int8_t reliable = -1;
   /// Tuning for the reliable layer (timers, budgets, initial sequence
-  /// number). `real_timers` is overridden from the transport kind.
+  /// number). Its timers are real on threads and virtual on the sim.
   net::ReliabilityOptions reliability;
   /// Node capacity, history tracking, replication factor, upserts.
   TreeConfig tree;

@@ -13,9 +13,11 @@ constexpr auto kNever = std::chrono::steady_clock::time_point::max();
 
 }  // namespace
 
-ReliableNetwork::ReliableNetwork(Network* base, ReliabilityOptions options)
+ReliableNetwork::ReliableNetwork(Network* base, ReliabilityOptions options,
+                                 bool real_timers)
     : base_(base),
       options_(options),
+      real_timers_(real_timers),
       epoch_(std::chrono::steady_clock::now()) {}
 
 void ReliableNetwork::Register(ProcessorId id, Receiver* receiver) {
@@ -49,7 +51,7 @@ void ReliableNetwork::Start() {
 void ReliableNetwork::Stop() { base_->Stop(); }
 
 uint64_t ReliableNetwork::NowUs() const {
-  if (!options_.real_timers) return virtual_now_us_;
+  if (!real_timers_) return virtual_now_us_;
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - epoch_)
@@ -317,7 +319,7 @@ void ReliableNetwork::DispatchDowns(const LinkList& downs) {
 }
 
 std::chrono::steady_clock::time_point ReliableNetwork::Poll(ProcessorId id) {
-  if (!options_.real_timers) return kNever;
+  if (!real_timers_) return kNever;
   EnsureChannels();
   std::vector<Message> sends;
   LinkList downs;
@@ -351,7 +353,7 @@ std::vector<std::unique_lock<std::mutex>> ReliableNetwork::LockAll() const {
 }
 
 bool ReliableNetwork::Pump() {
-  if (options_.real_timers) return false;
+  if (real_timers_) return false;
   EnsureChannels();
   std::vector<Message> sends;
   LinkList downs;
@@ -412,7 +414,7 @@ bool ReliableNetwork::WaitQuiescent(std::chrono::milliseconds timeout) {
       return false;
     }
     if (all_settled()) return true;
-    if (options_.real_timers) {
+    if (real_timers_) {
       if (std::chrono::steady_clock::now() >= deadline) return false;
       // The workers own firing; give their timers (acks are due within
       // ack_delay_us) time to move the state, then re-check the base.

@@ -48,7 +48,7 @@
 // With `real_timers` (ThreadNetwork) p's worker thread fires p's timers
 // itself: after every delivered batch it calls Receiver::Poll, which fires
 // p's due retransmits and pure acks and returns p's next deadline, and the
-// worker parks in its inbox until that deadline or the next message. A
+// worker parks until that deadline or the next message or op. A
 // send from any other thread (Settle flushing held relays) that arms a
 // deadline earlier than the one p is parked for calls Network::Wake(p).
 // The layer starts no thread of its own. Without real timers (SimNetwork)
@@ -100,15 +100,15 @@ struct ReliabilityOptions {
   /// Receiver out-of-order buffer cap per channel; frames beyond it are
   /// dropped and recovered by retransmission.
   size_t reorder_window = 1024;
-  /// Steady-clock timers fired by each processor's worker through
-  /// Receiver::Poll (ThreadNetwork) vs a virtual Pump()-driven clock
-  /// (SimNetwork). Set by Cluster from the transport kind.
-  bool real_timers = false;
 };
 
 class ReliableNetwork : public Network {
  public:
-  ReliableNetwork(Network* base, ReliabilityOptions options);
+  /// `real_timers`: steady-clock timers fired by each processor's worker
+  /// through Receiver::Poll (ThreadNetwork) vs a virtual Pump()-driven
+  /// clock (SimNetwork).
+  ReliableNetwork(Network* base, ReliabilityOptions options,
+                  bool real_timers);
   /// Stops the base: its workers poll this layer's endpoints.
   ~ReliableNetwork() override { base_->Stop(); }
 
@@ -268,6 +268,7 @@ class ReliableNetwork : public Network {
 
   Network* base_;
   ReliabilityOptions options_;
+  const bool real_timers_;
   LinkDownFn on_link_down_;
   const std::chrono::steady_clock::time_point epoch_;
 

@@ -5,11 +5,17 @@
 #include "src/util/logging.h"
 
 namespace lazytree::net {
+namespace {
+
+// Items drained per queue per worker turn. Bounds the tail: a flooded
+// inbox is served in chunks instead of one unbounded atomic batch that
+// starves everything queued behind it.
+constexpr size_t kMaxBatch = 128;
+
+}  // namespace
 
 ThreadNetwork::ThreadNetwork(Options options)
-    : byte_stats_(options.byte_stats),
-      pin_threads_(options.pin_threads),
-      max_batch_(options.max_batch > 0 ? options.max_batch : 1) {}
+    : byte_stats_(options.byte_stats) {}
 
 ThreadNetwork::~ThreadNetwork() { Stop(); }
 
@@ -50,7 +56,7 @@ void ThreadNetwork::SubmitLocal(ProcessorId p, const ClientOp& op) {
     OnHandled(1);  // stopped: handled, as a closed inbox's message is
     return;
   }
-  station.inbox.WakeIfParked();
+  station.parker.WakeIfParked();
 }
 
 void ThreadNetwork::Enqueue(Message m) {
@@ -63,7 +69,9 @@ void ThreadNetwork::Enqueue(Message m) {
   if (!station.inbox.Push(std::move(m))) {
     // Inbox closed during shutdown: account the message as handled.
     OnHandled(1);
+    return;
   }
+  station.parker.WakeIfParked();
 }
 
 void ThreadNetwork::Start() {
@@ -84,34 +92,42 @@ void ThreadNetwork::WorkerLoop(Station* station) {
   // Pin only when there are cores to spread over: on a single-CPU host
   // (or a 1-CPU cgroup) pinning is a no-op scheduling-wise and skipping
   // it keeps strace/TSan logs quiet.
-  if (pin_threads_ && AvailableCpus() > 1) {
+  if (AvailableCpus() > 1) {
     PinCurrentThreadToCpu(static_cast<unsigned>(station->id));
   }
-  std::vector<Message> batch;  // recycled across PopAllUntil swaps
+  std::vector<Message> batch;  // capacity recycled across turns
   const ProcessorId id = station->id;
+  const auto ready = [station] {
+    return station->inbox.Ready() || station->clients.Ready();
+  };
   auto deadline = station->receiver->Poll();
-  while (station->inbox.PopAllUntil(
-      batch, max_batch_, deadline,
-      [station] { return station->clients.Ready(); })) {
-    station->clients.Drain(max_batch_, [&](const ClientOp& op) {
+  for (;;) {
+    station->inbox.Drain(
+        kMaxBatch, [&](Message& m) { batch.push_back(std::move(m)); });
+    station->clients.Drain(kMaxBatch, [&](const ClientOp& op) {
       batch.emplace_back(id, id, op.ToAction());
       stats_.OnSend(batch.back(), 0);
     });
     if (!batch.empty()) {
       station->receiver->DeliverBatch(batch);
       OnHandled(static_cast<int64_t>(batch.size()));
+      batch.clear();
+    } else if (!station->parker.WaitUntil(deadline, ready)) {
+      break;  // stopped, with both queues drained
     }
     deadline = station->receiver->Poll();
   }
-  // Stop closed the client queue first: retire what it still holds.
-  const size_t left = station->clients.DrainClosed();
+  // Stop closed both queues before the parker: retire the pushes that
+  // raced it.
+  const size_t left =
+      station->inbox.DrainClosed() + station->clients.DrainClosed();
   if (left > 0) OnHandled(static_cast<int64_t>(left));
 }
 
 void ThreadNetwork::Wake(ProcessorId id) {
   LAZYTREE_CHECK(id < stations_.size() && stations_[id] != nullptr)
       << "wake of unregistered p" << id;
-  stations_[id]->inbox.Poke();
+  stations_[id]->parker.Poke();
 }
 
 void ThreadNetwork::OnHandled(int64_t n) {
@@ -135,6 +151,7 @@ void ThreadNetwork::Stop() {
     if (station) {
       station->clients.Close();
       station->inbox.Close();
+      station->parker.Close();
     }
   }
   for (auto& station : stations_) {

@@ -1,26 +1,24 @@
 // ThreadNetwork: one worker thread per simulated processor.
 //
-// Each processor owns an inbox; its worker drains batches and calls
-// Receiver::Deliver serially, which gives the paper's one-node-manager-
-// per-processor execution model with genuine hardware parallelism across
-// processors. FIFO per (from, to) pair holds because a sender enqueues in
-// program order and the inbox is a single FIFO queue. Between batches the
-// worker calls Receiver::Poll and waits for the next message no later than
-// the deadline it returns, so the receiver's timers fire on its own
-// thread; Wake cuts that wait short.
+// Each processor owns a station: two lock-free MPSC queues (util/
+// mpsc_queue.h) and one Parker. Peer messages enter the `inbox` ring;
+// client operations enter the `clients` ring as 32-byte ClientOps. Both
+// producer paths count the item in flight, publish it without a lock, and
+// then poke the worker only if it has parked (Parker::WakeIfParked). The
+// worker drains up to 128 items from each queue per turn, builds each
+// op's self-addressed Message on its own thread (counted as a local
+// message there), and calls Receiver::DeliverBatch serially, which gives
+// the paper's one-node-manager-per-processor execution model (§1.1) with
+// genuine hardware parallelism across processors. FIFO per (from, to)
+// pair holds because a sender enqueues in program order and each ring is
+// FIFO per producer. Between batches the worker calls Receiver::Poll, and
+// when both queues are empty it waits for the next item no later than the
+// deadline Poll returned, so the receiver's timers fire on its own
+// thread; Wake cuts that wait short. A submit from inside a delivery scope
+// never gets here; the QueueManager buffers it in the outbox's self lane.
 //
-// Client operations take a second, lock-free path: SubmitLocal counts the
-// op in flight and pushes its 32-byte ClientOp into the station's
-// MpscRingQueue (no lock, no allocation in steady state), and pokes the
-// worker only if it has parked (MpscBatchQueue::WakeIfParked). The worker
-// probes that queue while it spins and drains it at every loop turn: it
-// builds each op's self-addressed Message on its own thread, counts it as
-// a local message there, and delivers it in the same batch as the inbox's
-// messages. A submit from inside a delivery scope never gets here; the
-// QueueManager buffers it in the outbox's self lane.
-//
-// Send *moves* the Message straight into the destination's batched MPSC
-// inbox — no wire encode/decode — and NetworkStats byte counts come from
+// Send *moves* the Message straight into the destination's inbox ring —
+// no wire encode/decode — and NetworkStats byte counts come from
 // wire::EncodedSize, so the RPC cost model the benches report is
 // unchanged. The sim transport moves messages the same way; the wire
 // format stays a held contract through wire_test (the codec fuzz and the
@@ -52,13 +50,6 @@ class ThreadNetwork : public Network {
     /// the walk costs real time per snapshot-bearing send and the
     /// RPC-cost benches that consume byte counts run on SimNetwork.
     bool byte_stats = false;
-    /// Pin each worker thread to a fixed CPU (worker i -> available CPU
-    /// i mod n). Best-effort; ignored where affinity is unsupported.
-    bool pin_threads = true;
-    /// Maximum messages drained per inbox batch. Bounds the tail: a
-    /// flooded inbox is served in max_batch-sized chunks instead of one
-    /// unbounded atomic batch that starves everything queued behind it.
-    size_t max_batch = 128;
   };
 
   ThreadNetwork() : ThreadNetwork(Options{}) {}
@@ -83,10 +74,12 @@ class ThreadNetwork : public Network {
   struct Station {
     ProcessorId id = 0;
     Receiver* receiver = nullptr;
-    // Messages moved in whole, drained in batches.
-    MpscBatchQueue<Message> inbox;
-    // Client ops from SubmitLocal; the worker parks on `inbox`.
+    // Peer messages, moved in whole.
+    MpscRingQueue<Message> inbox;
+    // Client ops from SubmitLocal.
     MpscRingQueue<ClientOp> clients;
+    // Where the worker waits while both queues are empty.
+    Parker parker;
     std::thread worker;
   };
 
@@ -98,8 +91,6 @@ class ThreadNetwork : public Network {
   void OnHandled(int64_t n);
 
   bool byte_stats_ = false;
-  bool pin_threads_ = true;
-  size_t max_batch_ = 128;
   FaultInjector* faults_ = nullptr;
   std::vector<std::unique_ptr<Station>> stations_;
   std::atomic<bool> started_{false};

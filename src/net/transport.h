@@ -19,7 +19,8 @@
 // default that is the self-send the paper describes, so SimNetwork (and
 // with it the explorer and the verifier) schedules exactly that message;
 // ThreadNetwork instead hands the op to the processor's worker through a
-// lock-free queue, and the worker builds the message on its own thread.
+// lock-free ring, the same handoff its peer messages take, and the worker
+// builds the message on its own thread.
 
 #ifndef LAZYTREE_NET_TRANSPORT_H_
 #define LAZYTREE_NET_TRANSPORT_H_

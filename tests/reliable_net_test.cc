@@ -165,7 +165,7 @@ TEST(ReliableNetTest, DedupWindowSurvivesSequenceWraparound) {
   sim.SetFaultInjector(&faulty);
   net::ReliabilityOptions ropt;
   ropt.initial_seq = UINT64_MAX - 3;  // wrap after four sends
-  net::ReliableNetwork reliable(&sim, ropt);
+  net::ReliableNetwork reliable(&sim, ropt, /*real_timers=*/false);
 
   Recorder r0, r1;
   reliable.Register(0, &r0);
@@ -193,7 +193,8 @@ TEST(ReliableNetTest, DedupWindowSurvivesSequenceWraparound) {
 // last in-flight frame — instead of waiting for the pure-ack timer.
 TEST(ReliableNetTest, AckRidesLastInflightReverseMessage) {
   net::SimNetwork sim(7);
-  net::ReliableNetwork reliable(&sim, net::ReliabilityOptions{});
+  net::ReliableNetwork reliable(&sim, net::ReliabilityOptions{},
+                                /*real_timers=*/false);
 
   Recorder r0, r1;
   // Every delivery at p1 answers with one reverse message.
@@ -226,7 +227,8 @@ TEST(ReliableNetTest, AckRidesLastInflightReverseMessage) {
 // copies are in flight on the same channel. Exactly one may surface.
 TEST(ReliableNetTest, RetransmitRacingLateOriginalIsDeduped) {
   net::SimNetwork sim(7);
-  net::ReliableNetwork reliable(&sim, net::ReliabilityOptions{});
+  net::ReliableNetwork reliable(&sim, net::ReliabilityOptions{},
+                                /*real_timers=*/false);
   Recorder r0, r1;
   reliable.Register(0, &r0);
   reliable.Register(1, &r1);
@@ -256,7 +258,7 @@ TEST(ReliableNetTest, OneDropInWindowResendsOnlyTheHoleBeforeTimeout) {
   ScriptedLinks links(&sim);
   links.Drop(0, 3);
   const net::ReliabilityOptions ropt = NoTimerOptions();
-  net::ReliableNetwork reliable(&links, ropt);
+  net::ReliableNetwork reliable(&links, ropt, /*real_timers=*/false);
   Recorder r0, r1;
   reliable.Register(0, &r0);
   reliable.Register(1, &r1);
@@ -282,7 +284,7 @@ TEST(ReliableNetTest, TwoDropsInWindowResendTwoWithoutTimeout) {
   links.Drop(0, 3);
   links.Drop(0, 6);
   const net::ReliabilityOptions ropt = NoTimerOptions();
-  net::ReliableNetwork reliable(&links, ropt);
+  net::ReliableNetwork reliable(&links, ropt, /*real_timers=*/false);
   Recorder r0, r1;
   reliable.Register(0, &r0);
   reliable.Register(1, &r1);
@@ -308,7 +310,7 @@ TEST(ReliableNetTest, HoleBeyondSackReachIsRecoveredByTimerResendingUnheld) {
   links.Drop(0, 1, /*copies=*/2);
   net::ReliabilityOptions ropt;
   ropt.jitter_us = 0;
-  net::ReliableNetwork reliable(&links, ropt);
+  net::ReliableNetwork reliable(&links, ropt, /*real_timers=*/false);
   Recorder r0, r1;
   reliable.Register(0, &r0);
   reliable.Register(1, &r1);
@@ -338,7 +340,7 @@ TEST(ReliableNetTest, LaterHoleResendDoesNotPostponeTheHeadTimer) {
   links.Drop(0, 6);
   net::ReliabilityOptions ropt;
   ropt.jitter_us = 0;
-  net::ReliableNetwork reliable(&links, ropt);
+  net::ReliableNetwork reliable(&links, ropt, /*real_timers=*/false);
   Recorder r0, r1, r2;
   reliable.Register(0, &r0);
   reliable.Register(1, &r1);
@@ -370,7 +372,8 @@ TEST(ReliableNetTest, FastResendWithLateOriginalIsDedupedOnce) {
   net::SimNetwork sim(7);
   ScriptedLinks links(&sim);
   links.Hold(0, 3);
-  net::ReliableNetwork reliable(&links, net::ReliabilityOptions{});
+  net::ReliableNetwork reliable(&links, net::ReliabilityOptions{},
+                                /*real_timers=*/false);
   Recorder r0, r1;
   reliable.Register(0, &r0);
   reliable.Register(1, &r1);
@@ -397,7 +400,8 @@ TEST(ReliableNetTest, MixStateSeesHeldMarks) {
   const auto fingerprint = [](bool third_held) {
     net::SimNetwork sim(7);
     ScriptedLinks links(&sim);
-    net::ReliableNetwork reliable(&links, net::ReliabilityOptions{});
+    net::ReliableNetwork reliable(&links, net::ReliabilityOptions{},
+                                /*real_timers=*/false);
     Recorder r0, r1;
     reliable.Register(0, &r0);
     reliable.Register(1, &r1);

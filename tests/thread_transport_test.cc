@@ -6,8 +6,10 @@
 
 #include <chrono>
 #include <functional>
+#include <future>
 #include <mutex>
 #include <thread>
+#include <utility>
 
 #include "src/net/thread_network.h"
 #include "src/server/queue_manager.h"
@@ -332,6 +334,47 @@ TEST(ClientQueue, OpsPushedAfterStopAreCountedAsHandled) {
   net.Send(Message(0, 0, SearchOp(0, MakeOpId(0, 100)).ToAction()));
   EXPECT_TRUE(net.WaitQuiescent(std::chrono::milliseconds(0)));
   EXPECT_EQ(recorder.count(), 1u);
+}
+
+// Holds the worker in its first delivery until the gate opens, so the
+// messages sent meanwhile wait in the inbox.
+class GatedRecorder : public OpRecorder {
+ public:
+  explicit GatedRecorder(std::shared_future<void> gate)
+      : gate_(std::move(gate)) {}
+  void Deliver(Message m) override {
+    gate_.wait();
+    OpRecorder::Deliver(std::move(m));
+  }
+
+ private:
+  std::shared_future<void> gate_;
+};
+
+TEST(ThreadTransport, StopDeliversWhatTheInboxHolds) {
+  net::ThreadNetwork net;
+  std::promise<void> open;
+  GatedRecorder recorder(open.get_future().share());
+  net.Register(0, &recorder);
+  net.Start();
+  // Far past the inbox ring's first size: Stop finds grown rings.
+  constexpr uint32_t kQueued = 1000;
+  for (uint32_t i = 1; i <= kQueued; ++i) {
+    net.Send(Message(0, 0, SearchOp(0, MakeOpId(0, i)).ToAction()));
+  }
+  std::thread stopper([&net] { net.Stop(); });
+  // Stop closes the queues, then waits for the held worker.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  open.set_value();
+  stopper.join();
+  net.Send(Message(0, 0, SearchOp(0, MakeOpId(0, kQueued + 1)).ToAction()));
+  EXPECT_TRUE(net.WaitQuiescent(std::chrono::milliseconds(0)))
+      << "every message is delivered or retired";
+  const std::vector<OpId> ops = recorder.ops();
+  ASSERT_EQ(ops.size(), kQueued) << "what the inbox held at Stop arrives";
+  for (uint32_t i = 0; i < kQueued; ++i) {
+    EXPECT_EQ(ops[i], MakeOpId(0, i + 1));
+  }
 }
 
 }  // namespace

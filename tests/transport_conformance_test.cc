@@ -65,9 +65,8 @@ class LossyTransport : public net::Network {
                                                      kMaxProcs)) {
     base->SetFaultInjector(faulty_.get());
     base_ = std::move(base);
-    net::ReliabilityOptions ropt;
-    ropt.real_timers = real_timers;
-    reliable_ = std::make_unique<net::ReliableNetwork>(base_.get(), ropt);
+    reliable_ = std::make_unique<net::ReliableNetwork>(
+        base_.get(), net::ReliabilityOptions{}, real_timers);
   }
 
   void Register(ProcessorId id, net::Receiver* receiver) override {

@@ -1,5 +1,5 @@
 // Unit tests for the utility kit: Status/StatusOr, Rng, Histogram,
-// MpscBatchQueue, WaitGroup.
+// Parker, MpscRingQueue, WaitGroup.
 
 #include <gtest/gtest.h>
 
@@ -7,8 +7,11 @@
 #include <cstdint>
 #include <functional>
 #include <future>
+#include <memory>
 #include <set>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "src/util/histogram.h"
 #include "src/util/mpsc_queue.h"
@@ -166,130 +169,99 @@ TEST(Histogram, LargeValues) {
   EXPECT_FALSE(h.Summary().empty());
 }
 
-TEST(MpscBatchQueue, DrainsWholeBatchInOrder) {
-  MpscBatchQueue<int> q;
-  for (int i = 0; i < 10; ++i) EXPECT_TRUE(q.Push(i));
-  std::vector<int> batch;
-  ASSERT_TRUE(q.PopAll(batch));
-  ASSERT_EQ(batch.size(), 10u) << "one swap drains everything pending";
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(batch[i], i);
-  EXPECT_EQ(q.Size(), 0u);
-  EXPECT_FALSE(q.TryPopAll(batch));
-}
-
-TEST(MpscBatchQueue, CloseWakesAndDrains) {
-  MpscBatchQueue<int> q;
-  q.Push(1);
-  q.Close();
-  EXPECT_FALSE(q.Push(2)) << "closed queue rejects pushes";
-  std::vector<int> batch;
-  ASSERT_TRUE(q.PopAll(batch)) << "drains remaining items after close";
-  EXPECT_EQ(batch, std::vector<int>({1}));
-  EXPECT_FALSE(q.PopAll(batch)) << "closed and drained";
-}
-
-TEST(MpscBatchQueue, DeadlinePassingReturnsEmpty) {
-  MpscBatchQueue<int> q;
-  std::vector<int> batch = {7};
+TEST(Parker, DeadlinePassingReturnsTrue) {
+  Parker parker;
   const auto start = std::chrono::steady_clock::now();
   const auto deadline = start + std::chrono::milliseconds(20);
-  ASSERT_TRUE(q.PopAllUntil(batch, 16, deadline));
-  EXPECT_TRUE(batch.empty()) << "nothing pushed: out comes back empty";
+  EXPECT_TRUE(parker.WaitUntil(deadline, [] { return false; }));
   EXPECT_GE(std::chrono::steady_clock::now(), deadline);
 }
 
-// Runs PopAllUntil with no deadline on its own thread; true if it returned
-// within `limit` (the queue is closed afterwards either way, so a missed
-// wakeup fails the test instead of hanging it).
-bool ReturnsWithin(MpscBatchQueue<int>& q, std::vector<int>& batch,
+// Runs WaitUntil with no deadline on its own thread; true if it returned
+// true within `limit` (the parker is closed afterwards either way, so a
+// missed wakeup fails the test instead of hanging it).
+bool ReturnsWithin(Parker& parker, const std::function<bool()>& ready,
                    const std::function<void()>& after_start,
                    std::chrono::milliseconds limit) {
   std::promise<bool> result;
   std::future<bool> returned = result.get_future();
   std::thread consumer([&] {
-    result.set_value(q.PopAllUntil(
-        batch, 16, std::chrono::steady_clock::time_point::max()));
+    result.set_value(
+        parker.WaitUntil(std::chrono::steady_clock::time_point::max(), ready));
   });
   after_start();
   const bool woke =
       returned.wait_for(limit) == std::future_status::ready && returned.get();
-  q.Close();
+  parker.Close();
   consumer.join();
   return woke;
 }
 
-TEST(MpscBatchQueue, PokeWakesParkedConsumer) {
-  MpscBatchQueue<int> q;
-  std::vector<int> batch = {7};
+const std::function<bool()> kNeverReady = [] { return false; };
+
+TEST(Parker, PokeWakesParkedConsumer) {
+  Parker parker;
   EXPECT_TRUE(ReturnsWithin(
-      q, batch,
-      [&q] {
+      parker, kNeverReady,
+      [&parker] {
         // Long past the spin phase: the consumer is parked.
         std::this_thread::sleep_for(std::chrono::milliseconds(50));
-        q.Poke();
+        parker.Poke();
       },
       std::chrono::seconds(10)));
-  EXPECT_TRUE(batch.empty()) << "a poke carries no item";
 }
 
-TEST(MpscBatchQueue, PokeRacingTheParkIsNotLost) {
+TEST(Parker, PokeRacingTheParkIsNotLost) {
   {
     // A poke before the consumer waits at all is kept for its park.
-    MpscBatchQueue<int> q;
-    q.Poke();
-    std::vector<int> batch;
-    EXPECT_TRUE(ReturnsWithin(q, batch, [] {}, std::chrono::seconds(10)));
+    Parker parker;
+    parker.Poke();
+    EXPECT_TRUE(ReturnsWithin(parker, kNeverReady, [] {},
+                              std::chrono::seconds(10)));
   }
   // Pokes landing anywhere in the spin-then-park window.
   for (int i = 0; i < 200; ++i) {
-    MpscBatchQueue<int> q;
-    std::vector<int> batch;
+    Parker parker;
     ASSERT_TRUE(ReturnsWithin(
-        q, batch,
-        [&q, i] {
+        parker, kNeverReady,
+        [&parker, i] {
           std::this_thread::sleep_for(std::chrono::microseconds(i * 5));
-          q.Poke();
+          parker.Poke();
         },
         std::chrono::seconds(10)))
         << "poke " << i << " was lost";
   }
 }
 
-TEST(MpscBatchQueue, ClosedAndDrainedReturnsFalseDespiteDeadlineOrPoke) {
-  MpscBatchQueue<int> q;
-  q.Push(1);
-  q.Close();
-  q.Poke();
-  const auto past = std::chrono::steady_clock::now();
-  std::vector<int> batch;
-  ASSERT_TRUE(q.PopAllUntil(batch, 16, past)) << "queued items still drain";
-  EXPECT_EQ(batch, std::vector<int>({1}));
-  EXPECT_FALSE(q.PopAllUntil(batch, 16, past)) << "closed and drained";
-  EXPECT_FALSE(q.PopAll(batch));
+// The producer side of the handshake: publish to a ring, then
+// WakeIfParked. Landing anywhere in the spin-then-park window, the
+// consumer's probe sees the item or the producer sees the park.
+TEST(Parker, PublishThenWakeIfParkedIsNotLost) {
+  for (int i = 0; i < 200; ++i) {
+    Parker parker;
+    MpscRingQueue<uint64_t> q;
+    ASSERT_TRUE(ReturnsWithin(
+        parker, [&q] { return q.Ready(); },
+        [&parker, &q, i] {
+          std::this_thread::sleep_for(std::chrono::microseconds(i * 5));
+          ASSERT_TRUE(q.Push(1));
+          parker.WakeIfParked();
+        },
+        std::chrono::seconds(10)))
+        << "push " << i << " was lost";
+  }
 }
 
-TEST(MpscBatchQueue, MultiProducerKeepsPerProducerOrder) {
-  MpscBatchQueue<std::pair<int, int>> q;  // (producer, seq)
-  constexpr int kProducers = 8;
-  constexpr int kPerProducer = 2000;
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&q, p] {
-      for (int i = 0; i < kPerProducer; ++i) q.Push({p, i});
-    });
-  }
-  std::vector<int> next_seq(kProducers, 0);
-  int total = 0;
-  std::vector<std::pair<int, int>> batch;
-  while (total < kProducers * kPerProducer) {
-    if (!q.PopAll(batch)) break;
-    for (auto& [p, seq] : batch) {
-      ASSERT_EQ(seq, next_seq[p]++) << "producer " << p << " reordered";
-      ++total;
-    }
-  }
-  EXPECT_EQ(total, kProducers * kPerProducer);
-  for (auto& t : producers) t.join();
+TEST(Parker, ClosedReturnsFalseDespiteDeadlineOrPoke) {
+  Parker parker;
+  parker.Close();
+  parker.Poke();
+  const auto past = std::chrono::steady_clock::now();
+  EXPECT_TRUE(parker.WaitUntil(past, [] { return true; }))
+      << "a ready queue still drains after close";
+  EXPECT_FALSE(parker.WaitUntil(past, kNeverReady));
+  EXPECT_FALSE(parker.WaitUntil(std::chrono::steady_clock::time_point::max(),
+                                kNeverReady));
 }
 
 TEST(WaitGroup, WaitsForAllDone) {
@@ -333,6 +305,18 @@ TEST(MpscRingQueue, GrowsPastItsFirstRingInOrder) {
   }
 }
 
+TEST(MpscRingQueue, DrainsInOrderAndBoundsEachDrain) {
+  MpscRingQueue<int> q;
+  for (int i = 0; i < 10; ++i) EXPECT_TRUE(q.Push(i));
+  std::vector<int> out;
+  EXPECT_EQ(q.Drain(4, [&](int v) { out.push_back(v); }), 4u);
+  EXPECT_EQ(q.Drain(SIZE_MAX, [&](int v) { out.push_back(v); }), 6u);
+  ASSERT_EQ(out.size(), 10u);
+  for (int i = 0; i < 10; ++i) EXPECT_EQ(out[i], i);
+  EXPECT_FALSE(q.Ready());
+  EXPECT_EQ(q.Drain(SIZE_MAX, [&](int v) { out.push_back(v); }), 0u);
+}
+
 TEST(MpscRingQueue, CloseRejectsPushesAndKeepsEarlierOnes) {
   MpscRingQueue<uint64_t> q(2);
   for (uint64_t i = 0; i < 5; ++i) ASSERT_TRUE(q.Push(i));
@@ -341,6 +325,94 @@ TEST(MpscRingQueue, CloseRejectsPushesAndKeepsEarlierOnes) {
   EXPECT_EQ(q.DrainClosed(), 5u);
   EXPECT_FALSE(q.Push(10));
   EXPECT_EQ(q.DrainClosed(), 0u);
+}
+
+TEST(MpscRingQueue, DrainAfterCloseKeepsEarlierItems) {
+  MpscRingQueue<std::unique_ptr<int>> q;
+  ASSERT_TRUE(q.Push(std::make_unique<int>(1)));
+  q.Close();
+  EXPECT_FALSE(q.Push(std::make_unique<int>(2)))
+      << "closed queue rejects pushes";
+  std::vector<int> out;
+  EXPECT_EQ(q.Drain(SIZE_MAX,
+                    [&](std::unique_ptr<int>& v) { out.push_back(*v); }),
+            1u);
+  EXPECT_EQ(out, std::vector<int>({1}));
+  EXPECT_EQ(q.DrainClosed(), 0u) << "closed and drained";
+}
+
+TEST(MpscRingQueue, MultiProducerKeepsPerProducerOrder) {
+  MpscRingQueue<std::pair<int, int>> q;  // (producer, seq)
+  constexpr int kProducers = 8;
+  constexpr int kPerProducer = 2000;
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&q, p] {
+      for (int i = 0; i < kPerProducer; ++i) ASSERT_TRUE(q.Push({p, i}));
+    });
+  }
+  std::vector<int> next_seq(kProducers, 0);
+  int total = 0, reordered = 0;
+  while (total < kProducers * kPerProducer) {
+    const size_t n = q.Drain(128, [&](const std::pair<int, int>& item) {
+      const auto [p, seq] = item;
+      if (seq != next_seq[p]) ++reordered;
+      next_seq[p] = seq + 1;
+      ++total;
+    });
+    if (n == 0) std::this_thread::yield();
+  }
+  EXPECT_EQ(reordered, 0);
+  EXPECT_EQ(total, kProducers * kPerProducer);
+  for (auto& t : producers) t.join();
+}
+
+// A move-only item that owns heap memory, pushed by racing producers into
+// a ring that starts at two cells: most pushes grow the queue, and a
+// producer that loses the race to link the next ring must take its item
+// back out of the ring it discards. Under ASan a lost or doubly owned item
+// also shows as a leak or a double free.
+TEST(MpscRingQueue, MoveOnlyItemsSurviveRacingGrowth) {
+  struct Item {
+    int producer;
+    int seq;
+  };
+  constexpr int kRounds = 20;  // each round races a fresh queue's growth
+  constexpr int kProducers = 8;
+  constexpr int kPerProducer = 1000;
+  for (int round = 0; round < kRounds; ++round) {
+    MpscRingQueue<std::unique_ptr<Item>> q(2);
+    std::vector<std::thread> producers;
+    for (int p = 0; p < kProducers; ++p) {
+      producers.emplace_back([&q, p] {
+        for (int i = 0; i < kPerProducer; ++i) {
+          ASSERT_TRUE(q.Push(std::make_unique<Item>(Item{p, i})));
+        }
+      });
+    }
+    std::vector<int> next_seq(kProducers, 0);
+    int total = 0, reordered = 0;
+    bool all_present = true;
+    const auto take = [&](std::unique_ptr<Item>& item) {
+      const std::unique_ptr<Item> mine = std::move(item);
+      if (mine == nullptr) {
+        all_present = false;
+        return;
+      }
+      if (mine->seq != next_seq[mine->producer]) ++reordered;
+      next_seq[mine->producer] = mine->seq + 1;
+      ++total;
+    };
+    while (total < kProducers * kPerProducer && all_present) {
+      if (q.Drain(128, take) == 0) std::this_thread::yield();
+    }
+    for (auto& t : producers) t.join();
+    q.Drain(SIZE_MAX, take);
+    ASSERT_TRUE(all_present) << "round " << round << ": an item arrived empty";
+    ASSERT_EQ(reordered, 0) << "round " << round;
+    ASSERT_EQ(total, kProducers * kPerProducer)
+        << "round " << round << ": an item was lost";
+  }
 }
 
 }  // namespace

@@ -13,11 +13,16 @@
 //      std::condition_variable must not appear outside the
 //      approved transport/infrastructure files. Protocol and core code is
 //      single-threaded per processor by design (§1.1); a stray lock there
-//      is a smell that the execution model was violated.
+//      is a smell that the execution model was violated. An approved
+//      entry naming a file that no longer exists is itself a finding.
 //   4. Commutativity soundness — the ActionsCommute relation (linked in
 //      from lazytree_msg) is re-checked at runtime over every pair:
 //      total, symmetric, consistent with IsUpdateKind, ordered classes
 //      non-self-commuting.
+//   5. Atomics discipline — every std::atomic access spells its memory
+//      order, and every order stronger than relaxed is justified by an
+//      allowlist entry. An entry whose symbol has no such access left in
+//      its file is itself a finding.
 //
 // Usage:
 //   lazytree_lint --root <repo-root>        # lint the tree (ctest tier-1)
@@ -33,6 +38,7 @@
 #include <optional>
 #include <regex>
 #include <set>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -339,14 +345,24 @@ const char* const kApprovedConcurrencyFiles[] = {
     "src/blink/lock_tree.h", "src/blink/lock_tree.cc",
 };
 
-void CheckConcurrencyConfinement(const fs::path& root, Report& report) {
+void CheckConcurrencyConfinement(const fs::path& root,
+                                 std::span<const char* const> approved_files,
+                                 Report& report) {
   // Also bans raw pthread blocking/affinity calls: everything threaded
   // must go through the approved wrappers so TSan and the execution-model
   // audit see one surface.
   const std::regex banned(
       R"(\bstd::(mutex|shared_mutex|recursive_mutex|condition_variable(_any)?|timed_mutex)\b|\bpthread_(mutex|cond|rwlock|barrier|spin)_\w+\s*\(|\bpthread_setaffinity_np\s*\()");
-  std::set<std::string> approved(std::begin(kApprovedConcurrencyFiles),
-                                 std::end(kApprovedConcurrencyFiles));
+  const std::set<std::string> approved(approved_files.begin(),
+                                       approved_files.end());
+  // A stale entry would silently approve whatever file takes its name.
+  for (const std::string& rel : approved) {
+    if (!fs::exists(root / rel)) {
+      report.Add(rel, "concurrency-confinement",
+                 "kApprovedConcurrencyFiles names a file that does not "
+                 "exist; delete the entry");
+    }
+  }
   for (const auto& entry : fs::recursive_directory_iterator(root / "src")) {
     if (!entry.is_regular_file()) continue;
     const std::string ext = entry.path().extension().string();
@@ -425,17 +441,15 @@ struct AtomicOrderJustification {
 /// Add entries only with the pairing written out — "it felt safer" is
 /// exactly the drift this pass exists to stop.
 const AtomicOrderJustification kAtomicOrderAllowlist[] = {
-    {"src/util/mpsc_queue.h", "size_hint_",
-     "producer's release fetch_add pairs with the worker's acquire poll: "
-     "a nonzero hint must imply the pushed node is already visible"},
-    {"src/util/mpsc_queue.h", "closed_hint_",
-     "release store in Close pairs with the worker's acquire poll so the "
-     "final drain sees every pre-close push"},
+    {"src/util/mpsc_queue.h", "closed_",
+     "Parker::Close's release store pairs with the consumer's acquire "
+     "poll while it spins, so a closed parker stops spinning and takes "
+     "the locked path that reports the close"},
     {"src/util/mpsc_queue.h", "parked_",
-     "seq_cst store before the consumer's last probe of the lock-free "
-     "source pairs with WakeIfParked's seq_cst load after a publish "
-     "(Dekker): the producer sees the park and pokes, or the probe sees "
-     "the item"},
+     "seq_cst store before the consumer's last probe of its rings (the "
+     "inbox and the client queue alike) pairs with WakeIfParked's seq_cst "
+     "load after a producer's publish to either (Dekker): the producer "
+     "sees the park and pokes, or the probe sees the item"},
     {"src/util/mpsc_queue.h", "lap",
      "a producer's seq_cst publish store pairs with the consumer's "
      "seq_cst probe (the park handshake) and acquire read of the item; "
@@ -546,7 +560,9 @@ void CollectAtomicNames(const std::string& code,
   }
 }
 
-void CheckAtomicsDiscipline(const fs::path& root, Report& report) {
+void CheckAtomicsDiscipline(
+    const fs::path& root,
+    std::span<const AtomicOrderJustification> allowlist, Report& report) {
   struct SourceFile {
     std::string rel;
     std::string stem;  ///< path without extension: groups X.h with X.cc
@@ -571,9 +587,15 @@ void CheckAtomicsDiscipline(const fs::path& root, Report& report) {
                    atomics_by_stem[sources.back().stem].end());
   }
 
+  // Allowlist entries some non-relaxed access leaned on; the rest are
+  // stale.
+  std::set<const AtomicOrderJustification*> used;
   auto justified = [&](const std::string& rel, const std::string& symbol) {
-    for (const AtomicOrderJustification& j : kAtomicOrderAllowlist) {
-      if (rel == j.file && symbol == j.symbol) return true;
+    for (const AtomicOrderJustification& j : allowlist) {
+      if (rel == j.file && symbol == j.symbol) {
+        used.insert(&j);
+        return true;
+      }
     }
     return false;
   };
@@ -641,6 +663,14 @@ void CheckAtomicsDiscipline(const fs::path& root, Report& report) {
       }
     }
   }
+  for (const AtomicOrderJustification& j : allowlist) {
+    if (!used.contains(&j)) {
+      report.Add(j.file, "atomics-discipline",
+                 std::string("stale kAtomicOrderAllowlist entry: ") +
+                     j.symbol + " has no non-relaxed access left in " +
+                     j.file + "; delete the entry");
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -666,9 +696,9 @@ int LintTree(const fs::path& root) {
   CheckWireCoverage({*action_h, *message_h, *wire_cc}, report);
   CheckDispatchTotality(*action_h, *action_cc, *base_cc, *processor_cc,
                         report);
-  CheckConcurrencyConfinement(root, report);
+  CheckConcurrencyConfinement(root, kApprovedConcurrencyFiles, report);
   CheckCommutativityTable(report);
-  CheckAtomicsDiscipline(root, report);
+  CheckAtomicsDiscipline(root, kAtomicOrderAllowlist, report);
 
   const size_t n = report.Print();
   if (n > 0) {
@@ -741,27 +771,43 @@ int SelfTest(const fs::path& root) {
 
   {
     // A mutex planted outside the approved set must be flagged: run the
-    // confinement scan over the fixture tree, whose layout mirrors src/.
+    // confinement scan over the fixture tree, whose layout mirrors src/,
+    // with an approved list that also names a file the tree lacks.
     Report r;
-    CheckConcurrencyConfinement(fixtures / "tree", r);
-    bool found = false;
+    const char* const approved[] = {"src/util/bad_atomics.h",
+                                    "src/util/gone.h"};
+    CheckConcurrencyConfinement(fixtures / "tree", approved, r);
+    bool found = false, missing = false;
     for (const Finding& f : r.findings()) {
       if (f.file.find("protocol/locked.cc") != std::string::npos) {
         found = true;
       }
+      if (f.file == "src/util/gone.h") missing = true;
     }
     expect("concurrency-confinement catches stray std::mutex", found);
+    expect("concurrency-confinement catches missing approved file",
+           missing);
+    expect("concurrency-confinement reports nothing else",
+           r.findings().size() == 2);
   }
 
   {
     // util/bad_atomics.h in the fixture tree plants one of each
     // atomics-discipline violation; all must fire, the relaxed access
-    // must not, and nothing else in the fixture tree has atomics.
+    // must not, and nothing else in the fixture tree has atomics. The
+    // allowlist plants one stale entry: clean_ has only relaxed accesses.
     Report r;
-    CheckAtomicsDiscipline(fixtures / "tree", r);
-    size_t bare = 0, unjustified = 0, operators = 0, clean_hits = 0;
+    const AtomicOrderJustification allowlist[] = {
+        {"src/util/bad_atomics.h", "clean_", "planted stale entry"}};
+    CheckAtomicsDiscipline(fixtures / "tree", allowlist, r);
+    size_t bare = 0, unjustified = 0, operators = 0, clean_hits = 0,
+           stale = 0;
     for (const Finding& f : r.findings()) {
       if (f.file.find("bad_atomics.h") == std::string::npos) continue;
+      if (f.message.find("stale") != std::string::npos) {
+        if (f.message.find("clean_") != std::string::npos) ++stale;
+        continue;
+      }
       if (f.message.find("clean_") != std::string::npos) ++clean_hits;
       if (f.message.find("without an explicit") != std::string::npos) ++bare;
       if (f.message.find("kAtomicOrderAllowlist") != std::string::npos) {
@@ -778,6 +824,7 @@ int SelfTest(const fs::path& root) {
            operators == 2);
     expect("atomics-discipline ignores explicit relaxed accesses",
            clean_hits == 0);
+    expect("atomics-discipline catches stale allowlist entry", stale == 1);
   }
 
   {
@@ -792,8 +839,9 @@ int SelfTest(const fs::path& root) {
     CheckWireCoverage({*action_h, *message_h, *wire_cc}, r);
     CheckDispatchTotality(*action_h, *real_action_cc, *base_cc,
                           *processor_cc, r);
+    CheckConcurrencyConfinement(root, kApprovedConcurrencyFiles, r);
     CheckCommutativityTable(r);
-    CheckAtomicsDiscipline(root, r);
+    CheckAtomicsDiscipline(root, kAtomicOrderAllowlist, r);
     expect("checkers stay quiet on the real tree", r.findings().empty());
     if (!r.findings().empty()) r.Print();
   }
