@@ -52,9 +52,9 @@ enum class ScheduleMutation : uint8_t {
 
 const char* ScheduleMutationName(ScheduleMutation m);
 
-/// Parses "none" / "drop-relay" / "swap-ordered"; returns kNone for
-/// anything else (callers validate separately when needed).
-ScheduleMutation ParseScheduleMutation(const std::string& name);
+/// Parses "none" / "drop-relay" / "swap-ordered"; returns false on
+/// unknown names.
+bool ParseScheduleMutation(const std::string& name, ScheduleMutation* out);
 
 /// What became of one scheduled message.
 enum class DeliveryOutcome : uint8_t {

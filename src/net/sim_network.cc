@@ -17,10 +17,12 @@ const char* ScheduleMutationName(ScheduleMutation m) {
   return "?";
 }
 
-ScheduleMutation ParseScheduleMutation(const std::string& name) {
-  if (name == "drop-relay") return ScheduleMutation::kDropRelay;
-  if (name == "swap-ordered") return ScheduleMutation::kSwapOrdered;
-  return ScheduleMutation::kNone;
+bool ParseScheduleMutation(const std::string& name, ScheduleMutation* out) {
+  if (name == "none") *out = ScheduleMutation::kNone;
+  else if (name == "drop-relay") *out = ScheduleMutation::kDropRelay;
+  else if (name == "swap-ordered") *out = ScheduleMutation::kSwapOrdered;
+  else return false;
+  return true;
 }
 
 SimNetwork::SimNetwork(uint64_t seed) : rng_(seed) {}

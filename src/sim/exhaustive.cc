@@ -399,55 +399,20 @@ class ExhaustiveStrategy : public net::ScheduleStrategy {
   std::vector<CrossCheckRequest> cross_checks_;
 };
 
-/// Delivers a fixed choice sequence (channel + deliver/drop outcome), then
-/// drains deterministically (lowest channel first, everything delivered).
-/// Used to re-execute both orders of a sampled independent pair.
-class ForcedStrategy : public net::ScheduleStrategy {
- public:
-  explicit ForcedStrategy(std::vector<Choice> forced)
-      : forced_(std::move(forced)) {}
-
-  const char* name() const override { return "forced"; }
-
-  size_t PickChannel(const std::vector<net::ChannelView>& views) override {
-    drop_next_ = false;
-    if (cursor_ < forced_.size()) {
-      const Choice& c = forced_[cursor_];
-      for (size_t i = 0; i < views.size(); ++i) {
-        if (views[i].from == c.channel.first &&
-            views[i].to == c.channel.second) {
-          ++cursor_;
-          drop_next_ = c.drop;
-          return i;
-        }
-      }
-      ++diverged_;
-      cursor_ = forced_.size();  // abandon the script, drain
-    }
-    return 0;
-  }
-
-  std::optional<net::DeliveryOutcome> ForceOutcome() override {
-    return drop_next_ ? net::DeliveryOutcome::kDrop
-                      : net::DeliveryOutcome::kDeliver;
-  }
-
-  uint64_t diverged() const { return diverged_; }
-
- private:
-  std::vector<Choice> forced_;
-  size_t cursor_ = 0;
-  bool drop_next_ = false;
-  uint64_t diverged_ = 0;
-};
-
-/// Re-runs the episode delivering `forced` first, and fingerprints the
-/// final quiescent state (violation count mixed in). Two forced runs that
+/// Re-runs the episode delivering `forced` first (replayed like a trace,
+/// then drained lowest channel first), and fingerprints the final
+/// quiescent state (violation count mixed in). Two forced runs that
 /// differ only in the order of an independent pair must return equal
 /// values.
-uint64_t RunForced(const EpisodeConfig& episode, std::vector<Choice> forced,
-                   bool* diverged) {
-  ForcedStrategy strategy(std::move(forced));
+uint64_t RunForced(const EpisodeConfig& episode,
+                   const std::vector<Choice>& forced, bool* diverged) {
+  ScheduleTrace script;
+  for (const Choice& c : forced) {
+    script.events.push_back(
+        {c.drop ? TraceEvent::Kind::kDrop : TraceEvent::Kind::kDeliver,
+         c.channel.first, c.channel.second});
+  }
+  ReplayStrategy strategy(script);
   net::SimNetwork* sim = nullptr;
   const std::vector<EpisodeOp>* ops = nullptr;
   uint64_t final_fp = 0;
@@ -559,8 +524,8 @@ VerifyResult VerifyExhaustive(const VerifyConfig& config) {
       ba.push_back({req.t1, false});
       bool diverged_ab = false;
       bool diverged_ba = false;
-      uint64_t fp_ab = RunForced(config.episode, std::move(ab), &diverged_ab);
-      uint64_t fp_ba = RunForced(config.episode, std::move(ba), &diverged_ba);
+      uint64_t fp_ab = RunForced(config.episode, ab, &diverged_ab);
+      uint64_t fp_ba = RunForced(config.episode, ba, &diverged_ba);
       if (diverged_ab || diverged_ba) continue;  // prefix no longer valid
       ++result.stats.cross_checks;
       if (fp_ab != fp_ba) {

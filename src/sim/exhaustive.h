@@ -50,7 +50,7 @@
 // the episode config makes the protocol genuinely misbehave once —
 // dropping a relayed lazy update, or swapping a version-ordered membership
 // pair past each other — and the checker must find a violating schedule
-// and emit a minimized trace replayable by `lazytree_explore replay`.
+// and emit a minimized trace replayable by `lazytree_explore --replay`.
 
 #ifndef LAZYTREE_SIM_EXHAUSTIVE_H_
 #define LAZYTREE_SIM_EXHAUSTIVE_H_
@@ -132,8 +132,8 @@ struct VerifyResult {
   std::vector<std::string> violations;
   VerifyStats stats;
   /// Failing schedule (minimized when config.minimize), replayable via
-  /// ReplayEpisode / `lazytree_explore replay` with the same episode
-  /// config. Empty when ok.
+  /// ReplayEpisode / `lazytree_explore --replay`; its header is the
+  /// episode config. Empty when ok.
   ScheduleTrace trace;
   /// First round whose quiescent point failed the §3.1 checkers
   /// (UINT32_MAX when none did).

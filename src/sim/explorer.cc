@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cstdlib>
+#include <type_traits>
 #include <map>
 #include <set>
 
@@ -60,13 +60,6 @@ std::vector<std::vector<WorkOp>> GenerateEpisodeWorkload(
 }
 
 namespace {
-
-// Shortest text that parses back to exactly `p`, for the trace meta.
-std::string FormatProbability(double p) {
-  char buf[32];
-  const std::to_chars_result res = std::to_chars(buf, buf + sizeof(buf), p);
-  return std::string(buf, res.ptr);
-}
 
 std::string FoldLines(std::string s) {
   for (char& c : s) {
@@ -385,72 +378,54 @@ EpisodeResult RunEpisodeImpl(const EpisodeConfig& config,
   // Detach before the cluster (and its network) die.
   sim->SetStrategy(nullptr);
   sim->SetObserver(nullptr);
+  if (recorder != nullptr) {
+    result.trace = std::move(recorder->trace());
+    result.trace.meta = EpisodeHeader(config);
+    result.trace.meta["result"] = result.ok ? "ok" : "fail";
+    if (!result.ok) result.trace.meta["failure"] = result.Signature();
+  }
   return result;
 }
 
-// Stamps the config into a recorded trace's metadata so `lazytree_explore
-// replay` can rebuild the identical episode. Shared by RunEpisode and
-// RunEpisodeUnder so verifier-recorded traces replay the same way.
-void FillTraceMeta(const EpisodeConfig& config, EpisodeResult& result) {
-  ScheduleTrace& t = result.trace;
-  t.meta["protocol"] = ProtocolKindName(config.protocol);
-  t.meta["strategy"] = StrategyKindName(config.strategy.kind);
-  t.meta["strategy_seed"] = std::to_string(config.strategy.seed);
-  t.meta["pct_depth"] = std::to_string(config.strategy.pct_depth);
-  t.meta["pct_expected_events"] =
-      std::to_string(config.strategy.pct_expected_events);
-  t.meta["starve_victim"] = std::to_string(config.strategy.starve_victim);
-  t.meta["starve_cap"] = std::to_string(config.strategy.starve_cap);
-  t.meta["seed"] = std::to_string(config.seed);
-  t.meta["processors"] = std::to_string(config.processors);
-  t.meta["rounds"] = std::to_string(config.rounds);
-  t.meta["ops_per_round"] = std::to_string(config.ops_per_round);
-  t.meta["key_space"] = std::to_string(config.key_space);
-  t.meta["fanout"] = std::to_string(config.fanout);
-  t.meta["leaf_replication"] = std::to_string(config.leaf_replication);
-  t.meta["interior_replication"] =
-      std::to_string(config.interior_replication);
-  // Written only when on: absent keys read back as 0.
-  if (config.reliable) t.meta["reliable"] = "1";
-  if (config.drop > 0) t.meta["drop"] = FormatProbability(config.drop);
-  if (config.dup > 0) t.meta["dup"] = FormatProbability(config.dup);
-  if (config.shed_threshold > 0) {
-    t.meta["shed_threshold"] = std::to_string(config.shed_threshold);
-  }
-  if (config.mutation != net::ScheduleMutation::kNone) {
-    t.meta["mutation"] = net::ScheduleMutationName(config.mutation);
-  }
-  t.meta["result"] = result.ok ? "ok" : "fail";
-  if (!result.ok) t.meta["failure"] = result.Signature();
+// One row of the EpisodeConfig field table: the field's trace-header key,
+// its CLI flag (nullptr: header only), whether the header leaves it out at
+// its default (the keys older traces lack), and the least legal count.
+struct Field {
+  const char* key;
+  const char* flag = nullptr;
+  bool optional = false;
+  uint64_t min = 0;
+};
+
+// The field table. Writing the header, reading it back and setting a
+// field from a CLI flag all walk it; `crashes` is not in it, the trace's
+// C/R events carry those.
+template <typename Config, typename Visit>
+void ForEachField(Config& c, Visit&& visit) {
+  visit(Field{"protocol", "protocol"}, c.protocol);
+  visit(Field{"processors", "processors", false, 1}, c.processors);
+  visit(Field{"seed", "seed"}, c.seed);
+  visit(Field{"strategy"}, c.strategy.kind);
+  visit(Field{"strategy_seed"}, c.strategy.seed);
+  visit(Field{"pct_depth", nullptr, false, 1}, c.strategy.pct_depth);
+  visit(Field{"pct_expected_events"}, c.strategy.pct_expected_events);
+  visit(Field{"starve_victim"}, c.strategy.starve_victim);
+  visit(Field{"starve_cap"}, c.strategy.starve_cap);
+  visit(Field{"rounds", "rounds"}, c.rounds);
+  visit(Field{"ops_per_round", "ops"}, c.ops_per_round);
+  visit(Field{"key_space", "keyspace", false, 1}, c.key_space);
+  visit(Field{"fanout", "fanout", false, 1}, c.fanout);
+  visit(Field{"leaf_replication", "leaf-replication"}, c.leaf_replication);
+  visit(Field{"interior_replication"}, c.interior_replication);
+  visit(Field{"shed_threshold", "shed", true}, c.shed_threshold);
+  visit(Field{"mutation", "mutation", true}, c.mutation);
+  visit(Field{"drop", "drop", true}, c.drop);
+  visit(Field{"dup", "dup", true}, c.dup);
+  visit(Field{"reliable", "reliable", true}, c.reliable);
+  visit(Field{"step_budget", nullptr, true, 1}, c.step_budget);
 }
 
-}  // namespace
-
-void ApplyTraceMeta(const ScheduleTrace& trace, EpisodeConfig* config) {
-  auto meta = [&](const char* key) -> const std::string* {
-    auto it = trace.meta.find(key);
-    return it == trace.meta.end() ? nullptr : &it->second;
-  };
-  const std::string* v = nullptr;
-  if (config->shed_threshold == 0 && (v = meta("shed_threshold"))) {
-    config->shed_threshold =
-        static_cast<uint32_t>(std::strtoul(v->c_str(), nullptr, 10));
-  }
-  if (config->mutation == net::ScheduleMutation::kNone &&
-      (v = meta("mutation"))) {
-    config->mutation = net::ParseScheduleMutation(*v);
-  }
-  if (!config->reliable && (v = meta("reliable"))) {
-    config->reliable = *v == "1";
-  }
-  if (config->drop == 0 && (v = meta("drop"))) {
-    config->drop = std::strtod(v->c_str(), nullptr);
-  }
-  if (config->dup == 0 && (v = meta("dup"))) {
-    config->dup = std::strtod(v->c_str(), nullptr);
-  }
-}
-
+// The inverse of ProtocolKindName; false on unknown names.
 bool ParseProtocolKind(const std::string& name, ProtocolKind* out) {
   if (name == "sync") *out = ProtocolKind::kSyncSplit;
   else if (name == "semisync") *out = ProtocolKind::kSemiSyncSplit;
@@ -459,6 +434,133 @@ bool ParseProtocolKind(const std::string& name, ProtocolKind* out) {
   else if (name == "mobile") *out = ProtocolKind::kMobile;
   else if (name == "varcopies") *out = ProtocolKind::kVarCopies;
   else return false;
+  return true;
+}
+
+template <typename T>
+std::string FieldText(T value) {
+  if constexpr (std::is_same_v<T, ProtocolKind>) {
+    return ProtocolKindName(value);
+  } else if constexpr (std::is_same_v<T, StrategyKind>) {
+    return StrategyKindName(value);
+  } else if constexpr (std::is_same_v<T, net::ScheduleMutation>) {
+    return net::ScheduleMutationName(value);
+  } else if constexpr (std::is_same_v<T, double>) {
+    char buf[32];  // shortest text that parses back to exactly `value`
+    return std::string(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
+  } else {
+    return std::to_string(value);  // counts; bools as 0/1
+  }
+}
+
+template <typename T>
+Status ParseField(const std::string& text, const Field& field, T* out) {
+  if constexpr (std::is_integral_v<T> && !std::is_same_v<T, bool>) {
+    return ParseInteger(text, static_cast<T>(field.min), out);
+  } else {
+    T value{};
+    bool ok = false;
+    std::string want = std::string("a known ") + field.key;
+    if constexpr (std::is_same_v<T, ProtocolKind>) {
+      ok = ParseProtocolKind(text, &value);
+    } else if constexpr (std::is_same_v<T, StrategyKind>) {
+      ok = ParseStrategyKind(text, &value);
+    } else if constexpr (std::is_same_v<T, net::ScheduleMutation>) {
+      ok = net::ParseScheduleMutation(text, &value);
+    } else if constexpr (std::is_same_v<T, bool>) {
+      ok = text == "0" || text == "1";
+      value = text == "1";
+      want = "0 or 1";
+    } else {
+      const char* end = text.data() + text.size();
+      const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+      ok = ec == std::errc() && ptr == end && value >= 0 && value <= 1;
+      want = "a probability in [0, 1]";
+    }
+    if (!ok) return Status::InvalidArgument("'" + text + "' is not " + want);
+    *out = value;
+    return Status::OK();
+  }
+}
+
+}  // namespace
+
+std::map<std::string, std::string> EpisodeHeader(const EpisodeConfig& config) {
+  std::map<std::string, std::string> header;
+  ForEachField(config, [&](const Field& f, const auto& value) {
+    header[f.key] = FieldText(value);
+  });
+  const EpisodeConfig defaults;
+  ForEachField(defaults, [&](const Field& f, const auto& value) {
+    if (f.optional && header[f.key] == FieldText(value)) header.erase(f.key);
+  });
+  return header;
+}
+
+StatusOr<EpisodeConfig> ParseEpisodeHeader(
+    const ScheduleTrace& trace, const std::vector<std::string>& flags) {
+  EpisodeConfig config;
+  std::set<std::string> known = {"result", "failure", "minimized"};
+  Status status;
+  ForEachField(config, [&](const Field& f, auto& value) {
+    known.insert(f.key);
+    auto it = trace.meta.find(f.key);
+    if (!status.ok() || (it == trace.meta.end() && f.optional)) return;
+    status = it == trace.meta.end() ? Status::InvalidArgument("missing")
+                                    : ParseField(it->second, f, &value);
+    if (!status.ok()) {
+      status = Status::InvalidArgument(std::string("trace header key ") +
+                                       f.key + ": " + status.message());
+    }
+  });
+  for (const auto& [key, value] : trace.meta) {
+    if (!known.count(key)) {
+      return Status::InvalidArgument("trace header key " + key +
+                                     ": unknown");
+    }
+  }
+  if (!status.ok()) return status;
+  for (const std::string& flag : flags) {
+    EpisodeConfig flagged = config;
+    StatusOr<std::string> key = SetEpisodeFlag(flag, &flagged);
+    if (!key.ok()) return key.status();
+    if (!(flagged == config)) {
+      auto it = trace.meta.find(*key);
+      return Status::InvalidArgument(
+          flag + " contradicts the trace header (" + *key + " " +
+          (it == trace.meta.end() ? "unset" : it->second) + ")");
+    }
+  }
+  return config;
+}
+
+StatusOr<std::string> SetEpisodeFlag(const std::string& arg,
+                                     EpisodeConfig* config) {
+  std::string key;
+  Status status;
+  ForEachField(*config, [&](const Field& f, auto& value) {
+    std::string text;
+    if (f.flag == nullptr || !key.empty()) return;
+    if constexpr (std::is_same_v<std::decay_t<decltype(value)>, bool>) {
+      if (arg != std::string("--") + f.flag) return;  // bare `--reliable`
+      text = "1";
+    } else if (!FlagValue(arg, f.flag, &text)) {
+      return;
+    }
+    key = f.key;
+    status = ParseField(text, f, &value);
+  });
+  if (key.empty()) return Status::NotFound("unknown flag: " + arg);
+  if (!status.ok()) {
+    return Status::InvalidArgument(arg + ": " + status.message());
+  }
+  return key;
+}
+
+bool FlagValue(const std::string& arg, const char* name, std::string* value) {
+  const std::string prefix = std::string("--") + name + "=";
+  if (arg.rfind(prefix, 0) != 0) return false;
+  *value = arg.substr(prefix.size());
   return true;
 }
 
@@ -472,27 +574,17 @@ std::string EpisodeResult::Signature() const {
 }
 
 EpisodeResult RunEpisode(const EpisodeConfig& config) {
-  std::unique_ptr<net::ScheduleStrategy> strategy =
-      MakeStrategy(config.strategy);
   TraceRecorder recorder;
-  EpisodeResult result = RunEpisodeImpl(config, strategy.get(), nullptr,
-                                        &recorder, config.clean(), nullptr);
-  result.trace = std::move(recorder.trace());
-  FillTraceMeta(config, result);
-  return result;
+  return RunEpisodeUnder(config, MakeStrategy(config.strategy).get(),
+                         &recorder, EpisodeHooks{});
 }
 
 EpisodeResult RunEpisodeUnder(const EpisodeConfig& config,
                               net::ScheduleStrategy* strategy,
                               TraceRecorder* recorder,
                               const EpisodeHooks& hooks) {
-  EpisodeResult result = RunEpisodeImpl(config, strategy, nullptr, recorder,
-                                        config.clean(), &hooks);
-  if (recorder != nullptr) {
-    result.trace = std::move(recorder->trace());
-    FillTraceMeta(config, result);
-  }
-  return result;
+  return RunEpisodeImpl(config, strategy, nullptr, recorder, config.clean(),
+                        &hooks);
 }
 
 EpisodeResult ReplayEpisode(const EpisodeConfig& config,
@@ -509,6 +601,15 @@ EpisodeResult ReplayEpisode(const EpisodeConfig& config,
   EpisodeResult result =
       RunEpisodeImpl(config, &replay, &replay, nullptr, strict, nullptr);
   result.trace = trace;
+  auto minimized = trace.meta.find("minimized");
+  if (result.replay_diverged > 0 &&
+      (minimized == trace.meta.end() || minimized->second != "1")) {
+    result.ok = false;
+    result.violations.insert(
+        result.violations.begin(),
+        "replay diverged: " + std::to_string(result.replay_diverged) +
+            " recorded events matched no pending message");
+  }
   return result;
 }
 

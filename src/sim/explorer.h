@@ -17,15 +17,18 @@
 //     completed with exactly the oracle's return code, and the leaf
 //     dictionary equals the oracle dump.
 //
-// RunEpisode records the schedule into a ScheduleTrace; ReplayEpisode
-// re-executes a trace deterministically. (config, trace) is the repro
-// unit the minimizer (minimize.h) and the `lazytree_explore` CLI shuffle
-// around.
+// RunEpisode records the schedule into a ScheduleTrace whose header is
+// the serialized EpisodeConfig; ReplayEpisode re-executes a trace
+// deterministically. A trace alone is therefore the repro unit the
+// minimizer (minimize.h) and the `lazytree_explore` CLI shuffle around.
 
 #ifndef LAZYTREE_SIM_EXPLORER_H_
 #define LAZYTREE_SIM_EXPLORER_H_
 
+#include <charconv>
 #include <functional>
+#include <limits>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -43,10 +46,6 @@ class SimNetwork;
 
 namespace lazytree::sim {
 
-/// Parses "sync" / "semisync" / "naive" / "vigorous" / "mobile" /
-/// "varcopies" (the ProtocolKindName spellings); false on unknown names.
-bool ParseProtocolKind(const std::string& name, ProtocolKind* out);
-
 /// One crash-plan entry, applied between deliveries during `round` once
 /// `after_steps` deliveries of that round have run (or at the round's
 /// quiescence if the round is shorter). Replay ignores the plan — the
@@ -56,6 +55,7 @@ struct CrashEvent {
   uint64_t after_steps = 0;
   ProcessorId processor = 0;
   bool restart = false;  ///< false = crash, true = restart
+  friend bool operator==(const CrashEvent&, const CrashEvent&) = default;
 };
 
 /// One generated client operation. Exposed (with the generator below) so
@@ -117,7 +117,45 @@ struct EpisodeConfig {
     return (reliable || (drop == 0 && dup == 0)) && crashes.empty() &&
            mutation == net::ScheduleMutation::kNone;
   }
+  friend bool operator==(const EpisodeConfig&, const EpisodeConfig&) =
+      default;
 };
+
+/// The trace-header text of `config`: one entry per field but `crashes`
+/// (C/R events carry those); reliable, drop, dup, shed_threshold, mutation
+/// and step_budget only when they are not at their defaults.
+std::map<std::string, std::string> EpisodeHeader(const EpisodeConfig& config);
+
+/// Reads back EpisodeHeader, rejecting missing and unknown keys (the
+/// provenance keys result, failure and minimized are allowed). An episode
+/// flag in `flags` that differs from the header is an error.
+StatusOr<EpisodeConfig> ParseEpisodeHeader(
+    const ScheduleTrace& trace, const std::vector<std::string>& flags = {});
+
+/// Sets the field one episode flag names (`--fanout=6`, bare `--reliable`;
+/// the table is in explorer.cc) and returns its header key. NotFound for
+/// any other argument, InvalidArgument for a bad value.
+StatusOr<std::string> SetEpisodeFlag(const std::string& arg,
+                                     EpisodeConfig* config);
+
+/// True when `arg` is `--name=...`; stores the text after '=' in `value`.
+bool FlagValue(const std::string& arg, const char* name, std::string* value);
+
+/// Parses all of `text`, with no sign, blank or trailing character, as an
+/// integer in [min, T's maximum].
+template <typename T>
+Status ParseInteger(const std::string& text, T min, T* out) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || value < min) {
+    return Status::InvalidArgument(
+        "'" + text + "' is not an integer in [" + std::to_string(min) +
+        ", " + std::to_string(std::numeric_limits<T>::max()) + "]");
+  }
+  *out = value;
+  return Status::OK();
+}
 
 struct EpisodeResult {
   bool ok = false;
@@ -173,16 +211,12 @@ EpisodeResult RunEpisodeUnder(const EpisodeConfig& config,
                               TraceRecorder* recorder,
                               const EpisodeHooks& hooks);
 
-/// Fills the episode knobs a trace header records beyond the workload
-/// shape — shed threshold, planted mutation, reliable layer, drop and dup
-/// probabilities — into every one of them `config` leaves at its default.
-/// The fault knobs matter even though replay pins outcomes: they decide
-/// whether the replay is held to the strict oracle, as the recording was.
-void ApplyTraceMeta(const ScheduleTrace& trace, EpisodeConfig* config);
-
-/// Re-executes a recorded schedule. `config` must describe the same
-/// episode the trace came from (protocol, processors, seed, workload
-/// shape); crash/restart events come from the trace, not config.crashes.
+/// Re-executes a recorded schedule. `config` must describe the episode
+/// the trace came from (ParseEpisodeHeader reads it from the header);
+/// crash/restart events come from the trace, not config.crashes. A
+/// replay in which recorded deliveries match no pending message did not
+/// re-run the recording, so it fails — unless the header says
+/// `minimized 1`: the minimizer's edits shift later deliveries by design.
 EpisodeResult ReplayEpisode(const EpisodeConfig& config,
                             const ScheduleTrace& trace);
 

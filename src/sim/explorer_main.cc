@@ -6,22 +6,21 @@
 //   lazytree_explore --strategy=pct --protocol=all --seeds=50
 //
 // On failure it saves the recorded trace, runs the delta-debugging
-// minimizer, and prints the exact replay command. Fault injection
+// minimizer, and prints the replay command. Fault injection
 // demonstrates the pipeline end-to-end (the lazy protocols assume a
 // reliable network, so drops produce real checker violations):
 //
 //   lazytree_explore --strategy=uniform --protocol=semisync --seeds=5 --drop=0.02
 //
-// Replay mode re-executes a saved trace (config flags must match the
-// trace's episode — they are recorded in its header):
+// Replay mode re-executes a saved trace. Its header is the episode config,
+// so no other flag is needed; an episode flag that contradicts the header
+// is an error, and a replay that diverges from an unminimized trace fails:
 //
-//   lazytree_explore --replay=failure.trace --protocol=semisync --seed=3
+//   lazytree_explore --replay=failure.trace
 //
-// Exit status: 0 when every episode passed, 1 otherwise.
+// Exit status: 0 when every episode passed, 1 otherwise, 2 on a bad flag.
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -33,23 +32,21 @@
 namespace lazytree::sim {
 namespace {
 
+/// The "shipped five" (naive is the deliberately broken Fig. 4 strawman;
+/// it is selectable by name but not part of `all`).
+const std::vector<ProtocolKind> kAllProtocols = {
+    ProtocolKind::kSyncSplit, ProtocolKind::kSemiSyncSplit,
+    ProtocolKind::kVigorous, ProtocolKind::kMobile, ProtocolKind::kVarCopies};
+const std::vector<StrategyKind> kAllStrategies = {
+    StrategyKind::kUniform, StrategyKind::kPct, StrategyKind::kStarve};
+
 struct CliOptions {
-  std::string strategy = "pct";     // uniform | pct | starve | all
-  std::string protocol = "all";     // protocol name | all
-  uint64_t seeds = 10;              // explore seeds 1..N
-  uint64_t seed = 0;                // replay / single-seed override
-  uint32_t processors = 4;
-  uint32_t rounds = 6;
-  uint32_t ops_per_round = 24;
-  uint64_t key_space = 512;
-  size_t fanout = 6;
-  uint32_t pct_depth = 3;
-  uint32_t leaf_replication = 0;    // 0 = protocol default (1)
-  uint32_t shed_threshold = 0;      // mobile/varcopies leaf shedding
-  std::string mutation;             // planted mutation (verifier self-test)
-  double drop = 0;
-  double dup = 0;
-  bool reliable = false;  // recover drop/dup via the reliable layer
+  EpisodeConfig base;  // episode flags, applied in order
+  std::vector<std::string> episode_flags;  // checked against a replay
+  std::vector<ProtocolKind> protocols = kAllProtocols;
+  std::vector<StrategyKind> strategies = {StrategyKind::kPct};
+  uint64_t seeds = 10;       // explore seeds 1..N
+  bool single_seed = false;  // --seed=N explores that seed alone
   uint32_t crashes = 0;
   std::string trace_out = "traces";  // directory for failure artifacts
   std::string replay_path;          // switches to replay mode
@@ -70,79 +67,38 @@ void Usage() {
                "    [--no-minimize] [--verbose]\n");
 }
 
-bool ParseFlag(const std::string& arg, const std::string& name,
-               std::string* out) {
-  std::string prefix = "--" + name + "=";
-  if (arg.compare(0, prefix.size(), prefix) != 0) return false;
-  *out = arg.substr(prefix.size());
-  return true;
-}
-
-bool ParseCli(int argc, char** argv, CliOptions* cli) {
+/// NotFound for an unknown flag or --help (print usage), InvalidArgument
+/// for a bad value.
+Status ParseCli(int argc, char** argv, CliOptions* cli) {
   for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
+    const std::string arg = argv[i];
     std::string v;
-    if (ParseFlag(arg, "strategy", &v)) cli->strategy = v;
-    else if (ParseFlag(arg, "protocol", &v)) cli->protocol = v;
-    else if (ParseFlag(arg, "seeds", &v)) cli->seeds = std::strtoull(v.c_str(), nullptr, 10);
-    else if (ParseFlag(arg, "seed", &v)) cli->seed = std::strtoull(v.c_str(), nullptr, 10);
-    else if (ParseFlag(arg, "processors", &v)) cli->processors = std::strtoul(v.c_str(), nullptr, 10);
-    else if (ParseFlag(arg, "rounds", &v)) cli->rounds = std::strtoul(v.c_str(), nullptr, 10);
-    else if (ParseFlag(arg, "ops", &v)) cli->ops_per_round = std::strtoul(v.c_str(), nullptr, 10);
-    else if (ParseFlag(arg, "keyspace", &v)) cli->key_space = std::strtoull(v.c_str(), nullptr, 10);
-    else if (ParseFlag(arg, "fanout", &v)) cli->fanout = std::strtoul(v.c_str(), nullptr, 10);
-    else if (ParseFlag(arg, "pct-depth", &v)) cli->pct_depth = std::strtoul(v.c_str(), nullptr, 10);
-    else if (ParseFlag(arg, "leaf-replication", &v)) cli->leaf_replication = std::strtoul(v.c_str(), nullptr, 10);
-    else if (ParseFlag(arg, "shed", &v)) cli->shed_threshold = std::strtoul(v.c_str(), nullptr, 10);
-    else if (ParseFlag(arg, "mutation", &v)) cli->mutation = v;
-    else if (ParseFlag(arg, "drop", &v)) cli->drop = std::strtod(v.c_str(), nullptr);
-    else if (ParseFlag(arg, "dup", &v)) cli->dup = std::strtod(v.c_str(), nullptr);
-    else if (ParseFlag(arg, "crashes", &v)) cli->crashes = std::strtoul(v.c_str(), nullptr, 10);
-    else if (ParseFlag(arg, "trace-out", &v)) cli->trace_out = v;
-    else if (ParseFlag(arg, "replay", &v)) cli->replay_path = v;
-    else if (ParseFlag(arg, "record", &v)) cli->record_path = v;
-    else if (arg == "--reliable") cli->reliable = true;
+    Status s;
+    StrategyKind strategy = StrategyKind::kPct;
+    if (arg == "--protocol=all") cli->protocols = kAllProtocols;
+    else if (arg == "--strategy=all") cli->strategies = kAllStrategies;
+    else if (FlagValue(arg, "strategy", &v) && ParseStrategyKind(v, &strategy)) cli->strategies = {strategy};
+    else if (FlagValue(arg, "strategy", &v)) s = Status::InvalidArgument("'" + v + "' is not a known strategy");
+    else if (FlagValue(arg, "seeds", &v)) s = ParseInteger<uint64_t>(v, 1, &cli->seeds);
+    else if (FlagValue(arg, "pct-depth", &v)) s = ParseInteger<uint32_t>(v, 1, &cli->base.strategy.pct_depth);
+    else if (FlagValue(arg, "crashes", &v)) s = ParseInteger<uint32_t>(v, 0, &cli->crashes);
+    else if (FlagValue(arg, "trace-out", &v)) cli->trace_out = v;
+    else if (FlagValue(arg, "replay", &v)) cli->replay_path = v;
+    else if (FlagValue(arg, "record", &v)) cli->record_path = v;
     else if (arg == "--no-minimize") cli->minimize = false;
     else if (arg == "--minimize") cli->minimize = true;
     else if (arg == "--verbose") cli->verbose = true;
-    else if (arg == "--help" || arg == "-h") { Usage(); return false; }
+    else if (arg == "--help" || arg == "-h") return Status::NotFound("");
     else {
-      std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-      Usage();
-      return false;
+      StatusOr<std::string> key = SetEpisodeFlag(arg, &cli->base);
+      if (!key.ok()) return key.status();
+      if (*key == "protocol") cli->protocols = {cli->base.protocol};
+      if (*key == "seed") cli->single_seed = true;
+      cli->episode_flags.push_back(arg);
     }
+    if (!s.ok()) return Status::InvalidArgument(arg + ": " + s.message());
   }
-  return true;
-}
-
-/// The "shipped five" (naive is the deliberately broken Fig. 4 strawman;
-/// it is selectable by name but not part of `all`).
-std::vector<ProtocolKind> ProtocolSet(const std::string& name, bool* ok) {
-  *ok = true;
-  if (name == "all") {
-    return {ProtocolKind::kSyncSplit, ProtocolKind::kSemiSyncSplit,
-            ProtocolKind::kVigorous, ProtocolKind::kMobile,
-            ProtocolKind::kVarCopies};
-  }
-  ProtocolKind kind;
-  if (!ParseProtocolKind(name, &kind)) {
-    *ok = false;
-    return {};
-  }
-  return {kind};
-}
-
-std::vector<StrategyKind> StrategySet(const std::string& name, bool* ok) {
-  *ok = true;
-  if (name == "all") {
-    return {StrategyKind::kUniform, StrategyKind::kPct, StrategyKind::kStarve};
-  }
-  StrategyKind kind;
-  if (!ParseStrategyKind(name, &kind)) {
-    *ok = false;
-    return {};
-  }
-  return {kind};
+  return Status::OK();
 }
 
 /// Fixed-copies protocols survive crash/restart generically (replicated
@@ -158,37 +114,24 @@ bool SupportsGenericCrashes(ProtocolKind protocol) {
 
 EpisodeConfig BuildConfig(const CliOptions& cli, ProtocolKind protocol,
                           StrategyKind strategy, uint64_t seed) {
-  EpisodeConfig config;
+  EpisodeConfig config = cli.base;
   config.protocol = protocol;
-  config.processors = cli.processors;
   config.seed = seed;
-  config.rounds = cli.rounds;
-  config.ops_per_round = cli.ops_per_round;
-  config.key_space = cli.key_space;
-  config.fanout = cli.fanout;
-  config.leaf_replication =
-      cli.leaf_replication > 0 ? cli.leaf_replication : 1;
-  config.shed_threshold = cli.shed_threshold;
-  config.mutation = net::ParseScheduleMutation(cli.mutation);
-  config.drop = cli.drop;
-  config.dup = cli.dup;
-  config.reliable = cli.reliable;
   config.strategy.kind = strategy;
   config.strategy.seed = seed;
-  config.strategy.pct_depth = cli.pct_depth;
   config.strategy.pct_expected_events =
-      static_cast<uint64_t>(cli.rounds) * cli.ops_per_round * 32;
+      static_cast<uint64_t>(config.rounds) * config.ops_per_round * 32;
   config.strategy.starve_victim =
-      static_cast<ProcessorId>(seed % cli.processors);
+      static_cast<ProcessorId>(seed % config.processors);
   if (cli.crashes > 0 && SupportsGenericCrashes(protocol)) {
     // Crashes need surviving replicas to be non-destructive.
     if (config.leaf_replication < 2) config.leaf_replication = 3;
     for (uint32_t i = 0; i < cli.crashes; ++i) {
       CrashEvent crash;
-      crash.round = cli.rounds > 2 ? 1 + (i % (cli.rounds - 2)) : 0;
+      crash.round = config.rounds > 2 ? 1 + (i % (config.rounds - 2)) : 0;
       crash.after_steps = 40 + 17 * i + seed % 23;
       crash.processor =
-          static_cast<ProcessorId>((seed + i) % cli.processors);
+          static_cast<ProcessorId>((seed + i) % config.processors);
       config.crashes.push_back(crash);
       CrashEvent restart = crash;
       restart.restart = true;
@@ -200,45 +143,46 @@ EpisodeConfig BuildConfig(const CliOptions& cli, ProtocolKind protocol,
   return config;
 }
 
-std::string ReproCommand(const CliOptions& cli, const EpisodeConfig& config,
-                         const std::string& trace_path) {
-  std::string cmd = "lazytree_explore --replay=" + trace_path;
-  cmd += " --protocol=" + std::string(ProtocolKindName(config.protocol));
-  cmd += " --seed=" + std::to_string(config.seed);
-  cmd += " --processors=" + std::to_string(config.processors);
-  cmd += " --rounds=" + std::to_string(config.rounds);
-  cmd += " --ops=" + std::to_string(config.ops_per_round);
-  cmd += " --keyspace=" + std::to_string(config.key_space);
-  cmd += " --fanout=" + std::to_string(config.fanout);
-  cmd += " --leaf-replication=" + std::to_string(config.leaf_replication);
-  if (config.reliable) cmd += " --reliable";
-  (void)cli;
-  return cmd;
+/// Minimizes a failing trace into `path`.min and reports it; returns the
+/// saved path, empty when minimization or the save failed.
+std::string SaveMinimized(const EpisodeConfig& config,
+                          const ScheduleTrace& trace, const std::string& path,
+                          const char* indent) {
+  StatusOr<MinimizeResult> minimized = MinimizeTrace(config, trace);
+  if (!minimized.ok()) {
+    std::printf("%sminimize: %s\n", indent,
+                minimized.status().ToString().c_str());
+    return "";
+  }
+  const std::string min_path = path + ".min";
+  Status save = minimized->trace.SaveFile(min_path);
+  std::printf(
+      "%sminimized: %zu -> %zu fault events (%zu replays, "
+      "deterministic=%s) -> %s\n",
+      indent, minimized->initial_faults, minimized->final_faults,
+      minimized->replays, minimized->deterministic ? "yes" : "no",
+      save.ok() ? min_path.c_str() : save.ToString().c_str());
+  return save.ok() ? min_path : "";
 }
 
 /// Writes the §3.1 violation report that rides alongside a failure trace:
-/// the classified violation list plus the exact replay command, so a
-/// failure can be triaged without re-running the episode.
+/// the episode's header, the classified violation list and the replay
+/// command, so a failure can be triaged without re-running the episode.
 void WriteFailureReport(const std::string& report_path,
                         const EpisodeConfig& config,
                         const EpisodeResult& result,
                         const std::string& trace_path,
-                        const std::string& min_path,
                         const std::string& repro) {
   std::ofstream out(report_path);
   if (!out) {
     std::printf("  report save failed: %s\n", report_path.c_str());
     return;
   }
-  out << "lazytree schedule-explorer failure report\n"
-      << "episode: protocol=" << ProtocolKindName(config.protocol)
-      << " seed=" << config.seed << " processors=" << config.processors
-      << " rounds=" << config.rounds << " ops_per_round="
-      << config.ops_per_round << " key_space=" << config.key_space
-      << " fanout=" << config.fanout << " leaf_replication="
-      << config.leaf_replication << " drop=" << config.drop
-      << " dup=" << config.dup << "\n"
-      << "signature: " << result.Signature() << "\n"
+  out << "lazytree schedule-explorer failure report\nepisode:";
+  for (const auto& [key, value] : EpisodeHeader(config)) {
+    out << ' ' << key << '=' << value;
+  }
+  out << "\nsignature: " << result.Signature() << "\n"
       << "ops: " << result.ops_completed << "/" << result.ops_submitted
       << " completed, " << result.delivered << " deliveries\n\n";
 
@@ -262,7 +206,6 @@ void WriteFailureReport(const std::string& report_path,
   section("client-visible violations", client);
 
   out << "trace: " << trace_path << "\n";
-  if (!min_path.empty()) out << "minimized trace: " << min_path << "\n";
   out << "repro: " << repro << "\n";
 }
 
@@ -273,21 +216,14 @@ int RunReplay(const CliOptions& cli) {
                  loaded.status().ToString().c_str());
     return 1;
   }
-  bool proto_ok = true;
-  std::vector<ProtocolKind> protocols = ProtocolSet(cli.protocol, &proto_ok);
-  if (!proto_ok || protocols.size() != 1) {
-    std::fprintf(stderr,
-                 "--replay needs a single --protocol matching the trace\n");
-    return 1;
+  StatusOr<EpisodeConfig> config =
+      ParseEpisodeHeader(*loaded, cli.episode_flags);
+  if (!config.ok()) {
+    std::fprintf(stderr, "%s: %s\n", cli.replay_path.c_str(),
+                 config.status().message().c_str());
+    return 2;
   }
-  EpisodeConfig config = BuildConfig(
-      cli, protocols[0], StrategyKind::kUniform, cli.seed ? cli.seed : 1);
-  config.crashes.clear();  // the trace carries crash/restart events
-  // Episode knobs recorded in the trace header win over CLI defaults, so
-  // verifier-recorded repros (shed/mutation configs) and faulted traces
-  // replay verbatim.
-  ApplyTraceMeta(*loaded, &config);
-  EpisodeResult result = ReplayEpisode(config, *loaded);
+  EpisodeResult result = ReplayEpisode(*config, *loaded);
   std::printf("replay %s: %s (%llu deliveries, %llu diverged)\n",
               cli.replay_path.c_str(), result.ok ? "PASS" : "FAIL",
               static_cast<unsigned long long>(result.delivered),
@@ -296,43 +232,19 @@ int RunReplay(const CliOptions& cli) {
     std::printf("  violation: %s\n", v.c_str());
   }
   if (!result.ok && cli.minimize) {
-    StatusOr<MinimizeResult> minimized = MinimizeTrace(config, *loaded);
-    if (minimized.ok()) {
-      std::string path = cli.replay_path + ".min";
-      Status save = minimized->trace.SaveFile(path);
-      std::printf(
-          "minimized: %zu -> %zu fault events (%zu replays, "
-          "deterministic=%s) -> %s\n",
-          minimized->initial_faults, minimized->final_faults,
-          minimized->replays, minimized->deterministic ? "yes" : "no",
-          save.ok() ? path.c_str() : save.ToString().c_str());
-    } else {
-      std::printf("minimize: %s\n", minimized.status().ToString().c_str());
-    }
+    SaveMinimized(*config, *loaded, cli.replay_path, "");
   }
   return result.ok ? 0 : 1;
 }
 
 int RunExplore(const CliOptions& cli) {
-  bool proto_ok = true;
-  bool strat_ok = true;
-  std::vector<ProtocolKind> protocols = ProtocolSet(cli.protocol, &proto_ok);
-  std::vector<StrategyKind> strategies = StrategySet(cli.strategy, &strat_ok);
-  if (!proto_ok) {
-    std::fprintf(stderr, "unknown protocol: %s\n", cli.protocol.c_str());
-    return 1;
-  }
-  if (!strat_ok) {
-    std::fprintf(stderr, "unknown strategy: %s\n", cli.strategy.c_str());
-    return 1;
-  }
-  const uint64_t first_seed = cli.seed ? cli.seed : 1;
-  const uint64_t last_seed = cli.seed ? cli.seed : cli.seeds;
+  const uint64_t first_seed = cli.single_seed ? cli.base.seed : 1;
+  const uint64_t last_seed = cli.single_seed ? cli.base.seed : cli.seeds;
 
   size_t episodes = 0;
   size_t failures = 0;
-  for (ProtocolKind protocol : protocols) {
-    for (StrategyKind strategy : strategies) {
+  for (ProtocolKind protocol : cli.protocols) {
+    for (StrategyKind strategy : cli.strategies) {
       for (uint64_t seed = first_seed; seed <= last_seed; ++seed) {
         EpisodeConfig config = BuildConfig(cli, protocol, strategy, seed);
         EpisodeResult result = RunEpisode(config);
@@ -372,37 +284,14 @@ int RunExplore(const CliOptions& cli) {
           continue;
         }
         std::printf("  trace: %s\n", path.c_str());
-        std::string min_path;
-        if (cli.minimize) {
-          StatusOr<MinimizeResult> minimized =
-              MinimizeTrace(config, result.trace);
-          if (minimized.ok()) {
-            std::string candidate = path + ".min";
-            Status min_save = minimized->trace.SaveFile(candidate);
-            std::printf(
-                "  minimized: %zu -> %zu fault events (%zu replays, "
-                "deterministic=%s) -> %s\n",
-                minimized->initial_faults, minimized->final_faults,
-                minimized->replays,
-                minimized->deterministic ? "yes" : "no",
-                min_save.ok() ? candidate.c_str()
-                              : min_save.ToString().c_str());
-            if (min_save.ok()) {
-              min_path = std::move(candidate);
-              std::printf("  repro: %s\n",
-                          ReproCommand(cli, config, min_path).c_str());
-            }
-          } else {
-            std::printf("  minimize: %s\n",
-                        minimized.status().ToString().c_str());
-          }
-        }
-        const std::string repro = ReproCommand(
-            cli, config, min_path.empty() ? path : min_path);
-        std::printf("  repro: %s\n", ReproCommand(cli, config, path).c_str());
+        const std::string min_path =
+            cli.minimize ? SaveMinimized(config, result.trace, path, "  ")
+                         : "";
+        const std::string repro =
+            "lazytree_explore --replay=" + (min_path.empty() ? path : min_path);
+        std::printf("  repro: %s\n", repro.c_str());
         const std::string report_path = path + ".report";
-        WriteFailureReport(report_path, config, result, path, min_path,
-                           repro);
+        WriteFailureReport(report_path, config, result, path, repro);
         std::printf("  report: %s\n", report_path.c_str());
       }
     }
@@ -413,7 +302,14 @@ int RunExplore(const CliOptions& cli) {
 
 int Main(int argc, char** argv) {
   CliOptions cli;
-  if (!ParseCli(argc, argv, &cli)) return 2;
+  const Status parsed = ParseCli(argc, argv, &cli);
+  if (!parsed.ok()) {
+    if (!parsed.message().empty()) {
+      std::fprintf(stderr, "%s\n", parsed.message().c_str());
+    }
+    if (parsed.IsNotFound()) Usage();
+    return 2;
+  }
   if (!cli.replay_path.empty()) return RunReplay(cli);
   return RunExplore(cli);
 }

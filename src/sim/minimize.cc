@@ -8,12 +8,14 @@ namespace {
 
 /// Rebuilds the trace keeping only the fault/control events whose index
 /// (into `interesting`) is in `keep`: dropped X/U events become plain
-/// deliveries, dropped C/R events disappear entirely.
+/// deliveries, dropped C/R events disappear entirely. The header says
+/// `minimized 1`, so the replay tolerates the divergence the edits cause.
 ScheduleTrace BuildCandidate(const ScheduleTrace& trace,
                              const std::vector<size_t>& interesting,
                              const std::vector<bool>& keep) {
   ScheduleTrace candidate;
   candidate.meta = trace.meta;
+  candidate.meta.insert_or_assign("minimized", std::string("1"));
   candidate.events.reserve(trace.events.size());
   size_t next = 0;  // cursor into `interesting` (sorted ascending)
   for (size_t i = 0; i < trace.events.size(); ++i) {
@@ -99,7 +101,6 @@ StatusOr<MinimizeResult> MinimizeTrace(const EpisodeConfig& config,
   }
 
   out.trace = BuildCandidate(trace, interesting, keep);
-  out.trace.meta.insert_or_assign("minimized", std::string("1"));
   out.trace.meta["failure"] = out.signature;
   out.final_faults = kept;
 

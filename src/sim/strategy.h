@@ -117,6 +117,8 @@ struct StrategyOptions {
   uint64_t pct_expected_events = 4096;
   ProcessorId starve_victim = 0;
   uint32_t starve_cap = 128;
+  friend bool operator==(const StrategyOptions&, const StrategyOptions&) =
+      default;
 };
 
 std::unique_ptr<net::ScheduleStrategy> MakeStrategy(

@@ -3,17 +3,21 @@
 // A trace is the complete record of every nondeterministic decision one
 // sim episode made: which channel delivered at each step, whether the
 // message was delivered / dropped / duplicated, and where crash/restart
-// events interleaved. Because the workload is itself a pure function of
-// the episode config (explorer.h), (config, trace) replays the episode
-// bit-for-bit — including the checker violation a failing episode found.
+// events interleaved. The key-value header is the serialized
+// EpisodeConfig (EpisodeHeader / ParseEpisodeHeader in explorer.h), plus
+// the provenance keys `result`, `failure` and `minimized`. Because the
+// workload is itself a pure function of that config, a trace alone
+// replays the episode bit-for-bit — including the checker violation a
+// failing episode found.
 //
-// Text format, one decision per line, with a key-value header:
+// Text format: the header, `--`, then one decision per line:
 //
 //   # lazytree schedule trace v1
 //   protocol semisync
 //   strategy pct
 //   seed 42
 //   ...
+//   --
 //   D 0 3     <- delivered the head of channel (0 -> 3)
 //   X 2 4     <- dropped it (injected fault or crashed destination)
 //   U 1 0     <- delivered it twice (duplication fault)
@@ -58,7 +62,7 @@ struct TraceEvent {
 };
 
 struct ScheduleTrace {
-  /// Free-form provenance (protocol, strategy, seed, ...). Sorted map so
+  /// The header: EpisodeHeader(config) plus provenance. Sorted map so
   /// serialization is canonical: identical episodes produce identical
   /// bytes, which the regression test relies on.
   std::map<std::string, std::string> meta;
@@ -110,10 +114,12 @@ class ReplayStrategy : public net::ScheduleStrategy {
   const TraceEvent* PeekControl() const;
   void AdvanceControl();
 
-  bool Exhausted() const { return cursor_ >= trace_.events.size(); }
-  /// Delivery events that could not be matched to a live channel (> 0
-  /// means the trace was edited or the config does not match).
-  uint64_t diverged() const { return diverged_; }
+  /// Events that could not be matched to a live channel, plus those never
+  /// reached (> 0 means the trace was edited or the config does not
+  /// match).
+  uint64_t diverged() const {
+    return diverged_ + (trace_.events.size() - cursor_);
+  }
 
  private:
   const ScheduleTrace& trace_;

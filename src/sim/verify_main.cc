@@ -8,17 +8,19 @@
 //
 //   lazytree_verify
 //
-// Single-config mode exhausts one configuration described by flags and
+// Single-config mode exhausts BoundedConfig(--protocol) with the other
+// episode flags applied (the same flags lazytree_explore parses) and
 // prints its statistics; --compare-naive re-runs the same configuration
 // with POR and dedup disabled (capped at ratio x the reduced run) to
 // measure the reduction factor:
 //
 //   lazytree_verify --protocol=semisync --processors=2 --ops=4 --compare-naive
 //
-// Exit status: 0 when every run behaved as expected, 1 otherwise.
+// Exit status: 0 when every run behaved as expected, 1 otherwise, 2 on a
+// bad flag.
 
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -28,24 +30,10 @@ namespace lazytree::sim {
 namespace {
 
 struct CliOptions {
-  std::string protocol;  // empty = battery mode
-  uint32_t processors = 2;
-  uint32_t rounds = 1;
-  uint32_t ops_per_round = 4;
-  uint64_t key_space = 16;
-  size_t fanout = 3;
-  uint32_t leaf_replication = 2;
-  uint32_t shed_threshold = 0;
-  uint64_t seed = 1;
-  std::string mutation;
-  uint32_t drop_budget = 0;  // bounded scripted loss (forces reliable on)
-  bool reliable = false;     // reliable-delivery layer under the episode
-  bool por = true;
-  bool dedup = true;
-  uint64_t max_executions = 1000000;
-  uint32_t cross_checks = 8;
+  std::optional<ProtocolKind> protocol;  // unset = battery mode
+  std::vector<std::string> episode_flags;
+  VerifyConfig verify;  // the search flags; the episode is set in RunSingle
   bool compare_naive = false;
-  int starve_victim = -1;
   std::string trace_out;  // save a failing trace here
 };
 
@@ -62,45 +50,33 @@ void Usage() {
       "with no --protocol: run the bounded verification battery\n");
 }
 
-bool ParseFlag(const std::string& arg, const std::string& name,
-               std::string* out) {
-  std::string prefix = "--" + name + "=";
-  if (arg.compare(0, prefix.size(), prefix) != 0) return false;
-  *out = arg.substr(prefix.size());
-  return true;
-}
-
-bool ParseCli(int argc, char** argv, CliOptions* cli) {
+/// NotFound for an unknown flag or --help (print usage), InvalidArgument
+/// for a bad value. Episode flags are checked and kept here; RunSingle
+/// applies them over BoundedConfig(--protocol).
+Status ParseCli(int argc, char** argv, CliOptions* cli) {
   for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
+    const std::string arg = argv[i];
     std::string v;
-    if (ParseFlag(arg, "protocol", &v)) cli->protocol = v;
-    else if (ParseFlag(arg, "processors", &v)) cli->processors = std::strtoul(v.c_str(), nullptr, 10);
-    else if (ParseFlag(arg, "rounds", &v)) cli->rounds = std::strtoul(v.c_str(), nullptr, 10);
-    else if (ParseFlag(arg, "ops", &v)) cli->ops_per_round = std::strtoul(v.c_str(), nullptr, 10);
-    else if (ParseFlag(arg, "keyspace", &v)) cli->key_space = std::strtoull(v.c_str(), nullptr, 10);
-    else if (ParseFlag(arg, "fanout", &v)) cli->fanout = std::strtoul(v.c_str(), nullptr, 10);
-    else if (ParseFlag(arg, "leaf-replication", &v)) cli->leaf_replication = std::strtoul(v.c_str(), nullptr, 10);
-    else if (ParseFlag(arg, "shed", &v)) cli->shed_threshold = std::strtoul(v.c_str(), nullptr, 10);
-    else if (ParseFlag(arg, "seed", &v)) cli->seed = std::strtoull(v.c_str(), nullptr, 10);
-    else if (ParseFlag(arg, "mutation", &v)) cli->mutation = v;
-    else if (ParseFlag(arg, "max-executions", &v)) cli->max_executions = std::strtoull(v.c_str(), nullptr, 10);
-    else if (ParseFlag(arg, "cross-checks", &v)) cli->cross_checks = std::strtoul(v.c_str(), nullptr, 10);
-    else if (ParseFlag(arg, "starve-victim", &v)) cli->starve_victim = std::atoi(v.c_str());
-    else if (ParseFlag(arg, "trace-out", &v)) cli->trace_out = v;
-    else if (ParseFlag(arg, "drop-budget", &v)) cli->drop_budget = std::strtoul(v.c_str(), nullptr, 10);
-    else if (arg == "--reliable") cli->reliable = true;
-    else if (arg == "--no-por") cli->por = false;
-    else if (arg == "--no-dedup") cli->dedup = false;
+    Status s;
+    if (FlagValue(arg, "max-executions", &v)) s = ParseInteger<uint64_t>(v, 1, &cli->verify.max_executions);
+    else if (FlagValue(arg, "cross-checks", &v)) s = ParseInteger<uint32_t>(v, 0, &cli->verify.cross_check_samples);
+    else if (FlagValue(arg, "starve-victim", &v)) s = ParseInteger<int>(v, 0, &cli->verify.starve_victim);
+    else if (FlagValue(arg, "trace-out", &v)) cli->trace_out = v;
+    else if (FlagValue(arg, "drop-budget", &v)) s = ParseInteger<uint32_t>(v, 0, &cli->verify.drop_budget);
+    else if (arg == "--no-por") cli->verify.por = false;
+    else if (arg == "--no-dedup") cli->verify.dedup = false;
     else if (arg == "--compare-naive") cli->compare_naive = true;
-    else if (arg == "--help" || arg == "-h") { Usage(); return false; }
+    else if (arg == "--help" || arg == "-h") return Status::NotFound("");
     else {
-      std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-      Usage();
-      return false;
+      EpisodeConfig probe;
+      StatusOr<std::string> key = SetEpisodeFlag(arg, &probe);
+      if (!key.ok()) return key.status();
+      if (*key == "protocol") cli->protocol = probe.protocol;
+      cli->episode_flags.push_back(arg);
     }
+    if (!s.ok()) return Status::InvalidArgument(arg + ": " + s.message());
   }
-  return true;
+  return Status::OK();
 }
 
 void PrintResult(const char* label, const VerifyResult& result) {
@@ -136,30 +112,16 @@ int RunBattery() {
 }
 
 int RunSingle(const CliOptions& cli) {
-  ProtocolKind protocol;
-  if (!ParseProtocolKind(cli.protocol, &protocol)) {
-    std::fprintf(stderr, "unknown protocol: %s\n", cli.protocol.c_str());
-    return 1;
+  VerifyConfig config = cli.verify;
+  config.episode = BoundedConfig(*cli.protocol).episode;
+  for (const std::string& flag : cli.episode_flags) {
+    (void)SetEpisodeFlag(flag, &config.episode);
   }
-  VerifyConfig config;
-  config.episode.protocol = protocol;
-  config.episode.processors = cli.processors;
-  config.episode.seed = cli.seed;
-  config.episode.rounds = cli.rounds;
-  config.episode.ops_per_round = cli.ops_per_round;
-  config.episode.key_space = cli.key_space;
-  config.episode.fanout = cli.fanout;
-  config.episode.leaf_replication = cli.leaf_replication;
-  config.episode.shed_threshold = cli.shed_threshold;
-  config.episode.mutation = net::ParseScheduleMutation(cli.mutation);
-  config.episode.step_budget = 100000;
-  config.episode.reliable = cli.reliable || cli.drop_budget > 0;
-  config.drop_budget = cli.drop_budget;
-  config.por = cli.por;
-  config.dedup = cli.dedup;
-  config.cross_check_samples = cli.cross_checks;
-  config.max_executions = cli.max_executions;
-  config.starve_victim = cli.starve_victim;
+  if (config.episode.drop > 0 || config.episode.dup > 0) {
+    std::fprintf(stderr, "--drop/--dup: bounded loss is --drop-budget=N\n");
+    return 2;
+  }
+  config.episode.reliable |= config.drop_budget > 0;
 
   VerifyResult result = VerifyExhaustive(config);
   PrintResult("verify", result);
@@ -201,9 +163,18 @@ int RunSingle(const CliOptions& cli) {
 
 int Main(int argc, char** argv) {
   CliOptions cli;
-  if (!ParseCli(argc, argv, &cli)) return 2;
-  if (cli.protocol.empty()) return RunBattery();
-  return RunSingle(cli);
+  const Status parsed = ParseCli(argc, argv, &cli);
+  if (!parsed.ok()) {
+    if (!parsed.message().empty()) {
+      std::fprintf(stderr, "%s\n", parsed.message().c_str());
+    }
+    if (parsed.IsNotFound()) Usage();
+    return 2;
+  }
+  if (cli.protocol) return RunSingle(cli);
+  if (cli.episode_flags.empty()) return RunBattery();
+  std::fprintf(stderr, "episode flags need --protocol\n");
+  return 2;
 }
 
 }  // namespace

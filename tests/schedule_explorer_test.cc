@@ -5,15 +5,18 @@
 // execution, so CheckAll, the structural walk, and exact oracle
 // equivalence must hold for every (protocol, strategy, seed) episode.
 // On top of that, the trace machinery itself is pinned down: a
-// checked-in trace replays byte-for-byte, and the delta-debugging
-// minimizer shrinks a genuinely failing (fault-injected) schedule to a
-// smaller one that reproduces the identical violation deterministically.
+// checked-in trace replays byte-for-byte from its header alone, the
+// header round-trips every EpisodeConfig field, a replay that leaves the
+// recorded schedule fails, and the delta-debugging minimizer shrinks a
+// genuinely failing (fault-injected) schedule to a smaller one that
+// reproduces the identical violation deterministically.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <string>
 
+#include "src/sim/exhaustive.h"
 #include "src/sim/explorer.h"
 #include "src/sim/minimize.h"
 
@@ -120,42 +123,10 @@ ScheduleTrace LoadCheckedInTrace(std::string* path_out) {
   return loaded.ok() ? *loaded : ScheduleTrace{};
 }
 
-uint64_t MetaInt(const ScheduleTrace& trace, const std::string& key) {
-  auto it = trace.meta.find(key);
-  return it == trace.meta.end() ? 0 : std::stoull(it->second);
-}
-
-/// Rebuilds the episode config a recorded trace documents in its header.
-EpisodeConfig ConfigFromMeta(const ScheduleTrace& trace) {
-  EpisodeConfig config;
-  ProtocolKind protocol;
-  EXPECT_TRUE(
-      sim::ParseProtocolKind(trace.meta.at("protocol"), &protocol));
-  StrategyKind strategy;
-  EXPECT_TRUE(sim::ParseStrategyKind(trace.meta.at("strategy"), &strategy));
-  config.protocol = protocol;
-  config.processors = static_cast<uint32_t>(MetaInt(trace, "processors"));
-  config.seed = MetaInt(trace, "seed");
-  config.rounds = static_cast<uint32_t>(MetaInt(trace, "rounds"));
-  config.ops_per_round =
-      static_cast<uint32_t>(MetaInt(trace, "ops_per_round"));
-  config.key_space = MetaInt(trace, "key_space");
-  config.fanout = static_cast<size_t>(MetaInt(trace, "fanout"));
-  config.leaf_replication =
-      static_cast<uint32_t>(MetaInt(trace, "leaf_replication"));
-  config.interior_replication =
-      static_cast<uint32_t>(MetaInt(trace, "interior_replication"));
-  config.strategy.kind = strategy;
-  config.strategy.seed = MetaInt(trace, "strategy_seed");
-  config.strategy.pct_depth =
-      static_cast<uint32_t>(MetaInt(trace, "pct_depth"));
-  config.strategy.pct_expected_events = MetaInt(trace, "pct_expected_events");
-  config.strategy.starve_victim =
-      static_cast<ProcessorId>(MetaInt(trace, "starve_victim"));
-  config.strategy.starve_cap =
-      static_cast<uint32_t>(MetaInt(trace, "starve_cap"));
-  sim::ApplyTraceMeta(trace, &config);
-  return config;
+EpisodeConfig ConfigOf(const ScheduleTrace& trace) {
+  StatusOr<EpisodeConfig> config = sim::ParseEpisodeHeader(trace);
+  EXPECT_TRUE(config.ok()) << config.status().ToString();
+  return config.ok() ? *config : EpisodeConfig{};
 }
 
 // Regression: the checked-in trace replays cleanly with zero divergence,
@@ -166,7 +137,7 @@ TEST(ScheduleExplorer, CheckedInTraceReplaysByteForByte) {
   std::string path;
   ScheduleTrace trace = LoadCheckedInTrace(&path);
   ASSERT_FALSE(trace.events.empty()) << path;
-  EpisodeConfig config = ConfigFromMeta(trace);
+  EpisodeConfig config = ConfigOf(trace);
 
   EpisodeResult replayed = sim::ReplayEpisode(config, trace);
   EXPECT_TRUE(replayed.ok) << replayed.Signature();
@@ -258,7 +229,7 @@ TEST(ScheduleExplorer, FaultedTraceReplaysItsViolationListFromMeta) {
   StatusOr<ScheduleTrace> reparsed =
       ScheduleTrace::Parse(failing.trace.Serialize());
   ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString();
-  EpisodeConfig rebuilt = ConfigFromMeta(*reparsed);
+  EpisodeConfig rebuilt = ConfigOf(*reparsed);
   EXPECT_EQ(rebuilt.drop, 0.02);
   EXPECT_EQ(rebuilt.dup, 0.01);
   EXPECT_FALSE(rebuilt.clean());
@@ -272,11 +243,212 @@ TEST(ScheduleExplorer, FaultedTraceReplaysItsViolationListFromMeta) {
 TEST(ScheduleExplorer, ReplayPinsOutcomesRegardlessOfFaultConfig) {
   std::string path;
   ScheduleTrace trace = LoadCheckedInTrace(&path);
-  EpisodeConfig config = ConfigFromMeta(trace);
+  EpisodeConfig config = ConfigOf(trace);
   config.drop = 0.5;  // would destroy the run if it applied
   EpisodeResult result = sim::ReplayEpisode(config, trace);
   EXPECT_TRUE(result.ok) << result.Signature();
   EXPECT_EQ(result.replay_diverged, 0u);
+}
+
+// Every field of the table survives EpisodeHeader -> trace text ->
+// ParseEpisodeHeader, including shortest-form probabilities and each
+// mutation.
+TEST(EpisodeHeader, RoundTripsEveryField) {
+  for (net::ScheduleMutation mutation :
+       {net::ScheduleMutation::kDropRelay,
+        net::ScheduleMutation::kSwapOrdered}) {
+    EpisodeConfig config;
+    config.protocol = ProtocolKind::kVarCopies;
+    config.processors = 5;
+    config.seed = 1234567890123ull;
+    config.strategy.kind = StrategyKind::kStarve;
+    config.strategy.seed = 99;
+    config.strategy.pct_depth = 7;
+    config.strategy.pct_expected_events = 12345;
+    config.strategy.starve_victim = 3;
+    config.strategy.starve_cap = 17;
+    config.rounds = 9;
+    config.ops_per_round = 11;
+    config.key_space = 4096;
+    config.fanout = 5;
+    config.leaf_replication = 2;
+    config.interior_replication = 3;
+    config.shed_threshold = 4;
+    config.mutation = mutation;
+    config.drop = 0.1;
+    config.dup = 1e-3;
+    config.reliable = true;
+    config.step_budget = 4321;
+    ScheduleTrace trace;
+    trace.meta = sim::EpisodeHeader(config);
+    EXPECT_EQ(trace.meta.at("dup"), "0.001");
+    StatusOr<ScheduleTrace> text = ScheduleTrace::Parse(trace.Serialize());
+    ASSERT_TRUE(text.ok()) << text.status().ToString();
+    StatusOr<EpisodeConfig> parsed = sim::ParseEpisodeHeader(*text);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    EXPECT_TRUE(*parsed == config) << trace.Serialize();
+  }
+  // Defaults of the optional fields are not written at all.
+  for (const char* key :
+       {"reliable", "drop", "dup", "shed_threshold", "mutation",
+        "step_budget"}) {
+    EXPECT_EQ(sim::EpisodeHeader(EpisodeConfig{}).count(key), 0u) << key;
+  }
+}
+
+TEST(EpisodeHeader, RejectsUnknownMissingAndMalformedKeys) {
+  ScheduleTrace trace;
+  trace.meta = sim::EpisodeHeader(EpisodeConfig{});
+  trace.meta["result"] = "fail";
+  trace.meta["failure"] = "history: x";
+  trace.meta["minimized"] = "1";
+  EXPECT_TRUE(sim::ParseEpisodeHeader(trace).ok());
+
+  ScheduleTrace unknown = trace;
+  unknown.meta["fan_out"] = "6";
+  StatusOr<EpisodeConfig> r = sim::ParseEpisodeHeader(unknown);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().message(), "trace header key fan_out: unknown");
+
+  ScheduleTrace missing = trace;
+  missing.meta.erase("fanout");
+  r = sim::ParseEpisodeHeader(missing);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().message(), "trace header key fanout: missing");
+
+  ScheduleTrace bad_strategy = trace;
+  bad_strategy.meta["strategy"] = "random";
+  r = sim::ParseEpisodeHeader(bad_strategy);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().message(),
+            "trace header key strategy: 'random' is not a known strategy");
+}
+
+// The shared episode-flag parser rejects every malformed value with a
+// one-line message instead of running a different episode.
+TEST(EpisodeFlags, RejectMalformedValues) {
+  for (const char* arg :
+       {"--fanout=abc", "--fanout=0", "--processors=0",
+        "--processors=99999999999", "--keyspace=0", "--ops=abc",
+        "--rounds=6x", "--rounds= 6", "--seed=-1", "--mutation=swap-orderd",
+        "--mutation=", "--drop=0.o2", "--drop=1.5", "--dup=nan",
+        "--protocol=bogus"}) {
+    EpisodeConfig config;
+    StatusOr<std::string> key = sim::SetEpisodeFlag(arg, &config);
+    ASSERT_FALSE(key.ok()) << arg;
+    EXPECT_EQ(key.status().code(), StatusCode::kInvalidArgument) << arg;
+    EXPECT_EQ(key.status().message().find('\n'), std::string::npos);
+    EXPECT_EQ(key.status().message().rfind(std::string(arg) + ": ", 0), 0u)
+        << key.status().message();
+    EXPECT_TRUE(config == EpisodeConfig{}) << arg << " changed the config";
+  }
+  EpisodeConfig config;
+  EXPECT_TRUE(sim::SetEpisodeFlag("--fanout-x=3", &config).status().IsNotFound());
+  EXPECT_TRUE(sim::SetEpisodeFlag("--reliable=1", &config).status().IsNotFound());
+
+  // The tool-only counts (--seeds, --crashes, ...) use the same parser.
+  uint64_t seeds = 10;
+  EXPECT_FALSE(sim::ParseInteger<uint64_t>("x", 1, &seeds).ok());
+  EXPECT_FALSE(sim::ParseInteger<uint64_t>("0", 1, &seeds).ok());
+  int victim = -1;
+  EXPECT_FALSE(sim::ParseInteger<int>("-1", 0, &victim).ok());
+  EXPECT_EQ(seeds, 10u);
+  EXPECT_EQ(victim, -1);
+
+  for (const char* arg : {"--fanout=3", "--ops=6", "--keyspace=32",
+                          "--leaf-replication=1", "--shed=1", "--reliable",
+                          "--mutation=swap-ordered", "--drop=0.02",
+                          "--protocol=varcopies"}) {
+    EXPECT_TRUE(sim::SetEpisodeFlag(arg, &config).ok()) << arg;
+  }
+  EXPECT_EQ(config.fanout, 3u);
+  EXPECT_EQ(config.ops_per_round, 6u);
+  EXPECT_EQ(config.key_space, 32u);
+  EXPECT_EQ(config.shed_threshold, 1u);
+  EXPECT_TRUE(config.reliable);
+  EXPECT_EQ(config.mutation, net::ScheduleMutation::kSwapOrdered);
+  EXPECT_EQ(config.drop, 0.02);
+  EXPECT_EQ(config.protocol, ProtocolKind::kVarCopies);
+}
+
+// A replay takes its episode from the header: flags that agree with it
+// are accepted (old printed repro commands), flags that differ are errors.
+TEST(EpisodeFlags, ContradictingTheTraceHeaderIsAnError) {
+  std::string path;
+  ScheduleTrace trace = LoadCheckedInTrace(&path);
+  EXPECT_TRUE(sim::ParseEpisodeHeader(
+                  trace, {"--protocol=semisync", "--seed=7", "--processors=4",
+                          "--rounds=6", "--ops=24", "--keyspace=512",
+                          "--fanout=6", "--leaf-replication=1"})
+                  .ok());
+  struct Case {
+    const char* flag;
+    const char* message;
+  };
+  for (const Case& c :
+       {Case{"--fanout=3", "--fanout=3 contradicts the trace header (fanout 6)"},
+        Case{"--protocol=sync",
+             "--protocol=sync contradicts the trace header (protocol "
+             "semisync)"},
+        Case{"--reliable",
+             "--reliable contradicts the trace header (reliable unset)"}}) {
+    StatusOr<EpisodeConfig> r = sim::ParseEpisodeHeader(trace, {c.flag});
+    ASSERT_FALSE(r.ok()) << c.flag;
+    EXPECT_EQ(r.status().message(), c.message);
+  }
+  EXPECT_FALSE(sim::ParseEpisodeHeader(trace, {"--fanout=abc"}).ok());
+}
+
+// A replay whose recorded deliveries stop matching the system did not
+// re-run the recording: it fails, however healthy the run it drifted into.
+// Only the minimizer's output (header `minimized 1`) may drift.
+TEST(ScheduleExplorer, DivergingReplayFailsUnlessMinimized) {
+  std::string path;
+  ScheduleTrace trace = LoadCheckedInTrace(&path);
+  ASSERT_GT(trace.events.size(), 100u);
+  EpisodeConfig config = ConfigOf(trace);
+  sim::TraceEvent& edited = trace.events[100];
+  ASSERT_EQ(edited.kind, sim::TraceEvent::Kind::kDeliver);
+  edited.to = (edited.to + 1) % config.processors;
+
+  EpisodeResult replayed = sim::ReplayEpisode(config, trace);
+  EXPECT_FALSE(replayed.ok);
+  EXPECT_GT(replayed.replay_diverged, 0u);
+  EXPECT_EQ(replayed.Signature(),
+            "replay diverged: " + std::to_string(replayed.replay_diverged) +
+                " recorded events matched no pending message");
+
+  trace.meta["minimized"] = "1";
+  EpisodeResult tolerated = sim::ReplayEpisode(config, trace);
+  EXPECT_TRUE(tolerated.ok) << tolerated.Signature();
+  EXPECT_EQ(tolerated.replay_diverged, replayed.replay_diverged);
+}
+
+// A verifier-found violation replays from its trace alone: the header
+// carries the verifier's bounded episode (fanout 3, step budget 100000,
+// shedding, the planted mutation), so the explorer's defaults never leak
+// in and turn the repro into a pass.
+TEST(ScheduleExplorer, VerifierTraceReplaysFromItsHeaderAlone) {
+  sim::VerifyConfig verify = sim::BoundedConfig(ProtocolKind::kVarCopies);
+  verify.episode.processors = 4;
+  verify.episode.rounds = 2;
+  verify.episode.ops_per_round = 6;
+  verify.episode.key_space = 32;
+  verify.episode.mutation = net::ScheduleMutation::kSwapOrdered;
+  verify.starve_victim = 1;
+  verify.max_executions = 20000;
+  sim::VerifyResult found = sim::VerifyExhaustive(verify);
+  ASSERT_FALSE(found.ok);
+  ASSERT_FALSE(found.violations.empty());
+
+  StatusOr<ScheduleTrace> text =
+      ScheduleTrace::Parse(found.trace.Serialize());
+  ASSERT_TRUE(text.ok()) << text.status().ToString();
+  EXPECT_TRUE(ConfigOf(*text) == verify.episode);
+  EpisodeResult replayed = sim::ReplayEpisode(ConfigOf(*text), *text);
+  EXPECT_FALSE(replayed.ok);
+  EXPECT_EQ(replayed.replay_diverged, 0u);
+  EXPECT_EQ(replayed.Signature(), found.violations.front());
 }
 
 }  // namespace
