@@ -44,14 +44,8 @@ void Run() {
       "(B-trees with inserts only sit near ln 2 = 0.69).");
 
   constexpr size_t kCapacity = 16;
-  ClusterOptions o;
-  o.processors = 4;
-  o.protocol = ProtocolKind::kSemiSyncSplit;
-  o.transport = TransportKind::kSim;
-  o.seed = 11;
-  o.tree.max_entries = kCapacity;
-  o.tree.track_history = false;
-  Cluster cluster(o);
+  Cluster cluster(
+      bench::SimOptions(4, ProtocolKind::kSemiSyncSplit, kCapacity, 11));
   cluster.Start();
 
   bench::Table table({"phase              ", "keys ", "leaves", "utilization"});

@@ -30,14 +30,9 @@ struct LoadProfile {
 };
 
 LoadProfile RunOne(uint32_t processors, uint32_t interior_replication) {
-  ClusterOptions o;
-  o.processors = processors;
-  o.protocol = ProtocolKind::kSemiSyncSplit;
-  o.transport = TransportKind::kSim;
-  o.seed = 7;
-  o.tree.max_entries = 16;
+  ClusterOptions o =
+      bench::SimOptions(processors, ProtocolKind::kSemiSyncSplit, 16, 7);
   o.tree.interior_replication = interior_replication;
-  o.tree.track_history = false;
   Cluster cluster(o);
   cluster.Start();
   workload::UniformDist keys(bench::kKeySpace);

@@ -23,12 +23,8 @@ void Run() {
   table.Header();
 
   for (size_t window : {size_t{0}, size_t{2}, size_t{8}, size_t{32}}) {
-    ClusterOptions o;
-    o.processors = 6;
-    o.protocol = ProtocolKind::kSemiSyncSplit;
-    o.transport = TransportKind::kSim;
-    o.seed = 5;
-    o.tree.max_entries = 8;
+    ClusterOptions o =
+        bench::SimOptions(6, ProtocolKind::kSemiSyncSplit, 8, 5);
     o.tree.leaf_replication = 3;
     o.tree.track_history = true;
     o.piggyback_window = window;

@@ -27,14 +27,7 @@ void Run() {
 
   for (ProtocolKind protocol :
        {ProtocolKind::kMobile, ProtocolKind::kVarCopies}) {
-    ClusterOptions o;
-    o.processors = 6;
-    o.protocol = protocol;
-    o.transport = TransportKind::kSim;
-    o.seed = 9;
-    o.tree.max_entries = 8;
-    o.tree.track_history = false;
-    Cluster cluster(o);
+    Cluster cluster(bench::SimOptions(6, protocol, 8, 9));
     cluster.Start();
 
     // Skewed ingest: everything submitted at (and kept on) p0.

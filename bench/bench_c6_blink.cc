@@ -9,6 +9,7 @@
 
 #include "src/blink/blink_tree.h"
 #include "src/blink/lock_tree.h"
+#include "src/util/affinity.h"
 #include "src/util/rng.h"
 
 namespace lazytree {
@@ -16,19 +17,23 @@ namespace {
 
 constexpr size_t kPreload = 100000;
 
+/// One preloaded tree per type, shared by every thread of every run.
 template <typename Tree>
-std::unique_ptr<Tree> MakePreloaded() {
-  auto tree = std::make_unique<Tree>();
-  Rng rng(7);
-  for (size_t i = 0; i < kPreload; ++i) {
-    tree->Insert(rng.Range(1, 1ull << 40), i);
-  }
-  return tree;
+Tree& Shared() {
+  static Tree* tree = [] {
+    auto* t = new Tree();
+    Rng rng(7);
+    for (size_t i = 0; i < kPreload; ++i) {
+      t->Insert(rng.Range(1, 1ull << 40), i);
+    }
+    return t;
+  }();
+  return *tree;
 }
 
 template <typename Tree>
-void MixedWorkload(benchmark::State& state, Tree& tree,
-                   double insert_fraction) {
+void Mixed(benchmark::State& state, double insert_fraction) {
+  Tree& tree = Shared<Tree>();
   Rng rng(1234 + state.thread_index());
   for (auto _ : state) {
     Key k = rng.Range(1, 1ull << 40);
@@ -41,55 +46,17 @@ void MixedWorkload(benchmark::State& state, Tree& tree,
   state.SetItemsProcessed(state.iterations());
 }
 
-BlinkTree* SharedBlink() {
-  static BlinkTree* tree = [] {
-    auto t = new BlinkTree(64);
-    Rng rng(7);
-    for (size_t i = 0; i < kPreload; ++i) {
-      t->Insert(rng.Range(1, 1ull << 40), i);
-    }
-    return t;
-  }();
-  return tree;
-}
+constexpr auto* Blink = &Mixed<BlinkTree>;
+constexpr auto* Lock = &Mixed<LockTree>;
 
-LockTree* SharedLock() {
-  static LockTree* tree = [] {
-    auto t = new LockTree();
-    Rng rng(7);
-    for (size_t i = 0; i < kPreload; ++i) {
-      t->Insert(rng.Range(1, 1ull << 40), i);
-    }
-    return t;
-  }();
-  return tree;
-}
-
-void BM_Blink_ReadOnly(benchmark::State& state) {
-  MixedWorkload(state, *SharedBlink(), 0.0);
-}
-void BM_Lock_ReadOnly(benchmark::State& state) {
-  MixedWorkload(state, *SharedLock(), 0.0);
-}
-void BM_Blink_Mixed20(benchmark::State& state) {
-  MixedWorkload(state, *SharedBlink(), 0.2);
-}
-void BM_Lock_Mixed20(benchmark::State& state) {
-  MixedWorkload(state, *SharedLock(), 0.2);
-}
-void BM_Blink_WriteHeavy(benchmark::State& state) {
-  MixedWorkload(state, *SharedBlink(), 0.8);
-}
-void BM_Lock_WriteHeavy(benchmark::State& state) {
-  MixedWorkload(state, *SharedLock(), 0.8);
-}
-
-BENCHMARK(BM_Blink_ReadOnly)->Threads(1)->Threads(4)->Threads(8);
-BENCHMARK(BM_Lock_ReadOnly)->Threads(1)->Threads(4)->Threads(8);
-BENCHMARK(BM_Blink_Mixed20)->Threads(1)->Threads(4)->Threads(8);
-BENCHMARK(BM_Lock_Mixed20)->Threads(1)->Threads(4)->Threads(8);
-BENCHMARK(BM_Blink_WriteHeavy)->Threads(1)->Threads(4)->Threads(8);
-BENCHMARK(BM_Lock_WriteHeavy)->Threads(1)->Threads(4)->Threads(8);
+// Thread counts 1, 2, 4, ... up to the host's cores: never oversubscribed.
+const int kCores = static_cast<int>(AvailableCpus());
+BENCHMARK_CAPTURE(Blink, ReadOnly, 0.0)->ThreadRange(1, kCores);
+BENCHMARK_CAPTURE(Lock, ReadOnly, 0.0)->ThreadRange(1, kCores);
+BENCHMARK_CAPTURE(Blink, Mixed20, 0.2)->ThreadRange(1, kCores);
+BENCHMARK_CAPTURE(Lock, Mixed20, 0.2)->ThreadRange(1, kCores);
+BENCHMARK_CAPTURE(Blink, WriteHeavy, 0.8)->ThreadRange(1, kCores);
+BENCHMARK_CAPTURE(Lock, WriteHeavy, 0.8)->ThreadRange(1, kCores);
 
 }  // namespace
 }  // namespace lazytree

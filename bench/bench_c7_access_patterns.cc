@@ -23,13 +23,7 @@ struct PatternResult {
 
 PatternResult RunPattern(const std::string& pattern, bool countermeasure,
                          uint64_t seed) {
-  ClusterOptions o;
-  o.processors = 6;
-  o.protocol = ProtocolKind::kVarCopies;
-  o.transport = TransportKind::kSim;
-  o.seed = seed;
-  o.tree.max_entries = 8;
-  o.tree.track_history = false;
+  ClusterOptions o = bench::SimOptions(6, ProtocolKind::kVarCopies, 8, seed);
   if (countermeasure) o.tree.shed_threshold = 6;  // online balancing
   Cluster cluster(o);
   cluster.Start();

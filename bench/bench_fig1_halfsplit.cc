@@ -29,14 +29,7 @@ void Run() {
        {ProtocolKind::kSemiSyncSplit, ProtocolKind::kSyncSplit,
         ProtocolKind::kVigorous, ProtocolKind::kMobile,
         ProtocolKind::kVarCopies}) {
-    ClusterOptions o;
-    o.processors = 8;
-    o.protocol = protocol;
-    o.transport = TransportKind::kSim;
-    o.seed = 1;
-    o.tree.max_entries = 8;
-    o.tree.track_history = false;
-    Cluster cluster(o);
+    Cluster cluster(bench::SimOptions(8, protocol, 8));
     cluster.Start();
 
     workload::UniformDist keys(bench::kKeySpace);

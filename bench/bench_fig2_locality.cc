@@ -25,13 +25,8 @@ void Run() {
   table.Header();
 
   for (uint32_t repl : {1u, 2u, 4u, 8u}) {
-    ClusterOptions o;
-    o.processors = 8;
-    o.protocol = ProtocolKind::kSemiSyncSplit;
-    o.transport = TransportKind::kSim;
-    o.seed = 3;
-    o.tree.max_entries = 8;
-    o.tree.track_history = false;
+    ClusterOptions o =
+        bench::SimOptions(8, ProtocolKind::kSemiSyncSplit, 8, 3);
     o.tree.interior_replication = repl;
     Cluster cluster(o);
     cluster.Start();

@@ -34,12 +34,8 @@ void Run() {
   table.Header();
 
   for (uint32_t copies : {2u, 4u, 8u}) {
-    ClusterOptions o;
-    o.processors = copies;
-    o.protocol = ProtocolKind::kSemiSyncSplit;
-    o.transport = TransportKind::kSim;
-    o.seed = copies;
-    o.tree.max_entries = 6;
+    ClusterOptions o =
+        bench::SimOptions(copies, ProtocolKind::kSemiSyncSplit, 6, copies);
     o.tree.track_history = true;
     Cluster cluster(o);
     cluster.Start();

@@ -19,14 +19,8 @@ struct Outcome {
 };
 
 Outcome RunOne(ProtocolKind protocol, uint64_t seed) {
-  ClusterOptions o;
-  o.processors = 5;
-  o.protocol = protocol;
-  o.transport = TransportKind::kSim;
-  o.seed = seed;
-  o.tree.max_entries = 4;        // split often
-  o.tree.leaf_replication = 3;   // client inserts are themselves relayed
-  o.tree.track_history = false;
+  ClusterOptions o = bench::SimOptions(5, protocol, 4, seed);  // split often
+  o.tree.leaf_replication = 3;  // client inserts are themselves relayed
   Cluster cluster(o);
   cluster.Start();
 

@@ -21,15 +21,9 @@ struct SplitCost {
 };
 
 SplitCost RunOne(ProtocolKind protocol, uint32_t copies, uint64_t seed) {
-  ClusterOptions o;
-  o.processors = copies;
-  o.protocol = protocol;
-  o.transport = TransportKind::kSim;
-  o.seed = seed;
-  o.tree.max_entries = 4;
+  ClusterOptions o = bench::SimOptions(copies, protocol, 4, seed);
   o.tree.leaf_replication = copies;  // every split coordinates `copies`
   o.tree.interior_replication = 0;   // interior everywhere too
-  o.tree.track_history = false;
   Cluster cluster(o);
   cluster.Start();
 
@@ -99,17 +93,11 @@ void Run() {
   for (ProtocolKind protocol :
        {ProtocolKind::kSyncSplit, ProtocolKind::kSemiSyncSplit}) {
     for (uint32_t copies : {4u, 8u}) {
-      ClusterOptions o;
-      o.processors = copies;
-      o.protocol = protocol;
-      o.transport = TransportKind::kSim;
-      o.seed = 3;
+      ClusterOptions o = bench::SimOptions(copies, protocol, 4, 3);
       o.sim_latency_us = 200;
       o.sim_jitter_us = 100;
-      o.tree.max_entries = 4;
       o.tree.leaf_replication = copies;
       o.tree.interior_replication = 0;
-      o.tree.track_history = false;
       Cluster cluster(o);
       cluster.Start();
       workload::UniformDist keys(bench::kKeySpace);

@@ -53,12 +53,7 @@ void PumpBase(Cluster& cluster) {
 }
 
 void ConstructedRace() {
-  ClusterOptions o;
-  o.processors = 4;
-  o.protocol = ProtocolKind::kVarCopies;
-  o.transport = TransportKind::kSim;
-  o.seed = 1;
-  o.tree.max_entries = 4;
+  ClusterOptions o = bench::SimOptions(4, ProtocolKind::kVarCopies, 4);
   o.piggyback_window = 100000;  // relays stay held until we say so
   o.tree.track_history = true;
   Cluster cluster(o);
@@ -134,12 +129,7 @@ void OrganicChurn() {
                       "msgs/join", "complete+compatible"});
   table.Header();
   for (uint64_t seed = 1; seed <= 6; ++seed) {
-    ClusterOptions o;
-    o.processors = 8;
-    o.protocol = ProtocolKind::kVarCopies;
-    o.transport = TransportKind::kSim;
-    o.seed = seed;
-    o.tree.max_entries = 4;
+    ClusterOptions o = bench::SimOptions(8, ProtocolKind::kVarCopies, 4, seed);
     o.piggyback_window = 8;
     o.tree.track_history = true;
     Cluster cluster(o);
@@ -149,12 +139,7 @@ void OrganicChurn() {
     while (warm.size() < 200) warm.insert(warm_rng.Range(1, 1u << 30));
     for (Key k : warm) cluster.Insert(0, k, 1);
 
-    std::map<NodeId, ProcessorId> hosts;
-    for (ProcessorId id = 0; id < 8; ++id) {
-      cluster.processor(id).store().ForEach([&](const Node& n) {
-        if (n.is_leaf()) hosts[n.id()] = id;
-      });
-    }
+    const auto hosts = Leaves(cluster);
     auto before = cluster.NetStats();
     Rng rng(seed);
     std::set<Key> wave;
@@ -166,7 +151,7 @@ void OrganicChurn() {
       cluster.InsertAsync(static_cast<ProcessorId>(i % 8), k, 2,
                           [](const OpResult&) {});
       if (++i % 5 == 0 && it != hosts.end()) {
-        cluster.MigrateNode(it->first, it->second,
+        cluster.MigrateNode(it->first, it->second.first,
                             static_cast<ProcessorId>(dest_rng.Below(8)));
         ++it;
       }

@@ -1,7 +1,8 @@
 // Shared plumbing for the experiment benches (see DESIGN.md's experiment
-// index): aligned-table printing. Each bench binary regenerates one
-// figure/claim of the paper and prints the series EXPERIMENTS.md records;
-// the benches that drive generic traffic do it with workload::Drive.
+// index): aligned-table printing and the one cluster setup. Each bench
+// binary regenerates one figure/claim of the paper and prints the series
+// EXPERIMENTS.md records; the benches that drive generic traffic do it
+// with workload::Drive.
 
 #ifndef LAZYTREE_BENCH_BENCH_UTIL_H_
 #define LAZYTREE_BENCH_BENCH_UTIL_H_
@@ -56,6 +57,19 @@ inline std::string FmtU(uint64_t v) { return std::to_string(v); }
 
 /// The key space the paper benches draw from: [1, 2^40).
 constexpr Key kKeySpace = 1ull << 40;
+
+/// The cluster a paper bench starts from: the deterministic sim with
+/// history tracking off. Each bench then sets only what it changes.
+inline ClusterOptions SimOptions(uint32_t processors, ProtocolKind protocol,
+                                 size_t max_entries, uint64_t seed = 1) {
+  ClusterOptions o;
+  o.processors = processors;
+  o.protocol = protocol;
+  o.seed = seed;
+  o.tree.max_entries = max_entries;
+  o.tree.track_history = false;
+  return o;
+}
 
 /// Insert/search traffic over `keys` with `window` ops outstanding.
 inline workload::DriveSpec InsertSearch(workload::KeyDistribution* keys,

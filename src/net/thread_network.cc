@@ -1,6 +1,5 @@
 #include "src/net/thread_network.h"
 
-#include "src/msg/wire.h"
 #include "src/util/affinity.h"
 #include "src/util/logging.h"
 
@@ -13,9 +12,6 @@ namespace {
 constexpr size_t kMaxBatch = 128;
 
 }  // namespace
-
-ThreadNetwork::ThreadNetwork(Options options)
-    : byte_stats_(options.byte_stats) {}
 
 ThreadNetwork::~ThreadNetwork() { Stop(); }
 
@@ -61,10 +57,7 @@ void ThreadNetwork::SubmitLocal(ProcessorId p, const ClientOp& op) {
 
 void ThreadNetwork::Enqueue(Message m) {
   Station& station = *stations_[m.to];
-  // Opt-in byte counts are exact even though no buffer is materialized;
-  // self-sends are never counted as network bytes.
-  stats_.OnSend(
-      m, byte_stats_ && m.from != m.to ? wire::EncodedSize(m) : 0);
+  stats_.OnSend(m, 0);
   inflight_.fetch_add(1, std::memory_order_relaxed);
   if (!station.inbox.Push(std::move(m))) {
     // Inbox closed during shutdown: account the message as handled.

@@ -18,9 +18,9 @@
 // never gets here; the QueueManager buffers it in the outbox's self lane.
 //
 // Send *moves* the Message straight into the destination's inbox ring —
-// no wire encode/decode — and NetworkStats byte counts come from
-// wire::EncodedSize, so the RPC cost model the benches report is
-// unchanged. The sim transport moves messages the same way; the wire
+// no wire encode/decode — and counts no remote bytes: the byte cost
+// model (wire::EncodedSize) is the sim's, where the RPC-cost benches
+// run. The sim transport moves messages the same way; the wire
 // format stays a held contract through wire_test (the codec fuzz and the
 // WireContract suite over every message of sim episodes) and the lint's
 // wire-coverage pass.
@@ -44,16 +44,7 @@ namespace lazytree::net {
 
 class ThreadNetwork : public Network {
  public:
-  struct Options {
-    /// Account NetworkStats::remote_bytes on the fast path (exact, via
-    /// wire::EncodedSize — no buffer is materialized). Off by default:
-    /// the walk costs real time per snapshot-bearing send and the
-    /// RPC-cost benches that consume byte counts run on SimNetwork.
-    bool byte_stats = false;
-  };
-
-  ThreadNetwork() : ThreadNetwork(Options{}) {}
-  explicit ThreadNetwork(Options options);
+  ThreadNetwork() = default;
   ~ThreadNetwork() override;
 
   /// Makes links lossy (non-owning; call before Start). Each remote Send
@@ -90,7 +81,6 @@ class ThreadNetwork : public Network {
   // quiescence waiters on the zero transition.
   void OnHandled(int64_t n);
 
-  bool byte_stats_ = false;
   FaultInjector* faults_ = nullptr;
   std::vector<std::unique_ptr<Station>> stations_;
   std::atomic<bool> started_{false};

@@ -137,8 +137,7 @@ class ExhaustiveStrategy : public net::ScheduleStrategy {
       if (round == config_.episode.rounds && sim_->mutation_applied()) {
         ++stats_->mutation_fired;
       }
-      if (config_.check_each_quiescence &&
-          first_violation_round_ == kNoViolationRound &&
+      if (first_violation_round_ == kNoViolationRound &&
           !c.VerifyHistories().violations.empty()) {
         first_violation_round_ = round;
       }
@@ -486,14 +485,10 @@ VerifyResult VerifyExhaustive(const VerifyConfig& config) {
     if (!episode.ok) {
       result.ok = false;
       result.violations = episode.violations;
-      result.trace = episode.trace;
-      if (config.minimize) {
-        StatusOr<MinimizeResult> minimized =
-            MinimizeTrace(config.episode, episode.trace);
-        if (minimized.ok()) {
-          result.trace = std::move(minimized->trace);
-        }
-      }
+      StatusOr<MinimizeResult> minimized =
+          MinimizeTrace(config.episode, episode.trace);
+      result.trace = minimized.ok() ? std::move(minimized->trace)
+                                    : episode.trace;
       break;
     }
     if (!strategy.Backtrack()) {

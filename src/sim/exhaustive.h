@@ -91,11 +91,6 @@ struct VerifyConfig {
   uint32_t cross_check_samples = 8;
   /// Execution budget; hitting it stops with exhausted = false.
   uint64_t max_executions = 1000000;
-  /// Run the §3.1 checkers at every per-round quiescent point (not just
-  /// the final state), recording the first violating round.
-  bool check_each_quiescence = true;
-  /// Minimize the failing trace before returning it.
-  bool minimize = true;
   /// Directed-search heuristic: when >= 0, candidate transitions delivering
   /// to this processor sort LAST at every frame, so the leftmost DFS
   /// schedule is the extreme starvation of the victim (the §4.3 adversary
@@ -131,7 +126,7 @@ struct VerifyResult {
   /// verifier-internal failures (determinism / cross-check).
   std::vector<std::string> violations;
   VerifyStats stats;
-  /// Failing schedule (minimized when config.minimize), replayable via
+  /// Failing schedule, minimized, replayable via
   /// ReplayEpisode / `lazytree_explore --replay`; its header is the
   /// episode config. Empty when ok.
   ScheduleTrace trace;

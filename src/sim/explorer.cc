@@ -601,9 +601,7 @@ EpisodeResult ReplayEpisode(const EpisodeConfig& config,
   EpisodeResult result =
       RunEpisodeImpl(config, &replay, &replay, nullptr, strict, nullptr);
   result.trace = trace;
-  auto minimized = trace.meta.find("minimized");
-  if (result.replay_diverged > 0 &&
-      (minimized == trace.meta.end() || minimized->second != "1")) {
+  if (result.replay_diverged > 0 && !trace.minimized()) {
     result.ok = false;
     result.violations.insert(
         result.violations.begin(),

@@ -86,7 +86,6 @@ Status ParseCli(int argc, char** argv, CliOptions* cli) {
     else if (FlagValue(arg, "replay", &v)) cli->replay_path = v;
     else if (FlagValue(arg, "record", &v)) cli->record_path = v;
     else if (arg == "--no-minimize") cli->minimize = false;
-    else if (arg == "--minimize") cli->minimize = true;
     else if (arg == "--verbose") cli->verbose = true;
     else if (arg == "--help" || arg == "-h") return Status::NotFound("");
     else {
@@ -231,7 +230,9 @@ int RunReplay(const CliOptions& cli) {
   for (const std::string& v : result.violations) {
     std::printf("  violation: %s\n", v.c_str());
   }
-  if (!result.ok && cli.minimize) {
+  // A minimized trace is already the end product: minimizing it again
+  // would only write X.trace.min.min.
+  if (!result.ok && cli.minimize && !loaded->minimized()) {
     SaveMinimized(*config, *loaded, cli.replay_path, "");
   }
   return result.ok ? 0 : 1;

@@ -36,6 +36,11 @@ size_t ScheduleTrace::ControlCount() const {
   return n;
 }
 
+bool ScheduleTrace::minimized() const {
+  auto it = meta.find("minimized");
+  return it != meta.end() && it->second == "1";
+}
+
 std::string ScheduleTrace::Serialize() const {
   std::string out = "# lazytree schedule trace v1\n";
   for (const auto& [key, value] : meta) {

@@ -70,6 +70,8 @@ struct ScheduleTrace {
 
   size_t FaultCount() const;
   size_t ControlCount() const;
+  /// The header says `minimized 1`: the minimizer wrote this trace.
+  bool minimized() const;
 
   std::string Serialize() const;
   static StatusOr<ScheduleTrace> Parse(const std::string& text);

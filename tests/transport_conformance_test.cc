@@ -17,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/msg/wire.h"
 #include "src/net/faults.h"
 #include "src/net/reliable.h"
 #include "src/net/sim_network.h"
@@ -90,21 +91,18 @@ class LossyTransport : public net::Network {
   std::unique_ptr<net::ReliableNetwork> reliable_;
 };
 
-std::unique_ptr<net::Network> MakeTransport(TransportUnderTest t,
-                                            bool byte_stats = false) {
+std::unique_ptr<net::Network> MakeTransport(TransportUnderTest t) {
   switch (t) {
     case TransportUnderTest::kSim:
       return std::make_unique<net::SimNetwork>(7);
     case TransportUnderTest::kThread:
-      return std::make_unique<net::ThreadNetwork>(
-          net::ThreadNetwork::Options{.byte_stats = byte_stats});
+      return std::make_unique<net::ThreadNetwork>();
     case TransportUnderTest::kSimLossy:
       return std::make_unique<LossyTransport>(
           std::make_unique<net::SimNetwork>(7), /*real_timers=*/false);
     case TransportUnderTest::kThreadLossy:
       return std::make_unique<LossyTransport>(
-          std::make_unique<net::ThreadNetwork>(
-              net::ThreadNetwork::Options{.byte_stats = byte_stats}),
+          std::make_unique<net::ThreadNetwork>(),
           /*real_timers=*/true);
   }
   return nullptr;
@@ -288,21 +286,21 @@ TEST_P(TransportConformanceTest, StatsCountRemoteLocalAndBytes) {
                     "counts fault-schedule-dependent (see "
                     "LossyRecoveryIsObservable)";
   }
-  // Byte accounting is opt-in on the thread fast path; this test asserts
-  // the accounting itself, so switch it on.
-  auto net = MakeTransport(GetParam(), /*byte_stats=*/true);
+  auto net = MakeTransport(GetParam());
   Recorder r0, r1;
   net->Register(0, &r0);
   net->Register(1, &r1);
   net->Start();
-  net->Send(Message(0, 1, KeyedAction(5)));
+  const Message remote(0, 1, KeyedAction(5));
+  const size_t remote_bytes = wire::EncodedSize(remote);
+  net->Send(remote);
   net->Send(Message(1, 1, KeyedAction(6)));  // self-send = local
   ASSERT_TRUE(net->WaitQuiescent(std::chrono::milliseconds(5000)));
   auto snap = net->stats().Snapshot();
   EXPECT_EQ(snap.remote_messages, 1u);
   EXPECT_EQ(snap.local_messages, 1u);
-  EXPECT_GT(snap.remote_bytes, 0u)
-      << "zero-copy delivery must still report wire-model byte costs";
+  // The wire-model byte cost is the sim's; threads count no bytes.
+  EXPECT_EQ(snap.remote_bytes, IsThreaded(GetParam()) ? 0u : remote_bytes);
   EXPECT_EQ(snap.ActionCount(ActionKind::kSearch), 2u);
   net->Stop();
 }
