@@ -7,7 +7,6 @@
 // identical adversarial workload.
 
 #include "bench/bench_util.h"
-#include "src/protocol/naive.h"
 
 namespace lazytree {
 namespace {
@@ -37,13 +36,7 @@ Outcome RunOne(ProtocolKind protocol, uint64_t seed) {
   Outcome out;
   out.inserted = keys.size();
   out.stored = cluster.DumpLeaves().size();
-  if (protocol == ProtocolKind::kNaive) {
-    for (ProcessorId id = 0; id < 5; ++id) {
-      out.leaf_drops += static_cast<NaiveProtocol*>(
-                            cluster.processor(id).handler())
-                            ->dropped_leaf_relays();
-    }
-  }
+  out.leaf_drops = cluster.NetStats().dropped_leaf_relays;
   return out;
 }
 

@@ -8,7 +8,6 @@
 //     block an insert.
 
 #include "bench/bench_util.h"
-#include "src/protocol/sync_split.h"
 
 namespace lazytree {
 namespace {
@@ -41,11 +40,7 @@ SplitCost RunOne(ProtocolKind protocol, uint32_t copies, uint64_t seed) {
     cost.msgs_per_split =
         cost.splits ? static_cast<double>(coordination) / cost.splits : 0;
     cost.predicted = 3.0 * (copies - 1);
-    for (ProcessorId id = 0; id < copies; ++id) {
-      cost.deferred_inserts += static_cast<SyncSplitProtocol*>(
-                                   cluster.processor(id).handler())
-                                   ->deferred_inserts();
-    }
+    cost.deferred_inserts = cluster.NetStats().deferred_inserts;
   } else {
     cost.splits = snap.ActionCount(ActionKind::kRelayedSplit) / (copies - 1);
     cost.msgs_per_split =

@@ -18,20 +18,9 @@
 
 #include "bench/bench_util.h"
 #include "src/history/checker.h"
-#include "src/protocol/varcopies.h"
 
 namespace lazytree {
 namespace {
-
-uint64_t TotalRerelays(Cluster& cluster) {
-  uint64_t total = 0;
-  for (ProcessorId id = 0; id < cluster.size(); ++id) {
-    total += static_cast<VarCopiesProtocol*>(
-                 cluster.processor(id).handler())
-                 ->late_joiner_rerelays();
-  }
-  return total;
-}
 
 std::map<NodeId, std::pair<ProcessorId, KeyRange>> Leaves(
     Cluster& cluster) {
@@ -110,11 +99,12 @@ void ConstructedRace() {
   }
   cluster.MigrateNode(neighbor, 0, 3);
   PumpBase(cluster);
-  const uint64_t rerelays_before_flush = TotalRerelays(cluster);
+  const uint64_t rerelays_before_flush =
+      cluster.NetStats().late_joiner_rerelays;
 
   // Step 4: release the delayed relays; the PC must re-relay to p3.
   cluster.Settle();
-  const uint64_t rerelays_after = TotalRerelays(cluster);
+  const uint64_t rerelays_after = cluster.NetStats().late_joiner_rerelays;
 
   auto report = cluster.VerifyHistories();
   std::printf(
@@ -159,19 +149,15 @@ void OrganicChurn() {
     cluster.Settle();
     auto net = cluster.NetStats() - before;
 
-    uint64_t joins = 0, unjoins = 0;
-    for (ProcessorId id = 0; id < 8; ++id) {
-      auto* var = static_cast<VarCopiesProtocol*>(
-          cluster.processor(id).handler());
-      joins += var->joins_granted();
-      unjoins += var->unjoins_processed();
-    }
+    const net::StatsSnapshot total = cluster.NetStats();
+    const uint64_t joins = total.joins_granted;
     const uint64_t join_msgs = net.ActionCount(ActionKind::kJoin) +
                                net.ActionCount(ActionKind::kJoinGrant) +
                                net.ActionCount(ActionKind::kRelayedJoin);
     auto report = cluster.VerifyHistories();
     table.Row({std::to_string(seed), bench::FmtU(joins),
-               bench::FmtU(unjoins), bench::FmtU(TotalRerelays(cluster)),
+               bench::FmtU(total.unjoins_processed),
+               bench::FmtU(total.late_joiner_rerelays),
                joins ? bench::Fmt("%.1f", double(join_msgs) / joins) : "-",
                report.ok() ? "yes" : "NO"});
     if (!report.ok()) std::printf("%s\n", report.ToString().c_str());

@@ -190,7 +190,7 @@ Row RunRow(const RowSpec& spec, uint64_t records, uint64_t ops,
     o.sim_latency_us = 4;
     o.sim_jitter_us = 1;
   }
-  o.reliable = spec.reliable ? 1 : 0;
+  o.reliable = spec.reliable;
   if (spec.drop > 0) {
     o.faults.drop = spec.drop;
     o.faults.seed = 29;

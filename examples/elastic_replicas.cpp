@@ -12,7 +12,6 @@
 
 #include "src/core/balancer.h"
 #include "src/core/dbtree.h"
-#include "src/protocol/varcopies.h"
 #include "src/util/rng.h"
 
 namespace {
@@ -82,15 +81,10 @@ int main() {
   cluster.Settle();
   PrintReplication(cluster, "after shrinking to 2 hosts:");
 
-  uint64_t joins = 0, unjoins = 0;
-  for (ProcessorId id = 0; id < cluster.size(); ++id) {
-    auto* var = static_cast<VarCopiesProtocol*>(
-        cluster.processor(id).handler());
-    joins += var->joins_granted();
-    unjoins += var->unjoins_processed();
-  }
+  const net::StatsSnapshot counters = cluster.NetStats();
   std::printf("joins granted: %llu, unjoins processed: %llu\n",
-              (unsigned long long)joins, (unsigned long long)unjoins);
+              (unsigned long long)counters.joins_granted,
+              (unsigned long long)counters.unjoins_processed);
 
   // Everything still readable from everywhere.
   size_t ok = 0;

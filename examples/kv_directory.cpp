@@ -6,19 +6,25 @@
 // lookups with local hops; lazy updates keep the replicas cheap.
 //
 //   $ ./build/examples/kv_directory [processors] [services]
+//
+// Processors default to min(8, available CPUs). Exits 1 unless every
+// registered service is stored.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <thread>
 #include <vector>
 
 #include "src/core/dbtree.h"
+#include "src/util/affinity.h"
 #include "src/util/rng.h"
 #include "src/util/threading.h"
 
 int main(int argc, char** argv) {
   using namespace lazytree;
-  const uint32_t processors = argc > 1 ? std::atoi(argv[1]) : 8;
+  const uint32_t processors =
+      argc > 1 ? std::atoi(argv[1]) : std::min(8u, AvailableCpus());
   const size_t services =
       argc > 2 ? std::strtoul(argv[2], nullptr, 10) : 20000;
 
@@ -89,6 +95,12 @@ int main(int argc, char** argv) {
               (unsigned long long)stats.remote_messages,
               double(stats.remote_messages) / double(services + hits +
                                                      misses));
-  std::printf("stored keys: %zu\n", tree.KeyCount());
+  const size_t stored = tree.KeyCount();
+  std::printf("stored keys: %zu\n", stored);
+  if (stored != services) {
+    std::fprintf(stderr, "FAILED: %zu of %zu registered services stored\n",
+                 stored, services);
+    return 1;
+  }
   return 0;
 }

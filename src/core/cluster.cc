@@ -74,10 +74,7 @@ Cluster::Cluster(ClusterOptions options)
     base_network_ = std::move(thread_net);
   }
   network_ = base_network_.get();
-  const bool reliable_on = options_.reliable < 0
-                               ? options_.faults.active()
-                               : options_.reliable > 0;
-  if (reliable_on) {
+  if (options_.reliable) {
     reliable_ = std::make_unique<net::ReliableNetwork>(
         network_, options_.reliability, /*real_timers=*/threads);
     reliable_->SetLinkDownCallback(
@@ -359,7 +356,7 @@ std::map<history::CopyKey, NodeSnapshot> Cluster::CollectCopies() {
 }
 
 history::CheckReport Cluster::VerifyHistories() {
-  return history::CheckAll(history_, CollectCopies(), options_.history_check);
+  return history::CheckAll(history_, CollectCopies());
 }
 
 std::vector<Entry> Cluster::DumpLeaves() {

@@ -114,6 +114,9 @@ class Cluster {
   /// space per level, right links are consistent); returns violations.
   std::vector<std::string> CheckTreeStructure();
 
+  /// The counter ledger (net/stats.h) summed over processors: network,
+  /// reliable-layer, processor and protocol counters. One processor's
+  /// shard is processor(p).counters().
   net::StatsSnapshot NetStats() { return base_network().stats().Snapshot(); }
 
   /// The undecorated transport.

@@ -5,7 +5,6 @@
 
 #include <cstdint>
 
-#include "src/history/checker.h"
 #include "src/net/faults.h"
 #include "src/net/reliable.h"
 #include "src/server/processor.h"
@@ -58,20 +57,17 @@ struct ClusterOptions {
   /// injection, schedule exploration — that want to *observe* violations
   /// instead of dying on them.
   bool check_histories = true;
-  /// Policy for those checks and for VerifyHistories(): duplicate-
-  /// application tolerance and the per-check violation report cap.
-  history::CheckOptions history_check;
   /// Link-fault injection (net/faults.h): when the plan is active, the
   /// base transport drops/duplicates/partitions remote messages under the
   /// plan's own seed — at send time on threads, at delivery on the sim.
   net::FaultPlan faults;
-  /// Reliable-delivery layer (net/reliable.h): -1 auto-resolves to ON
-  /// when the fault plan is active and OFF otherwise; 0/1 force it. With
-  /// it on, exactly-once FIFO delivery — and therefore §3.1 — holds even
-  /// over lossy links; channels that exhaust their retransmit budget are
+  /// Reliable-delivery layer (net/reliable.h), independent of `faults`:
+  /// a fault plan without it runs the raw lossy links. With it on,
+  /// exactly-once FIFO delivery — and therefore §3.1 — holds even over
+  /// lossy links; channels that exhaust their retransmit budget are
   /// declared down and their processors' pending ops fail with a
   /// retriable kUnavailable status instead of hanging Settle().
-  int8_t reliable = -1;
+  bool reliable = false;
   /// Tuning for the reliable layer (timers, budgets, initial sequence
   /// number). Its timers are real on threads and virtual on the sim.
   net::ReliabilityOptions reliability;

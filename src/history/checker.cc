@@ -9,12 +9,14 @@
 namespace lazytree::history {
 namespace {
 
+/// Violations reported per check (keeps failure output readable).
+constexpr size_t kMaxViolations = 16;
+
 /// Appends a violation unless the report is already full.
-void Violate(CheckReport& report, const CheckOptions& options,
-             std::string text) {
-  if (report.violations.size() < options.max_violations) {
+void Violate(CheckReport& report, std::string text) {
+  if (report.violations.size() < kMaxViolations) {
     report.violations.push_back(std::move(text));
-  } else if (report.violations.size() == options.max_violations) {
+  } else if (report.violations.size() == kMaxViolations) {
     report.violations.push_back("... further violations suppressed");
   }
 }
@@ -40,8 +42,7 @@ std::string CheckReport::ToString() const {
   return os.str();
 }
 
-CheckReport CheckComplete(const HistoryLog& log,
-                          const CheckOptions& options) {
+CheckReport CheckComplete(const HistoryLog& log) {
   CheckReport report;
   // Every update seen anywhere (applied or inherited), across all copies
   // live or dead — a deleted node is "conceptually retained" (§3.1).
@@ -56,7 +57,7 @@ CheckReport CheckComplete(const HistoryLog& log,
       os << "complete: issued " << UpdateClassName(issued.cls) << " u="
          << issued.update << " (key=" << issued.key
          << ") never applied at any copy";
-      Violate(report, options, os.str());
+      Violate(report, os.str());
     }
   }
   return report;
@@ -64,8 +65,7 @@ CheckReport CheckComplete(const HistoryLog& log,
 
 CheckReport CheckCompatible(
     const HistoryLog& log,
-    const std::map<CopyKey, NodeSnapshot>& final_values,
-    const CheckOptions& options) {
+    const std::map<CopyKey, NodeSnapshot>& final_values) {
   CheckReport report;
   // Group live copies by logical node.
   std::map<NodeId, std::vector<std::pair<CopyKey, const CopyHistory*>>>
@@ -77,21 +77,19 @@ CheckReport CheckCompatible(
 
   for (const auto& [node, node_copies] : by_node) {
     // 1. Uniform update sets must agree across copies; duplicates within
-    //    a copy are protocol bugs unless explicitly allowed.
+    //    a copy are protocol bugs (no protocol relies on re-applying).
     const std::multiset<UpdateId> reference = UniformSet(*node_copies[0].second);
-    if (!options.allow_duplicate_applications) {
-      for (const auto& [key, copy_history] : node_copies) {
-        auto ids = UniformSet(*copy_history);
-        for (auto it = ids.begin(); it != ids.end();) {
-          auto next = ids.upper_bound(*it);
-          if (std::distance(it, next) > 1) {
-            Violate(report, options,
-                    "compatible: update " + std::to_string(*it) +
-                        " applied " + std::to_string(std::distance(it, next)) +
-                        "x at " + DescribeCopy(key));
-          }
-          it = next;
+    for (const auto& [key, copy_history] : node_copies) {
+      auto ids = UniformSet(*copy_history);
+      for (auto it = ids.begin(); it != ids.end();) {
+        auto next = ids.upper_bound(*it);
+        if (std::distance(it, next) > 1) {
+          Violate(report, "compatible: update " + std::to_string(*it) +
+                              " applied " +
+                              std::to_string(std::distance(it, next)) +
+                              "x at " + DescribeCopy(key));
         }
+        it = next;
       }
     }
     for (size_t i = 1; i < node_copies.size(); ++i) {
@@ -108,7 +106,7 @@ CheckReport CheckCompatible(
                                       ids.begin(), ids.end(),
                                       std::back_inserter(diff));
         if (!diff.empty()) os << " (e.g. u=" << diff.front() << ")";
-        Violate(report, options, os.str());
+        Violate(report, os.str());
       }
     }
 
@@ -118,7 +116,7 @@ CheckReport CheckCompatible(
     for (const auto& [key, copy_history] : node_copies) {
       auto it = final_values.find(key);
       if (it == final_values.end()) {
-        Violate(report, options,
+        Violate(report,
                 "compatible: no final value supplied for live copy " +
                     DescribeCopy(key));
         continue;
@@ -136,7 +134,7 @@ CheckReport CheckCompatible(
       else if (v.right != ref.right) mismatch = "right link";
       else if (v.level != ref.level) mismatch = "level";
       if (!mismatch.empty()) {
-        Violate(report, options,
+        Violate(report,
                 "compatible: final " + mismatch + " differs between " +
                     DescribeCopy(reference_key) + " and " +
                     DescribeCopy(key) + " of " + node.ToString());
@@ -146,8 +144,7 @@ CheckReport CheckCompatible(
   return report;
 }
 
-CheckReport CheckOrdered(const HistoryLog& log,
-                         const CheckOptions& options) {
+CheckReport CheckOrdered(const HistoryLog& log) {
   CheckReport report;
   for (const auto& [key, copy_history] : log.Copies()) {
     // Link-changes: per link kind, applied versions strictly increase.
@@ -158,7 +155,7 @@ CheckReport CheckOrdered(const HistoryLog& log,
       if (r.cls == UpdateClass::kLinkChange) {
         Version& last = last_link_version[r.link % 3];
         if (r.version <= last) {
-          Violate(report, options,
+          Violate(report,
                   "ordered: link-change v=" + std::to_string(r.version) +
                       " applied after v=" + std::to_string(last) + " at " +
                       DescribeCopy(key));
@@ -167,7 +164,7 @@ CheckReport CheckOrdered(const HistoryLog& log,
       } else if (r.cls == UpdateClass::kMembership ||
                  r.cls == UpdateClass::kMigrate) {
         if (r.version <= last_membership_version) {
-          Violate(report, options,
+          Violate(report,
                   "ordered: " + std::string(UpdateClassName(r.cls)) +
                       " v=" + std::to_string(r.version) +
                       " applied after v=" +
@@ -182,11 +179,10 @@ CheckReport CheckOrdered(const HistoryLog& log,
 }
 
 CheckReport CheckAll(const HistoryLog& log,
-                     const std::map<CopyKey, NodeSnapshot>& final_values,
-                     const CheckOptions& options) {
-  CheckReport report = CheckComplete(log, options);
-  report.Merge(CheckCompatible(log, final_values, options));
-  report.Merge(CheckOrdered(log, options));
+                     const std::map<CopyKey, NodeSnapshot>& final_values) {
+  CheckReport report = CheckComplete(log);
+  report.Merge(CheckCompatible(log, final_values));
+  report.Merge(CheckOrdered(log));
   return report;
 }
 

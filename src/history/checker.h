@@ -32,33 +32,24 @@ struct CheckReport {
   }
 };
 
-struct CheckOptions {
-  /// When false (default) an update applied twice at the same copy is a
-  /// violation; set true for protocols that rely on idempotent re-apply.
-  bool allow_duplicate_applications = false;
-  /// Cap on violations reported per check (keeps failure output readable).
-  size_t max_violations = 16;
-};
+// Each check reports at most 16 violations, then one suppression notice.
+// An update applied twice at one copy is always a violation.
 
 /// Complete-history requirement.
-CheckReport CheckComplete(const HistoryLog& log,
-                          const CheckOptions& options = {});
+CheckReport CheckComplete(const HistoryLog& log);
 
 /// Compatible-history requirement. `final_values` maps every *live* copy
 /// to its final snapshot (range, entries, links), taken at quiescence.
 CheckReport CheckCompatible(
     const HistoryLog& log,
-    const std::map<CopyKey, NodeSnapshot>& final_values,
-    const CheckOptions& options = {});
+    const std::map<CopyKey, NodeSnapshot>& final_values);
 
 /// Ordered-history requirement.
-CheckReport CheckOrdered(const HistoryLog& log,
-                         const CheckOptions& options = {});
+CheckReport CheckOrdered(const HistoryLog& log);
 
 /// All three, merged.
 CheckReport CheckAll(const HistoryLog& log,
-                     const std::map<CopyKey, NodeSnapshot>& final_values,
-                     const CheckOptions& options = {});
+                     const std::map<CopyKey, NodeSnapshot>& final_values);
 
 }  // namespace lazytree::history
 

@@ -67,7 +67,8 @@ class FaultInjector {
   DeliveryOutcome Next(ProcessorId from, ProcessorId to);
 
   // What the injector actually did (the reliable layer's recovery
-  // counters live in NetworkStats). Partitioned messages count as dropped.
+  // counters live in the ledger, net/stats.h). Partitioned messages
+  // count as dropped.
   uint64_t dropped() const { return dropped_.load(std::memory_order_relaxed); }
   uint64_t duplicated() const {
     return duplicated_.load(std::memory_order_relaxed);

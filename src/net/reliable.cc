@@ -10,6 +10,11 @@ namespace lazytree::net {
 namespace {
 
 constexpr auto kNever = std::chrono::steady_clock::time_point::max();
+// Seed of the backoff-jitter hash.
+constexpr uint64_t kJitterSeed = 1;
+// Receiver out-of-order buffer cap per channel; frames beyond it are
+// dropped and recovered by retransmission.
+constexpr size_t kReorderWindow = 1024;
 
 }  // namespace
 
@@ -64,7 +69,7 @@ uint64_t ReliableNetwork::BackoffUs(ProcessorId from, ProcessorId to,
                         << std::min<uint32_t>(retries, 16);
   // Deterministic jitter: a pure hash of (seed, link, attempt), so replays
   // and the exhaustive verifier see identical timer schedules.
-  uint64_t state = options_.seed;
+  uint64_t state = kJitterSeed;
   state ^= 0x9E3779B97F4A7C15ull * (static_cast<uint64_t>(from) + 1);
   state ^= 0xC2B2AE3D27D4EB4Full * (static_cast<uint64_t>(to) + 1);
   state ^= 0x165667B19E3779F9ull * (retries + 1);
@@ -104,7 +109,7 @@ void ReliableNetwork::AttachAckLocked(Shard& shard, Message* m) {
   if (rxc.ack_pending) {
     rxc.ack_pending = false;
     rxc.ack_deadline = kNoDeadline;
-    stats().OnAckPiggybacked();
+    stats().Add(m->from, Counter::kAcksPiggybacked);
   }
 }
 
@@ -203,7 +208,7 @@ void ReliableNetwork::OnAckLocked(ProcessorId id, const Message& m,
     head_resent = head_resent || i == 0;
   }
   if (resent == 0) return;
-  stats().OnRetransmit(resent);
+  stats().Add(id, Counter::kRetransmits, resent);
   // Fast retransmits spend no budget. The timer guards the window head:
   // a resent head gets a full timeout to land, while later holes' resends
   // leave the deadline alone, so a head whose resend is lost too is not
@@ -245,9 +250,9 @@ void ReliableNetwork::ProcessBatch(ProcessorId id, std::vector<Message>& in,
     } else if (diff < 0 || rxc.reorder.count(m.seq) != 0) {
       // Stale or duplicate frame: the peer is (re)sending something we
       // already have, so re-ack eagerly to shut its timer down.
-      stats().OnDuplicateDropped();
+      stats().Add(id, Counter::kDuplicatesDropped);
       ArmAck(rxc, now);
-    } else if (rxc.reorder.size() < options_.reorder_window) {
+    } else if (rxc.reorder.size() < kReorderWindow) {
       // A missing predecessor is a new hole: report it at once so the
       // sender fast-retransmits it. Later frames refresh the report.
       const bool new_hole = rxc.reorder.count(m.seq - 1) == 0;
@@ -281,7 +286,7 @@ void ReliableNetwork::FireTxLocked(ProcessorId from, ProcessorId to,
     tx.unacked.clear();
     tx.rto_deadline = kNoDeadline;
     any_link_down_.store(true, std::memory_order_relaxed);
-    stats().OnLinkDown();
+    stats().Add(from, Counter::kLinkDown);
     downs->emplace_back(from, to);
     return;
   }
@@ -294,7 +299,7 @@ void ReliableNetwork::FireTxLocked(ProcessorId from, ProcessorId to,
     sends->push_back(ResendLocked(shard, pending));
     ++resent;
   }
-  stats().OnRetransmit(resent);
+  stats().Add(from, Counter::kRetransmits, resent);
   tx.rto_deadline = now + BackoffUs(from, to, tx.retries);
 }
 
@@ -309,7 +314,7 @@ void ReliableNetwork::FireRxLocked(ProcessorId from, ProcessorId to,
   StampAck(rxc, &ack);
   rxc.ack_pending = false;
   rxc.ack_deadline = kNoDeadline;
-  stats().OnPureAck();
+  stats().Add(to, Counter::kPureAcks);
   sends->push_back(std::move(ack));
 }
 

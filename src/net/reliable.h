@@ -95,11 +95,6 @@ struct ReliabilityOptions {
   uint64_t ack_delay_us = 50;
   /// Upper bound on deterministic backoff jitter in microseconds.
   uint64_t jitter_us = 16;
-  /// Seed for the jitter hash.
-  uint64_t seed = 1;
-  /// Receiver out-of-order buffer cap per channel; frames beyond it are
-  /// dropped and recovered by retransmission.
-  size_t reorder_window = 1024;
 };
 
 class ReliableNetwork : public Network {

@@ -31,6 +31,7 @@ void SimNetwork::Register(ProcessorId id, Receiver* receiver) {
   if (receivers_.size() <= id) receivers_.resize(id + 1, nullptr);
   LAZYTREE_CHECK(receivers_[id] == nullptr) << "double register p" << id;
   receivers_[id] = receiver;
+  stats_.Register(id);
 }
 
 ProcessorId SimNetwork::size() const {
@@ -69,10 +70,11 @@ void SimNetwork::Restart(ProcessorId p) {
 }
 
 void SimNetwork::Send(Message m) {
-  LAZYTREE_CHECK(m.to < receivers_.size() && receivers_[m.to] != nullptr)
-      << "send to unregistered p" << m.to;
+  LAZYTREE_CHECK(m.to < receivers_.size() && receivers_[m.to] != nullptr &&
+                 m.from < receivers_.size())
+      << "send p" << m.from << "->p" << m.to << " between unregistered ids";
   // Self-sends are never counted as network bytes, so skip their sizing.
-  stats_.OnSend(m, m.from != m.to ? wire::EncodedSize(m) : 0);
+  stats_.AddSend(m, m.from != m.to ? wire::EncodedSize(m) : 0);
   ++pending_;
   if (latency_mode_) {
     uint64_t latency =

@@ -1,5 +1,11 @@
-// Network accounting: every bench in this repo ultimately reports numbers
-// that come from here (messages, bytes, per-action-kind counts).
+// The counter ledger: every count the system keeps (messages, bytes,
+// sends by action kind, reliable-layer and protocol events) is one
+// `Counter`, kept in one shard per processor. A count goes to the shard
+// of the processor whose code did the work: a send to `m.from`, a
+// reliable-layer event to the owner of that channel half, a queue-manager
+// or protocol event to its own processor. Cluster::Settle's flush of held
+// relays writes senders' shards from a foreign thread (workers idle),
+// hence adds are relaxed fetch_adds rather than plain stores.
 
 #ifndef LAZYTREE_NET_STATS_H_
 #define LAZYTREE_NET_STATS_H_
@@ -7,73 +13,118 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "src/msg/message.h"
 
 namespace lazytree::net {
 
-/// Point-in-time copy of the counters (cheap to subtract for intervals).
-struct StatsSnapshot {
-  uint64_t remote_messages = 0;  ///< messages that crossed processors
-  uint64_t local_messages = 0;   ///< self-sends (not network traffic)
-  uint64_t remote_bytes = 0;
-  uint64_t piggybacked_actions = 0;  ///< relays held past a delivery
-  uint64_t combined_actions = 0;     ///< actions fused into one message
-  uint64_t fastpath_reads = 0;  ///< local hops short-circuited by inline descent
-  uint64_t retransmits = 0;         ///< messages resent by the reliable layer
-  uint64_t duplicates_dropped = 0;  ///< stale/duplicate frames deduped away
-  uint64_t acks_piggybacked = 0;    ///< cumulative acks that rode data frames
-  uint64_t link_down = 0;  ///< channels declared dead (retransmit budget spent)
-  uint64_t pure_acks = 0;  ///< ack-only frames sent when no data rode back
-  std::array<uint64_t, static_cast<size_t>(ActionKind::kMaxKind)>
-      actions_by_kind{};
+// Every counter, once: X(enumerator, snapshot field and printed name).
+#define LAZYTREE_COUNTERS(X)                                              \
+  /* transport, under the sender */                                       \
+  X(kRemoteMessages, remote_messages) /* crossed processors */            \
+  X(kLocalMessages, local_messages)   /* self-sends, not traffic */       \
+  X(kRemoteBytes, remote_bytes)       /* wire size, sim only */           \
+  /* queue manager */                                                     \
+  X(kPiggybackedActions, piggybacked_actions) /* relays held over */     \
+  X(kCombinedActions, combined_actions) /* fused into one message */      \
+  X(kFastpathReads, fastpath_reads)     /* local hops run inline */       \
+  /* reliable layer, under the channel half's owner */                    \
+  X(kRetransmits, retransmits)                                            \
+  X(kDuplicatesDropped, duplicates_dropped)                               \
+  X(kAcksPiggybacked, acks_piggybacked) /* acks on data frames */         \
+  X(kLinkDown, link_down)               /* retransmit budget spent */     \
+  X(kPureAcks, pure_acks)               /* ack-only frames */             \
+  /* processor and protocols */                                           \
+  X(kActionsHandled, actions_handled)                                     \
+  X(kMigrationsCompleted, migrations_completed) /* mobile */              \
+  X(kRecoveryRoutes, recovery_routes)           /* mobile */              \
+  X(kForwardHits, forward_hits)                 /* mobile */              \
+  X(kDroppedLeafRelays, dropped_leaf_relays)    /* naive: lost keys */    \
+  X(kDeferredInserts, deferred_inserts)         /* sync: AAS-blocked */   \
+  X(kJoinsGranted, joins_granted)               /* varcopies */           \
+  X(kUnjoinsProcessed, unjoins_processed)       /* varcopies */           \
+  X(kLateJoinerRerelays, late_joiner_rerelays)  /* varcopies, Fig. 6 */
 
+enum class Counter : uint8_t {
+#define LAZYTREE_COUNTER_ENUMERATOR(e, f) e,
+  LAZYTREE_COUNTERS(LAZYTREE_COUNTER_ENUMERATOR)
+#undef LAZYTREE_COUNTER_ENUMERATOR
+  kCount,
+};
+
+inline constexpr size_t kNumCounters = static_cast<size_t>(Counter::kCount);
+inline constexpr size_t kNumKinds = static_cast<size_t>(ActionKind::kMaxKind);
+
+/// Point-in-time copy of the ledger — one processor's shard or all of
+/// them summed (cheap to subtract for intervals).
+struct StatsSnapshot {
+#define LAZYTREE_COUNTER_FIELD(e, f) uint64_t f = 0;
+  LAZYTREE_COUNTERS(LAZYTREE_COUNTER_FIELD)
+#undef LAZYTREE_COUNTER_FIELD
+  /// Actions sent, by kind.
+  std::array<uint64_t, kNumKinds> actions_by_kind{};
+
+  uint64_t& operator[](Counter c);
   StatsSnapshot operator-(const StatsSnapshot& rhs) const;
   uint64_t ActionCount(ActionKind kind) const {
     return actions_by_kind[static_cast<size_t>(kind)];
   }
+  /// Every nonzero counter and action kind, as `name=value`.
   std::string ToString() const;
 };
 
-/// Thread-safe counters owned by a Network.
+/// The name table: Counter i -> its printed name and snapshot field.
+struct CounterField {
+  const char* name;
+  uint64_t StatsSnapshot::*field;
+};
+inline constexpr CounterField kCounterFields[] = {
+#define LAZYTREE_COUNTER_ROW(e, f) {#f, &StatsSnapshot::f},
+    LAZYTREE_COUNTERS(LAZYTREE_COUNTER_ROW)
+#undef LAZYTREE_COUNTER_ROW
+};
+static_assert(std::size(kCounterFields) == kNumCounters,
+              "one name-table row per Counter");
+
+inline uint64_t& StatsSnapshot::operator[](Counter c) {
+  return this->*kCounterFields[static_cast<size_t>(c)].field;
+}
+
+/// The ledger: one cache-line-aligned shard per registered processor.
 class NetworkStats {
  public:
-  void OnSend(const Message& m, size_t encoded_bytes);
-  /// `action_count` relays were held in an outbox past the end of a
-  /// delivery, to ride on a later message (§1.1 piggybacking).
-  void OnPiggyback(size_t action_count);
-  /// `action_count` actions left the queue manager fused into an
-  /// already-pending message instead of as their own sends.
-  void OnCombined(size_t action_count);
-  /// A navigation hop (or whole descent) was resolved against local
-  /// replicas without a queue-manager round trip.
-  void OnFastpathRead(size_t hops);
-  /// Reliable-delivery accounting (net/reliable.h): the layer is a
-  /// decorator, so it writes into the base transport's stats sink.
-  void OnRetransmit(size_t messages);
-  void OnDuplicateDropped();
-  void OnAckPiggybacked();
-  void OnLinkDown();
-  void OnPureAck();
+  /// Gives processors [0, id] a shard. Networks call it from Register,
+  /// before anything is counted under `id`.
+  void Register(ProcessorId id);
+
+  /// Adds `n` to `writer`'s `counter`: one relaxed fetch_add on the
+  /// writer's own shard.
+  void Add(ProcessorId writer, Counter counter, uint64_t n = 1) {
+    shards_[writer]->counts[static_cast<size_t>(counter)].fetch_add(
+        n, std::memory_order_relaxed);
+  }
+
+  /// Counts message `m` under `m.from`: one remote or local message,
+  /// `encoded_bytes` remote bytes, and its actions by kind.
+  void AddSend(const Message& m, size_t encoded_bytes);
+
+  /// All shards summed.
   StatsSnapshot Snapshot() const;
-  void Reset();
+  /// Processor `p`'s shard alone.
+  StatsSnapshot Snapshot(ProcessorId p) const;
 
  private:
-  std::atomic<uint64_t> remote_messages_{0};
-  std::atomic<uint64_t> local_messages_{0};
-  std::atomic<uint64_t> remote_bytes_{0};
-  std::atomic<uint64_t> piggybacked_actions_{0};
-  std::atomic<uint64_t> combined_actions_{0};
-  std::atomic<uint64_t> fastpath_reads_{0};
-  std::atomic<uint64_t> retransmits_{0};
-  std::atomic<uint64_t> duplicates_dropped_{0};
-  std::atomic<uint64_t> acks_piggybacked_{0};
-  std::atomic<uint64_t> link_down_{0};
-  std::atomic<uint64_t> pure_acks_{0};
-  std::array<std::atomic<uint64_t>,
-             static_cast<size_t>(ActionKind::kMaxKind)>
-      actions_by_kind_{};
+  struct alignas(64) Shard {
+    std::array<std::atomic<uint64_t>, kNumCounters> counts{};
+    std::array<std::atomic<uint64_t>, kNumKinds> sent_by_kind{};
+  };
+
+  static void AddShard(const Shard& shard, StatsSnapshot* s);
+
+  std::vector<std::unique_ptr<Shard>> shards_;
 };
 
 }  // namespace lazytree::net

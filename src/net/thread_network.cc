@@ -23,6 +23,7 @@ void ThreadNetwork::Register(ProcessorId id, Receiver* receiver) {
   stations_[id] = std::make_unique<Station>();
   stations_[id]->id = id;
   stations_[id]->receiver = receiver;
+  stats_.Register(id);
 }
 
 ProcessorId ThreadNetwork::size() const {
@@ -30,8 +31,9 @@ ProcessorId ThreadNetwork::size() const {
 }
 
 void ThreadNetwork::Send(Message m) {
-  LAZYTREE_CHECK(m.to < stations_.size() && stations_[m.to] != nullptr)
-      << "send to unregistered p" << m.to;
+  LAZYTREE_CHECK(m.to < stations_.size() && stations_[m.to] != nullptr &&
+                 m.from < stations_.size())
+      << "send p" << m.from << "->p" << m.to << " between unregistered ids";
   if (faults_ != nullptr) {
     switch (faults_->Next(m.from, m.to)) {
       case DeliveryOutcome::kDrop: return;
@@ -57,7 +59,7 @@ void ThreadNetwork::SubmitLocal(ProcessorId p, const ClientOp& op) {
 
 void ThreadNetwork::Enqueue(Message m) {
   Station& station = *stations_[m.to];
-  stats_.OnSend(m, 0);
+  stats_.AddSend(m, 0);
   inflight_.fetch_add(1, std::memory_order_relaxed);
   if (!station.inbox.Push(std::move(m))) {
     // Inbox closed during shutdown: account the message as handled.
@@ -99,7 +101,7 @@ void ThreadNetwork::WorkerLoop(Station* station) {
         kMaxBatch, [&](Message& m) { batch.push_back(std::move(m)); });
     station->clients.Drain(kMaxBatch, [&](const ClientOp& op) {
       batch.emplace_back(id, id, op.ToAction());
-      stats_.OnSend(batch.back(), 0);
+      stats_.AddSend(batch.back(), 0);
     });
     if (!batch.empty()) {
       station->receiver->DeliverBatch(batch);

@@ -102,10 +102,10 @@ class Network {
   /// the one the worker waits for. No-op where nothing waits.
   virtual void Wake(ProcessorId /*id*/) {}
 
-  /// Counter sink. Decorators (the reliable layer) override this
-  /// to return the base transport's sink, so a whole decorator stack
-  /// reports through one set of counters no matter which layer a caller
-  /// holds.
+  /// The counter ledger (net/stats.h). The base transport registers a
+  /// shard per processor; decorators (the reliable layer) override this
+  /// to return the base's ledger, so a whole decorator stack counts into
+  /// one ledger no matter which layer a caller holds.
   virtual NetworkStats& stats() { return stats_; }
 
  protected:

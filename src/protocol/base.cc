@@ -164,7 +164,7 @@ void BaseProtocol::Navigate(Action a) {
   // Each inline continuation replaced one self-send round trip through
   // the local queue.
   if (inline_hops > 0) {
-    p_.out().network()->stats().OnFastpathRead(inline_hops);
+    p_.Count(net::Counter::kFastpathReads, inline_hops);
   }
 }
 

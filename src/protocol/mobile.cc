@@ -31,7 +31,7 @@ void MobileProtocol::HandleMissing(Action a) {
   // that recovers misnavigated operations in the B-link protocol.
   ProcessorId forward = p_.store().Forwarding(a.target);
   if (forward != kInvalidProcessor && forward != p_.id()) {
-    ++forward_hits_;
+    p_.Count(net::Counter::kForwardHits);
     p_.out().SendAction(forward, std::move(a));
     return;
   }
@@ -67,7 +67,7 @@ void MobileProtocol::HandleMissing(Action a) {
                     ? p_.store().Closest(a.key, std::max(a.level, 0))
                     : nullptr;
   if (close != nullptr) {
-    ++recovery_routes_;
+    p_.Count(net::Counter::kRecoveryRoutes);
     a.target = close->id();
     p_.out().SendLocal(std::move(a));
     return;
@@ -78,7 +78,7 @@ void MobileProtocol::HandleMissing(Action a) {
   // neighbors' (fresh) links. A uniformly random hand-off reaches some
   // processor holding usable knowledge with probability 1.
   if (p_.cluster_size() > 1) {
-    ++recovery_routes_;
+    p_.Count(net::Counter::kRecoveryRoutes);
     ProcessorId dest = static_cast<ProcessorId>(
         rng_.Below(p_.cluster_size() - 1));
     if (dest >= p_.id()) ++dest;  // anyone but self
@@ -358,7 +358,7 @@ void MobileProtocol::AnnounceMigration(Node& n, Version version) {
 
 void MobileProtocol::HandleMigrateAck(Action a) {
   (void)a;
-  ++migrations_completed_;
+  p_.Count(net::Counter::kMigrationsCompleted);
 }
 
 }  // namespace lazytree

@@ -29,10 +29,6 @@ class MobileProtocol : public BaseProtocol {
  public:
   using BaseProtocol::BaseProtocol;
 
-  uint64_t migrations_completed() const { return migrations_completed_; }
-  uint64_t recovery_routes() const { return recovery_routes_; }
-  uint64_t forward_hits() const { return forward_hits_; }
-
   /// Test-only: drops every cached node address, simulating a processor
   /// whose location knowledge is entirely stale/absent.
   void TEST_ForgetAddresses() { addr_.clear(); }
@@ -99,11 +95,6 @@ class MobileProtocol : public BaseProtocol {
     Version version = 0;
   };
   std::unordered_map<NodeId, AddrEntry> addr_;
-
- private:
-  uint64_t migrations_completed_ = 0;
-  uint64_t recovery_routes_ = 0;
-  uint64_t forward_hits_ = 0;
 };
 
 }  // namespace lazytree

@@ -19,19 +19,12 @@ class NaiveProtocol : public SemiSyncSplitProtocol {
  public:
   using SemiSyncSplitProtocol::SemiSyncSplitProtocol;
 
-  /// Relayed inserts the PC dropped.
-  uint64_t dropped_relays() const { return dropped_relays_; }
-  /// Drops at leaf level: each one is exactly one permanently lost key.
-  /// (Interior drops lose a parent pointer; the B-link right-link chain
-  /// masks those, at the price of extra hops forever.)
-  uint64_t dropped_leaf_relays() const { return dropped_leaf_relays_; }
-
  protected:
+  /// Counts drops at leaf level (Counter::kDroppedLeafRelays): each one
+  /// is exactly one permanently lost key. (Interior drops lose a parent
+  /// pointer; the B-link right-link chain masks those, at the price of
+  /// extra hops forever.)
   void OnPcOutOfRangeRelay(Node& n, Action a) override;
-
- private:
-  uint64_t dropped_relays_ = 0;
-  uint64_t dropped_leaf_relays_ = 0;
 };
 
 }  // namespace lazytree

@@ -6,7 +6,7 @@ namespace lazytree {
 
 bool SyncSplitProtocol::InsertBlocked(Node& n) {
   const bool blocked = p_.aas().Active(n.id());
-  if (blocked) ++deferred_inserts_;
+  if (blocked) p_.Count(net::Counter::kDeferredInserts);
   return blocked;
 }
 

@@ -23,9 +23,6 @@ class SyncSplitProtocol : public FixedCopiesProtocol {
  public:
   using FixedCopiesProtocol::FixedCopiesProtocol;
 
-  /// Initial inserts deferred by split AAS so far (tests, bench F5).
-  uint64_t deferred_inserts() const { return deferred_inserts_; }
-
   void MixState(Fingerprint& fp) const override {
     BaseProtocol::MixState(fp);
     std::vector<std::pair<NodeId, uint32_t>> acks(pending_acks_.begin(),
@@ -51,7 +48,6 @@ class SyncSplitProtocol : public FixedCopiesProtocol {
   void PerformSyncSplit(Node& n);
 
   std::unordered_map<NodeId, uint32_t> pending_acks_;
-  uint64_t deferred_inserts_ = 0;
 };
 
 }  // namespace lazytree

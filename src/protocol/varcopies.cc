@@ -155,7 +155,7 @@ void VarCopiesProtocol::HandleRelayedDelete(Action a) {
         for (const auto& [member, joined_at] : it->second) {
           if (joined_at > a.version && member != a.origin &&
               member != p_.id()) {
-            ++late_joiner_rerelays_;
+            p_.Count(net::Counter::kLateJoinerRerelays);
             p_.out().SendAction(member, a);
           }
         }
@@ -174,7 +174,7 @@ void VarCopiesProtocol::HandleRelayedDelete(Action a) {
       for (const auto& [member, joined_at] : it->second) {
         if (joined_at > a.version && member != a.origin &&
             member != p_.id()) {
-          ++late_joiner_rerelays_;
+          p_.Count(net::Counter::kLateJoinerRerelays);
           p_.out().SendAction(member, a);
         }
       }
@@ -189,13 +189,12 @@ void VarCopiesProtocol::HandleRelayedDelete(Action a) {
 }
 
 void VarCopiesProtocol::ParkOrDiscardRelay(Action a) {
+  // §4.3: unjoined processors discard relays. Otherwise a kCreateNode or
+  // join grant for this node is (or may be) in flight; the relay belongs
+  // after that seed. Park until it lands.
   if (!unjoined_.contains(a.target) || pending_joins_.contains(a.target)) {
-    // A kCreateNode or join grant for this node is (or may be) in
-    // flight; the relay belongs after that seed. Park until it lands.
     BaseProtocol::HandleMissing(std::move(a));
-    return;
   }
-  ++discarded_relays_;  // §4.3: unjoined processors discard relays
 }
 
 void VarCopiesProtocol::HandleRelayedInsert(Action a) {
@@ -226,7 +225,7 @@ void VarCopiesProtocol::HandleRelayedInsert(Action a) {
         for (const auto& [member, joined_at] : it->second) {
           if (joined_at > a.version && member != a.origin &&
               member != p_.id()) {
-            ++late_joiner_rerelays_;
+            p_.Count(net::Counter::kLateJoinerRerelays);
             p_.out().SendAction(member, a);
           }
         }
@@ -252,7 +251,7 @@ void VarCopiesProtocol::HandleRelayedInsert(Action a) {
       for (const auto& [member, joined_at] : it->second) {
         if (joined_at > a.version && member != a.origin &&
             member != p_.id()) {
-          ++late_joiner_rerelays_;
+          p_.Count(net::Counter::kLateJoinerRerelays);
           p_.out().SendAction(member, a);
         }
       }
@@ -402,7 +401,7 @@ void VarCopiesProtocol::HandleJoin(Action a) {
   RecordUpdate(*n, history::UpdateClass::kMembership, u, /*initial=*/true,
                /*rewritten=*/false, a.origin, 1, kInvalidNode, 0,
                n->version());
-  ++joins_granted_;
+  p_.Count(net::Counter::kJoinsGranted);
 
   // Grant: the snapshot *after* the registration, so the new copy's
   // backwards extension contains exactly the updates it will not be sent.
@@ -487,7 +486,7 @@ void VarCopiesProtocol::HandleUnjoin(Action a) {
   RecordUpdate(*n, history::UpdateClass::kMembership, u, /*initial=*/true,
                /*rewritten=*/false, a.origin, 0, kInvalidNode, 0,
                n->version());
-  ++unjoins_processed_;
+  p_.Count(net::Counter::kUnjoinsProcessed);
 
   Action relayed;
   relayed.kind = ActionKind::kRelayedUnjoin;

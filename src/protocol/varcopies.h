@@ -34,11 +34,6 @@ class VarCopiesProtocol : public MobileProtocol {
  public:
   using MobileProtocol::MobileProtocol;
 
-  uint64_t joins_granted() const { return joins_granted_; }
-  uint64_t unjoins_processed() const { return unjoins_processed_; }
-  uint64_t late_joiner_rerelays() const { return late_joiner_rerelays_; }
-  uint64_t discarded_relays() const { return discarded_relays_; }
-
   void MixState(Fingerprint& fp) const override {
     MobileProtocol::MixState(fp);
     std::vector<NodeId> jv;
@@ -130,11 +125,6 @@ class VarCopiesProtocol : public MobileProtocol {
   /// Shared disposition for a relayed action whose target is not local:
   /// park (join/create in flight) or discard (we unjoined).
   void ParkOrDiscardRelay(Action a);
-
-  uint64_t joins_granted_ = 0;
-  uint64_t unjoins_processed_ = 0;
-  uint64_t late_joiner_rerelays_ = 0;
-  uint64_t discarded_relays_ = 0;
 };
 
 }  // namespace lazytree

@@ -151,7 +151,6 @@ void VigorousProtocol::HandleVigorous(Action a) {
 
 void VigorousProtocol::ApplyRound(Node& n) {
   NodeQueue& q = rounds_[n.id()];
-  ++rounds_executed_;
   Action a = std::move(q.current);
   if (a.kind == kSplitRound) {
     q.split_queued = false;

@@ -23,8 +23,6 @@ class VigorousProtocol : public FixedCopiesProtocol {
  public:
   using FixedCopiesProtocol::FixedCopiesProtocol;
 
-  uint64_t rounds_executed() const { return rounds_executed_; }
-
  protected:
   void HandleInitialInsert(Action a) override;
   void HandleInitialDelete(Action a) override;
@@ -52,7 +50,6 @@ class VigorousProtocol : public FixedCopiesProtocol {
   void FinishRound(Node& n);
 
   std::unordered_map<NodeId, NodeQueue> rounds_;
-  uint64_t rounds_executed_ = 0;
 };
 
 }  // namespace lazytree

@@ -11,6 +11,7 @@ Processor::Processor(ProcessorId id, uint32_t cluster_size,
       cluster_size_(cluster_size),
       config_(config),
       network_(network),
+      ledger_(network->stats()),
       history_(history),
       store_(cluster_size),
       out_(id, network, piggyback_window),
@@ -42,7 +43,7 @@ void Processor::DeliverBatch(std::vector<Message>& batch) {
 }
 
 void Processor::HandleAction(Action& action) {
-  actions_handled_.fetch_add(1, std::memory_order_relaxed);
+  Count(net::Counter::kActionsHandled);
   if (action.kind == ActionKind::kReturnValue) {
     CompleteReturnLocal(std::move(action));
     return;

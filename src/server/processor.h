@@ -8,7 +8,6 @@
 #ifndef LAZYTREE_SERVER_PROCESSOR_H_
 #define LAZYTREE_SERVER_PROCESSOR_H_
 
-#include <atomic>
 #include <memory>
 
 #include "src/history/history.h"
@@ -79,9 +78,18 @@ class Processor : public net::Receiver {
   AasRegistry& aas() { return aas_; }
   OpTracker& ops() { return ops_; }
   history::HistoryLog* history() { return history_; }
-  /// Installed protocol strategy (tests and benches downcast to inspect
-  /// protocol-specific counters).
+  /// Installed protocol strategy (the verifier mixes its state into
+  /// fingerprints). Its counters live in the ledger, not here.
   ProtocolHandler* handler() { return handler_.get(); }
+
+  /// Adds `n` to this processor's `counter` in the ledger (net/stats.h).
+  /// Worker thread only.
+  void Count(net::Counter counter, uint64_t n = 1) {
+    ledger_.Add(id_, counter, n);
+  }
+  /// This processor's shard of the ledger. Any thread.
+  net::StatsSnapshot counters() const { return ledger_.Snapshot(id_); }
+  uint64_t actions_handled() const { return counters().actions_handled; }
 
   /// Fresh globally-unique node id (uncoordinated: creator-scoped counter).
   NodeId NewNodeId() { return NodeId::Make(id_, next_node_seq_++); }
@@ -109,7 +117,9 @@ class Processor : public net::Receiver {
   /// Fail-stop crash: every volatile structure is lost — node copies
   /// (their deaths are recorded with the history log), forwarding
   /// addresses, the root hint, parked/deferred actions, relays held in
-  /// the outbox, and the protocol handler's state. Outstanding client operations fail Unavailable.
+  /// the outbox, and the protocol handler's state. Outstanding client
+  /// operations fail Unavailable. The processor's counters survive: they
+  /// are the ledger's, not the handler's.
   /// The network must already be dropping this processor's inbound
   /// messages (SimNetwork::Crash).
   void Crash();
@@ -137,10 +147,6 @@ class Processor : public net::Receiver {
   /// always included).
   OpId SubmitScan(Key start, uint64_t limit, OpCallback callback);
 
-  uint64_t actions_handled() const {
-    return actions_handled_.load(std::memory_order_relaxed);
-  }
-
  private:
   void HandleAction(Action& action);
   OpId Submit(ActionKind kind, Key key, Value value, OpCallback callback);
@@ -149,6 +155,7 @@ class Processor : public net::Receiver {
   uint32_t cluster_size_;
   TreeConfig config_;
   net::Network* network_;
+  net::NetworkStats& ledger_;
   history::HistoryLog* history_;
   NodeStore store_;
   QueueManager out_;
@@ -157,7 +164,6 @@ class Processor : public net::Receiver {
   std::unique_ptr<ProtocolHandler> handler_;
   uint32_t next_node_seq_ = 1;
   uint32_t next_update_seq_ = 1;
-  std::atomic<uint64_t> actions_handled_{0};
   bool crashed_ = false;
   uint32_t crash_epoch_ = 0;
 };

@@ -119,7 +119,8 @@ class QueueManager {
   void TakeDeferred(std::vector<Message>* out) {
     for (ProcessorId dest = 0; dest < lanes_.size(); ++dest) {
       if (lanes_[dest].held == 0) continue;
-      network_->stats().OnCombined(lanes_[dest].held - 1);
+      network_->stats().Add(self_, net::Counter::kCombinedActions,
+                            lanes_[dest].held - 1);
       out->push_back(TakeLane(dest));
     }
   }
@@ -134,8 +135,6 @@ class QueueManager {
   /// Relayed actions held across delivery scopes. Owner thread, or any
   /// thread while the network is quiescent.
   size_t deferred() const { return deferred_; }
-
-  net::Network* network() { return network_; }
 
  private:
   // One destination's buffer. `direct` counts its non-relay actions: a
@@ -188,9 +187,13 @@ class QueueManager {
     }
     touched_.clear();
     deferred_ += newly_deferred;
-    if (newly_deferred > 0) network_->stats().OnPiggyback(newly_deferred);
+    if (newly_deferred > 0) {
+      network_->stats().Add(self_, net::Counter::kPiggybackedActions,
+                            newly_deferred);
+    }
     if (actions > messages) {
-      network_->stats().OnCombined(actions - messages);
+      network_->stats().Add(self_, net::Counter::kCombinedActions,
+                            actions - messages);
     }
   }
 

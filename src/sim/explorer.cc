@@ -89,7 +89,7 @@ EpisodeResult RunEpisodeImpl(const EpisodeConfig& config,
   // The reliable layer under the sim transport uses virtual timers pumped
   // at quiescent points, so its retransmissions and acks are part of the
   // recorded schedule.
-  options.reliable = config.reliable ? 1 : 0;
+  options.reliable = config.reliable;
   // Replay pins every outcome via ForceOutcome; the fault plan is only
   // live while recording. Its seed is the episode's, decorrelated from
   // the workload and protocol streams.

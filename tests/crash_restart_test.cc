@@ -13,7 +13,6 @@
 
 #include <set>
 
-#include "src/protocol/varcopies.h"
 #include "tests/test_util.h"
 
 namespace lazytree {
@@ -135,17 +134,28 @@ TEST(CrashRestart, NonPcCopyCrashDuringVarCopiesJoin) {
   // path (§4.3). Crash p2 while the join handshake is in flight.
   cluster.MigrateNode(moved, 0, 1);
   for (int i = 0; i < 6; ++i) cluster.sim()->Step();
+  net::StatsSnapshot before_crash = cluster.processor(2).counters();
+  ASSERT_GT(before_crash.actions_handled, 0u);
   cluster.CrashProcessor(2);
   for (int i = 0; i < 4; ++i) cluster.sim()->Step();
   cluster.RestartProcessor(2);
   ASSERT_TRUE(cluster.Settle());
 
-  uint64_t joins = 0;
-  for (ProcessorId id = 0; id < 4; ++id) {
-    joins += static_cast<VarCopiesProtocol*>(cluster.processor(id).handler())
-                 ->joins_granted();
+  // The counters are the ledger's, not the lost handler's: a crash never
+  // takes a count back.
+  net::StatsSnapshot after_restart = cluster.processor(2).counters();
+  for (size_t c = 0; c < net::kNumCounters; ++c) {
+    const auto counter = static_cast<net::Counter>(c);
+    EXPECT_GE(after_restart[counter], before_crash[counter])
+        << net::kCounterFields[c].name;
   }
-  EXPECT_GT(joins, 0u) << "migration must have forced a path join";
+  for (size_t k = 0; k < net::kNumKinds; ++k) {
+    EXPECT_GE(after_restart.actions_by_kind[k],
+              before_crash.actions_by_kind[k])
+        << ActionKindName(static_cast<ActionKind>(k));
+  }
+  EXPECT_EQ(cluster.NetStats().joins_granted, 1u)
+      << "migration must have forced a path join";
 
   ExpectCorrect(cluster);
   ExpectMatchesOracle(cluster, oracle);

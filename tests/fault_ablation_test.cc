@@ -43,7 +43,7 @@ Damage RunWithFaults(uint64_t seed, double drop, double dup) {
   o.faults.drop = drop;
   o.faults.duplicate = dup;
   o.faults.seed = seed;
-  o.reliable = 0;
+  o.reliable = false;
   Cluster cluster(o);
   cluster.Start();
   std::set<Key> keys;

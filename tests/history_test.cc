@@ -11,7 +11,6 @@ namespace {
 using history::CheckAll;
 using history::CheckComplete;
 using history::CheckCompatible;
-using history::CheckOptions;
 using history::CheckOrdered;
 using history::CopyKey;
 using history::HistoryLog;
@@ -141,9 +140,6 @@ TEST(CheckerCompatible, FlagsDoubleApplication) {
   auto report = CheckCompatible(log, finals);
   ASSERT_FALSE(report.ok());
   EXPECT_NE(report.ToString().find("applied 2x"), std::string::npos);
-  CheckOptions relaxed;
-  relaxed.allow_duplicate_applications = true;
-  EXPECT_TRUE(CheckCompatible(log, finals, relaxed).ok());
 }
 
 TEST(CheckerCompatible, DeadCopiesAreNotCompared) {
@@ -215,10 +211,9 @@ TEST(CheckerReport, ViolationCapKeepsOutputBounded) {
   for (uint32_t i = 1; i <= 40; ++i) {
     log.RegisterIssued({i, UpdateClass::kInsert, Id(1), i, 0});
   }
-  CheckOptions options;
-  options.max_violations = 4;
-  auto report = CheckComplete(log, options);
-  EXPECT_EQ(report.violations.size(), 5u);  // 4 + suppression notice
+  auto report = CheckComplete(log);
+  EXPECT_EQ(report.violations.size(), 17u);  // 16 + suppression notice
+  EXPECT_EQ(report.violations.back(), "... further violations suppressed");
 }
 
 // ---------------------------------------------------------------------------

@@ -31,6 +31,25 @@ std::map<NodeId, ProcessorId> LeafHosts(Cluster& cluster) {
   return hosts;
 }
 
+/// Sends a search for `key` addressed to `leaf` from `from` straight to
+/// `to`, bypassing navigation, and settles.
+OpResult MisdirectedSearch(Cluster& cluster, ProcessorId from,
+                           ProcessorId to, NodeId leaf, Key key) {
+  OpResult result;
+  result.status = Status::TimedOut("misdirected search never completed");
+  Action a;
+  a.kind = ActionKind::kSearch;
+  a.op = cluster.processor(from).ops().Begin(
+      [&result](const OpResult& r) { result = r; });
+  a.key = key;
+  a.target = leaf;
+  a.level = 0;
+  a.origin = from;
+  cluster.network().Send(Message(from, to, std::move(a)));
+  EXPECT_TRUE(cluster.Settle());
+  return result;
+}
+
 TEST(MobileProtocol, SingleProcessorBasics) {
   Cluster cluster(SimOptions(ProtocolKind::kMobile, 1, 1));
   cluster.Start();
@@ -73,11 +92,7 @@ TEST(MobileProtocol, ExplicitLeafMigrationMovesTheNode) {
   auto after = LeafHosts(cluster);
   ASSERT_EQ(after.size(), before.size());
   for (auto& [id, host] : after) EXPECT_NE(host, 0u) << id.ToString();
-  uint64_t completed = 0;
-  for (ProcessorId id = 0; id < 4; ++id) {
-    completed += Mobile(cluster, id)->migrations_completed();
-  }
-  EXPECT_EQ(completed, before.size());
+  EXPECT_EQ(cluster.NetStats().migrations_completed, before.size());
   // The tree still answers correctly from every processor.
   ExpectMatchesOracle(cluster, oracle);
   ExpectCorrect(cluster);
@@ -85,6 +100,31 @@ TEST(MobileProtocol, ExplicitLeafMigrationMovesTheNode) {
     auto hit = cluster.Search(k % 4, k);
     ASSERT_TRUE(hit.ok()) << "key " << k << " lost after migration";
   }
+}
+
+// A processor that lost its location cache still reaches a node it
+// shipped away, through the forwarding address it left behind (§4.2).
+TEST(MobileProtocol, ForgottenCacheFollowsForwardingAddress) {
+  Cluster cluster(SimOptions(ProtocolKind::kMobile, 4, 3));
+  cluster.Start();
+  for (Key k : RandomKeys(60, 5)) ASSERT_TRUE(cluster.Insert(0, k, k).ok());
+  const auto [leaf, host] = *LeafHosts(cluster).begin();
+  ASSERT_EQ(host, 0u) << "everything starts on p0";
+  cluster.MigrateNode(leaf, 0, 1);
+  ASSERT_TRUE(cluster.Settle());
+  for (ProcessorId id = 0; id < 4; ++id) {
+    Mobile(cluster, id)->TEST_ForgetAddresses();
+  }
+
+  const Key key = cluster.processor(1).store().Get(leaf)->entries()[0].key;
+  const OpResult result = MisdirectedSearch(cluster, 0, 0, leaf, key);
+  ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+  // Exact counts, all at p0, as its handler counted them before the ledger.
+  const net::StatsSnapshot p0 = cluster.processor(0).counters();
+  EXPECT_EQ(p0.forward_hits, 1u);
+  EXPECT_EQ(p0.migrations_completed, 1u);
+  EXPECT_EQ(cluster.NetStats().forward_hits, 1u);
+  EXPECT_EQ(cluster.NetStats().recovery_routes, 0u);
 }
 
 TEST(MobileProtocol, MigrationRacesInsertsSafely) {
@@ -310,30 +350,15 @@ TEST(MobileProtocol, StaleCachePlusGcForwardingTerminates) {
     Mobile(cluster, id)->TEST_ForgetAddresses();
     cluster.processor(id).store().DropForwardingAddresses();
   }
-  OpResult misdirected;
-  bool done = false;
-  OpId op = cluster.processor(3).ops().Begin([&](const OpResult& r) {
-    misdirected = r;
-    done = true;
-  });
-  Action a;
-  a.kind = ActionKind::kSearch;
-  a.op = op;
-  a.key = probe;
-  a.target = leaf;
-  a.level = 0;
-  a.origin = 3;
-  cluster.network().Send(Message(3, /*to=*/1, std::move(a)));
-  ASSERT_TRUE(cluster.Settle());
-  ASSERT_TRUE(done) << "misdirected search must terminate";
-  ASSERT_TRUE(misdirected.status.ok());
+  const OpResult misdirected =
+      MisdirectedSearch(cluster, /*from=*/3, /*to=*/1, leaf, probe);
+  ASSERT_TRUE(misdirected.status.ok()) << misdirected.status.ToString();
   EXPECT_EQ(misdirected.value, probe);
-  uint64_t recoveries = 0;
-  for (ProcessorId id = 0; id < 4; ++id) {
-    recoveries += Mobile(cluster, id)->recovery_routes() +
-                  Mobile(cluster, id)->forward_hits();
-  }
-  EXPECT_GT(recoveries, 0u) << "the misdirected search must hit recovery";
+  // The misdirected search must hit recovery: exact counts, all at p0, as
+  // its handler counted them before the ledger.
+  EXPECT_EQ(cluster.processor(0).counters().recovery_routes, 39u);
+  EXPECT_EQ(cluster.NetStats().recovery_routes, 39u);
+  EXPECT_EQ(cluster.NetStats().forward_hits, 0u);
 }
 
 }  // namespace

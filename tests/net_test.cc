@@ -174,6 +174,10 @@ TEST(NetworkStats, CountsRemoteLocalAndBytes) {
   EXPECT_EQ(snap.local_messages, 1u);
   EXPECT_GT(snap.remote_bytes, 0u);
   EXPECT_EQ(snap.ActionCount(ActionKind::kSearch), 2u);
+  // Each send counts in its sender's shard.
+  EXPECT_EQ(net.stats().Snapshot(0).remote_messages, 1u);
+  EXPECT_EQ(net.stats().Snapshot(0).local_messages, 0u);
+  EXPECT_EQ(net.stats().Snapshot(1).local_messages, 1u);
   auto diff = net.stats().Snapshot() - snap;
   EXPECT_EQ(diff.remote_messages, 0u);
 }

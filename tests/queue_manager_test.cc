@@ -23,6 +23,7 @@ namespace {
 /// Records every Send in arrival order; no delivery, no threads.
 class RecordingNetwork : public net::Network {
  public:
+  RecordingNetwork() { stats().Register(size() - 1); }
   void Register(ProcessorId, net::Receiver*) override {}
   ProcessorId size() const override { return 4; }
   void Send(Message m) override { sent.push_back(std::move(m)); }

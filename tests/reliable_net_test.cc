@@ -445,7 +445,8 @@ TEST(ReliableNetTest, PartitionHealsMidSplit) {
   window.b = 1;
   window.start = 2;  // the bootstrap traffic passes, the split hits the wall
   window.length = 4;
-  options.faults.partitions.push_back(window);  // activates reliable layer
+  options.faults.partitions.push_back(window);
+  options.reliable = true;
   // Both directions of the pair carry a window, and pure acks blackholed on
   // the reverse direction keep the sender's retry counter climbing until an
   // eager re-ack finally gets through — budget for both windows.
@@ -491,6 +492,7 @@ TEST(ReliableNetTest, LinkDownFailsPendingOpsWithRetriableStatus) {
   forever.start = 0;
   forever.length = UINT64_MAX / 2;  // never heals
   options.faults.partitions.push_back(forever);
+  options.reliable = true;
   options.reliability.max_retransmits = 3;  // die fast
 
   Cluster cluster(options);
@@ -511,7 +513,8 @@ TEST(ReliableNetTest, LinkDownFailsPendingOpsWithRetriableStatus) {
   ASSERT_NE(cluster.reliable(), nullptr);
   EXPECT_TRUE(cluster.reliable()->AnyLinkDown());
   auto snap = cluster.NetStats();
-  EXPECT_GT(snap.link_down, 0u);
+  EXPECT_EQ(snap.link_down, 1u);
+  EXPECT_EQ(snap.retransmits, 12u);
   size_t unavailable = 0;
   for (Key k = 0; k < 8; ++k) {
     ASSERT_TRUE(done[k]) << "op " << k << " neither completed nor failed";
@@ -543,7 +546,7 @@ TEST(ReliableNetTest, SettleWakesWorkersParkedPastForeignDeadlines) {
   options.piggyback_window = 4;
   options.faults.drop = 0.2;
   options.faults.seed = 43;
-  options.reliable = 1;
+  options.reliable = true;
   options.reliability.max_retransmits = 16;  // no link dies at 20% loss
 
   Cluster cluster(options);

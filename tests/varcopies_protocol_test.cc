@@ -7,7 +7,6 @@
 #include <map>
 #include <set>
 
-#include "src/protocol/varcopies.h"
 #include "tests/test_util.h"
 
 namespace lazytree {
@@ -17,10 +16,6 @@ using testing::ExpectCorrect;
 using testing::ExpectMatchesOracle;
 using testing::RandomKeys;
 using testing::SimOptions;
-
-VarCopiesProtocol* Var(Cluster& cluster, ProcessorId id) {
-  return static_cast<VarCopiesProtocol*>(cluster.processor(id).handler());
-}
 
 std::map<NodeId, ProcessorId> LeafHosts(Cluster& cluster) {
   std::map<NodeId, ProcessorId> hosts;
@@ -104,11 +99,8 @@ TEST(VarCopiesProtocol, MigrationTriggersJoinsAndPathReplication) {
     cluster.MigrateNode(id, host, static_cast<ProcessorId>(dest++ % 4));
   }
   ASSERT_TRUE(cluster.Settle());
-  uint64_t joins = 0;
-  for (ProcessorId id = 0; id < 4; ++id) {
-    joins += Var(cluster, id)->joins_granted();
-  }
-  EXPECT_GT(joins, 0u) << "migrations must force path joins";
+  EXPECT_EQ(cluster.NetStats().joins_granted, 32u)
+      << "migrations must force path joins";
   ExpectMatchesOracle(cluster, oracle);
   ExpectCorrect(cluster);
   ExpectPathReplication(cluster);
@@ -176,11 +168,8 @@ TEST(VarCopiesProtocol, Fig6ConcurrentJoinAndInsertNeedsReRelay) {
 
   // Release the delayed relays: the PC must re-relay to p3.
   ASSERT_TRUE(cluster.Settle());
-  uint64_t rerelays = 0;
-  for (ProcessorId id = 0; id < 4; ++id) {
-    rerelays += Var(cluster, id)->late_joiner_rerelays();
-  }
-  EXPECT_GT(rerelays, 0u) << "the Fig.-6 re-relay path must fire";
+  EXPECT_EQ(cluster.NetStats().late_joiner_rerelays, 4u)
+      << "the Fig.-6 re-relay path must fire";
   ExpectMatchesOracle(cluster, oracle);
   ExpectCorrect(cluster);
   ExpectPathReplication(cluster);
@@ -242,11 +231,7 @@ TEST(VarCopiesProtocol, UnjoinsHappenWhenLeavesLeave) {
     if (host != 0) cluster.MigrateNode(id, host, 0);
   }
   ASSERT_TRUE(cluster.Settle());
-  uint64_t unjoins = 0;
-  for (ProcessorId id = 0; id < 4; ++id) {
-    unjoins += Var(cluster, id)->unjoins_processed();
-  }
-  EXPECT_GT(unjoins, 0u);
+  EXPECT_EQ(cluster.NetStats().unjoins_processed, 73u);
   ExpectMatchesOracle(cluster, oracle);
   ExpectCorrect(cluster);
   ExpectPathReplication(cluster);

@@ -265,7 +265,7 @@ TEST(Drive, CrashDuringSimRunIsFailedOrLostNotOk) {
   // Unavailable: the whole window, as every op is homed on p0. An rmw
   // whose read half fails must end there, not write and count as OK.
   ClusterOptions o = DriveOptions(TransportKind::kSim);
-  o.reliable = 1;
+  o.reliable = true;
   o.reliability.max_retransmits = 3;
   Cluster reliable(o);
   reliable.Start();
@@ -283,7 +283,7 @@ TEST(Drive, ThreadsAtOnePercentDropLoseNothingUnderReliableLayer) {
   ClusterOptions o = DriveOptions(TransportKind::kThreads);
   o.faults.drop = 0.01;
   o.faults.seed = 29;
-  o.reliable = 1;
+  o.reliable = true;
   o.reliability.max_retransmits = 20;
   Cluster cluster(o);
   cluster.Start();
