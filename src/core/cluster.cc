@@ -120,10 +120,12 @@ void Cluster::Bootstrap() {
       break;
     }
     default:
-      root_copies = FixedCopySet(root_id, 1, options_.processors, r,
-                                 options_.tree.leaf_replication);
-      leaf_copies = FixedCopySet(leaf_id, 0, options_.processors, r,
-                                 options_.tree.leaf_replication);
+      root_copies = PlaceFixed(root_id, 1, options_.processors, r,
+                               options_.tree.leaf_replication)
+                        .Copies();
+      leaf_copies = PlaceFixed(leaf_id, 0, options_.processors, r,
+                               options_.tree.leaf_replication)
+                        .Copies();
   }
 
   NodeSnapshot leaf;

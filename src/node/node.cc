@@ -8,27 +8,30 @@
 namespace lazytree {
 
 Node::Node(const NodeSnapshot& snapshot, bool track_updates)
-    : id_(snapshot.id),
-      level_(snapshot.level),
+    : level_(snapshot.level),
       range_(snapshot.range),
-      version_(snapshot.version),
-      right_(snapshot.right),
       right_low_(snapshot.right_low),
+      right_(snapshot.right),
+      id_(snapshot.id),
+      version_(snapshot.version),
       left_(snapshot.left),
       parent_(snapshot.parent),
-      entries_(snapshot.entries),
       copies_(snapshot.copies),
       pc_(snapshot.pc),
-      track_updates_(track_updates),
-      applied_updates_(snapshot.applied_updates),
-      applied_lookup_(snapshot.applied_updates.begin(),
-                      snapshot.applied_updates.end()) {
+      track_updates_(track_updates) {
   for (int i = 0; i < 3; ++i) link_versions_[i] = snapshot.link_versions[i];
+  entries_.assign(snapshot.entries);
+  if (!snapshot.applied_updates.empty()) {
+    const std::vector<UpdateId>& applied = snapshot.applied_updates;
+    applied_ = std::make_unique<AppliedUpdates>();
+    applied_->order = applied;
+    applied_->lookup.insert(applied.begin(), applied.end());
+  }
   LAZYTREE_CHECK(id_.valid()) << "node from invalid snapshot";
 }
 
 Node::Node(NodeId id, int32_t level, KeyRange range, bool track_updates)
-    : id_(id), level_(level), range_(range), track_updates_(track_updates) {
+    : level_(level), range_(range), id_(id), track_updates_(track_updates) {
   LAZYTREE_CHECK(id_.valid()) << "fresh node with invalid id";
 }
 
@@ -48,8 +51,8 @@ bool Node::HasCopy(ProcessorId p) const {
 namespace {
 
 /// First entry with key >= `key`.
-std::vector<Entry>::const_iterator LowerBound(
-    const std::vector<Entry>& entries, Key key) {
+std::span<const Entry>::iterator LowerBound(std::span<const Entry> entries,
+                                            Key key) {
   return std::lower_bound(entries.begin(), entries.end(), key,
                           [](const Entry& e, Key k) { return e.key < k; });
 }
@@ -58,18 +61,20 @@ std::vector<Entry>::const_iterator LowerBound(
 
 std::optional<Value> Node::Find(Key key) const {
   LAZYTREE_CHECK(is_leaf()) << "Find on interior node";
-  auto it = LowerBound(entries_, key);
-  if (it != entries_.end() && it->key == key) return it->payload;
+  const std::span<const Entry> entries = entries_.view();
+  auto it = LowerBound(entries, key);
+  if (it != entries.end() && it->key == key) return it->payload;
   return std::nullopt;
 }
 
 NodeId Node::ChildFor(Key key) const {
   LAZYTREE_CHECK(!is_leaf()) << "ChildFor on leaf";
-  LAZYTREE_CHECK(!entries_.empty()) << "interior node with no children";
+  const std::span<const Entry> entries = entries_.view();
+  LAZYTREE_CHECK(!entries.empty()) << "interior node with no children";
   // Greatest separator <= key routes the descent.
-  auto it = LowerBound(entries_, key);
-  if (it == entries_.end() || it->key > key) {
-    LAZYTREE_CHECK(it != entries_.begin())
+  auto it = LowerBound(entries, key);
+  if (it == entries.end() || it->key > key) {
+    LAZYTREE_CHECK(it != entries.begin())
         << "key " << key << " below first separator of " << ToString();
     --it;
   }
@@ -77,29 +82,33 @@ NodeId Node::ChildFor(Key key) const {
 }
 
 bool Node::Insert(Key key, uint64_t payload, bool upsert) {
-  auto it = LowerBound(entries_, key);
-  if (it != entries_.end() && it->key == key) {
-    if (upsert) entries_[it - entries_.begin()].payload = payload;
+  const std::span<const Entry> entries = entries_.view();
+  auto it = LowerBound(entries, key);
+  const size_t pos = it - entries.begin();
+  if (it != entries.end() && it->key == key) {
+    if (upsert) entries_[pos].payload = payload;
     return false;
   }
-  entries_.insert(entries_.begin() + (it - entries_.begin()),
-                  Entry{key, payload});
+  entries_.insert(pos, Entry{key, payload});
   return true;
 }
 
 bool Node::Remove(Key key) {
-  auto it = LowerBound(entries_, key);
-  if (it == entries_.end() || it->key != key) return false;
-  entries_.erase(entries_.begin() + (it - entries_.begin()));
+  const std::span<const Entry> entries = entries_.view();
+  auto it = LowerBound(entries, key);
+  if (it == entries.end() || it->key != key) return false;
+  const size_t pos = it - entries.begin();
+  entries_.erase(pos);
   return true;
 }
 
 Node::SplitResult Node::HalfSplit(NodeId sibling_id) {
   LAZYTREE_CHECK(entries_.size() >= 2) << "half-split of tiny node";
-  const size_t keep = entries_.size() / 2;
+  const std::span<const Entry> entries = entries_.view();
+  const size_t keep = entries.size() / 2;
 
   SplitResult result;
-  result.sep = entries_[keep].key;
+  result.sep = entries[keep].key;
 
   NodeSnapshot& sibling = result.sibling;
   sibling.id = sibling_id;
@@ -110,11 +119,11 @@ Node::SplitResult Node::HalfSplit(NodeId sibling_id) {
   sibling.right_low = right_low_;
   sibling.left = id_;
   sibling.parent = parent_;
-  sibling.entries.assign(entries_.begin() + keep, entries_.end());
-  if (track_updates_) {
+  sibling.entries.assign(entries.begin() + keep, entries.end());
+  if (track_updates_ && applied_ != nullptr) {
     // The sibling inherits the full backwards extension: its seed value
     // derives from this copy's entire history (§3.1).
-    sibling.applied_updates = applied_updates_;
+    sibling.applied_updates = applied_->order;
   }
 
   entries_.resize(keep);
@@ -127,8 +136,8 @@ Node::SplitResult Node::HalfSplit(NodeId sibling_id) {
 void Node::ApplySplit(Key sep, NodeId sibling_id) {
   LAZYTREE_CHECK(range_.Contains(sep) || sep == range_.high)
       << "split sep " << sep << " outside " << ToString();
-  auto it = LowerBound(entries_, sep);
-  entries_.erase(it, entries_.end());
+  const std::span<const Entry> entries = entries_.view();
+  entries_.resize(LowerBound(entries, sep) - entries.begin());
   range_.high = sep;
   right_ = sibling_id;
   right_low_ = sep;
@@ -145,17 +154,19 @@ NodeSnapshot Node::ToSnapshot() const {
   s.left = left_;
   s.parent = parent_;
   for (int i = 0; i < 3; ++i) s.link_versions[i] = link_versions_[i];
-  s.entries = entries_;
+  const std::span<const Entry> entries = entries_.view();
+  s.entries.assign(entries.begin(), entries.end());
   s.copies = copies_;
   s.pc = pc_;
-  s.applied_updates = applied_updates_;
+  if (applied_ != nullptr) s.applied_updates = applied_->order;
   return s;
 }
 
 void Node::NoteApplied(UpdateId update) {
   if (track_updates_ && update != kNoUpdate) {
-    applied_updates_.push_back(update);
-    applied_lookup_.insert(update);
+    if (applied_ == nullptr) applied_ = std::make_unique<AppliedUpdates>();
+    applied_->order.push_back(update);
+    applied_->lookup.insert(update);
   }
 }
 

@@ -14,15 +14,22 @@
 #ifndef LAZYTREE_NODE_NODE_H_
 #define LAZYTREE_NODE_NODE_H_
 
+#include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_set>
 #include <vector>
 
 #include "src/msg/action.h"
+#include "src/node/inline_entries.h"
 #include "src/util/statusor.h"
 
 namespace lazytree {
+
+/// Entries a node holds before its PC half-splits it, unless the tree sets
+/// another fanout (TreeConfig::max_entries).
+inline constexpr size_t kDefaultFanout = 8;
 
 class Node {
  public:
@@ -56,7 +63,11 @@ class Node {
     link_versions_[static_cast<int>(link)] = v;
   }
 
-  const std::vector<Entry>& entries() const { return entries_; }
+  /// The copy's entries, sorted by key with unique keys. Valid until the
+  /// next Insert, Remove, HalfSplit or ApplySplit. Up to kInlineEntries of
+  /// them live inside the Node; a copy that outgrows that spills them to
+  /// one heap block.
+  std::span<const Entry> entries() const { return entries_.view(); }
   size_t size() const { return entries_.size(); }
 
   const std::vector<ProcessorId>& copies() const { return copies_; }
@@ -120,35 +131,49 @@ class Node {
   /// Update-id bookkeeping for history checking (backwards extensions)
   /// and relay idempotence.
   void NoteApplied(UpdateId update);
-  const std::vector<UpdateId>& applied_updates() const {
-    return applied_updates_;
+  std::span<const UpdateId> applied_updates() const {
+    if (applied_ == nullptr) return {};
+    return applied_->order;
   }
 
   /// True when `update` was already applied at (or folded into the seed
   /// of) this copy. Always false when update tracking is off — callers
   /// must then rely on value-level idempotence.
   bool HasApplied(UpdateId update) const {
-    return update != kNoUpdate && applied_lookup_.contains(update);
+    return update != kNoUpdate && applied_ != nullptr &&
+           applied_->lookup.contains(update);
   }
 
   std::string ToString() const;
 
+  /// Entries stored inside the Node: the default fanout plus the one
+  /// overflow entry a PC holds before it splits, so a PC copy never spills.
+  static constexpr size_t kInlineEntries = kDefaultFanout + 1;
+
  private:
-  NodeId id_;
+  /// Update ids applied at this copy, in order, plus a set for lookups.
+  /// Allocated only when tracking is on or a snapshot carries some.
+  struct AppliedUpdates {
+    std::vector<UpdateId> order;
+    std::unordered_set<UpdateId> lookup;
+  };
+
+  // The fields a navigation hop reads come first, so the hop starts on
+  // the copy's first cache line.
   int32_t level_;
   KeyRange range_;
-  Version version_ = 0;
-  NodeId right_ = kInvalidNode;
   Key right_low_ = kKeyInfinity;
+  NodeId right_ = kInvalidNode;
+  InlineEntries<kInlineEntries> entries_;
+  NodeId id_;
+  Version version_ = 0;
   NodeId left_ = kInvalidNode;
   NodeId parent_ = kInvalidNode;
   Version link_versions_[3] = {0, 0, 0};
-  std::vector<Entry> entries_;  // sorted by key, unique keys
   std::vector<ProcessorId> copies_;
   ProcessorId pc_ = kInvalidProcessor;
   bool track_updates_;
-  std::vector<UpdateId> applied_updates_;
-  std::unordered_set<UpdateId> applied_lookup_;
+  std::unique_ptr<AppliedUpdates> applied_;
 };
 
 }  // namespace lazytree

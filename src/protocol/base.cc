@@ -9,8 +9,7 @@ namespace lazytree {
 BaseProtocol::BaseProtocol(Processor& p)
     : p_(p), rng_(0x5eedba5e ^ (static_cast<uint64_t>(p.id()) << 17)) {}
 
-void BaseProtocol::Handle(const Action& action) {
-  Action a = action;  // handlers mutate routing fields as actions travel
+void BaseProtocol::Handle(Action a) {
   switch (a.kind) {
     case ActionKind::kSearch: HandleSearch(std::move(a)); break;
     case ActionKind::kInsertOp: HandleInsertOp(std::move(a)); break;
@@ -277,7 +276,7 @@ Node* BaseProtocol::InstallFromSnapshot(const NodeSnapshot& snapshot) {
   if (it != parked_.end()) {
     std::vector<Action> queued = std::move(it->second);
     parked_.erase(it);
-    for (const Action& a : queued) Handle(a);
+    for (Action& a : queued) Handle(std::move(a));
   }
   return installed;
 }

@@ -6,38 +6,38 @@
 
 namespace lazytree {
 
-std::vector<ProcessorId> FixedCopySet(NodeId id, int32_t level,
-                                      uint32_t cluster_size,
-                                      uint32_t interior_replication,
-                                      uint32_t leaf_replication) {
+FixedPlacement PlaceFixed(NodeId id, int32_t level, uint32_t cluster_size,
+                          uint32_t interior_replication,
+                          uint32_t leaf_replication) {
+  FixedPlacement place;
+  place.cluster_size = cluster_size;
   uint64_t h = id.v;
   h = SplitMix64(h);  // scatter node ids across processors
-  uint32_t r;
+  place.first = static_cast<ProcessorId>(h % cluster_size);
   if (level == 0) {
-    r = std::min(std::max(leaf_replication, 1u), cluster_size);
+    place.count = std::min(std::max(leaf_replication, 1u), cluster_size);
   } else {
-    r = interior_replication == 0
-            ? cluster_size
-            : std::min(interior_replication, cluster_size);
+    place.count = interior_replication == 0
+                      ? cluster_size
+                      : std::min(interior_replication, cluster_size);
   }
+  return place;
+}
+
+std::vector<ProcessorId> FixedPlacement::Copies() const {
   std::vector<ProcessorId> copies;
-  copies.reserve(r);
-  ProcessorId first = static_cast<ProcessorId>(h % cluster_size);
-  for (uint32_t i = 0; i < r; ++i) {
-    copies.push_back((first + i) % cluster_size);
-  }
+  copies.reserve(count);
+  for (uint32_t i = 0; i < count; ++i) copies.push_back(at(i));
   return copies;
 }
 
 ProcessorId FixedCopiesProtocol::ResolveDest(NodeId id, int32_t level) {
   LAZYTREE_CHECK(level >= 0) << "fixed routing needs the level for "
                              << id.ToString();
-  std::vector<ProcessorId> copies = PlaceNewNode(id, level);
-  if (std::find(copies.begin(), copies.end(), p_.id()) != copies.end()) {
-    return p_.id();
-  }
+  const FixedPlacement place = Placement(id, level);
+  if (place.Contains(p_.id())) return p_.id();
   // Spread load across the replicas.
-  return copies[rng_.Below(copies.size())];
+  return place.at(rng_.Below(place.count));
 }
 
 void FixedCopiesProtocol::HandleMissing(Action a) {

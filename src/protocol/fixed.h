@@ -16,22 +16,43 @@
 
 namespace lazytree {
 
-/// Deterministic copy set: exposed so Cluster can bootstrap the initial
-/// tree with the exact placement the protocol will compute.
-std::vector<ProcessorId> FixedCopySet(NodeId id, int32_t level,
-                                      uint32_t cluster_size,
-                                      uint32_t interior_replication,
-                                      uint32_t leaf_replication);
+/// Deterministic copy set of one node: `count` copies on consecutive
+/// processors, wrapping around the cluster, starting at `first`. Routing
+/// tests membership and picks a copy without building the list.
+struct FixedPlacement {
+  ProcessorId first = 0;
+  uint32_t count = 0;
+  uint32_t cluster_size = 1;
+
+  /// The i-th copy's processor, i < count.
+  ProcessorId at(uint64_t i) const {
+    return static_cast<ProcessorId>((first + i) % cluster_size);
+  }
+  bool Contains(ProcessorId p) const {
+    return (p + cluster_size - first) % cluster_size < count;
+  }
+  std::vector<ProcessorId> Copies() const;
+};
+
+/// Exposed so Cluster can bootstrap the initial tree with the exact
+/// placement the protocol will compute.
+FixedPlacement PlaceFixed(NodeId id, int32_t level, uint32_t cluster_size,
+                          uint32_t interior_replication,
+                          uint32_t leaf_replication);
 
 class FixedCopiesProtocol : public BaseProtocol {
  public:
   using BaseProtocol::BaseProtocol;
 
  protected:
+  FixedPlacement Placement(NodeId id, int32_t level) const {
+    return PlaceFixed(id, level, p_.cluster_size(),
+                      p_.config().interior_replication,
+                      p_.config().leaf_replication);
+  }
+
   std::vector<ProcessorId> PlaceNewNode(NodeId id, int32_t level) override {
-    return FixedCopySet(id, level, p_.cluster_size(),
-                        p_.config().interior_replication,
-                        p_.config().leaf_replication);
+    return Placement(id, level).Copies();
   }
 
   ProcessorId ResolveDest(NodeId id, int32_t level) override;

@@ -49,7 +49,7 @@ void Processor::HandleAction(Action& action) {
     return;
   }
   LAZYTREE_CHECK(handler_ != nullptr) << "no protocol installed on p" << id_;
-  handler_->Handle(action);
+  handler_->Handle(std::move(action));
 }
 
 void Processor::CompleteReturnLocal(Action action) {
@@ -78,7 +78,9 @@ void Processor::CompleteReturnLocal(Action action) {
 
 Node* Processor::InstallNode(std::unique_ptr<Node> node) {
   if (history_ != nullptr && history_->enabled()) {
-    history_->OnCopyCreated(node->id(), id_, node->applied_updates());
+    const std::span<const UpdateId> inherited = node->applied_updates();
+    history_->OnCopyCreated(node->id(), id_,
+                            {inherited.begin(), inherited.end()});
   }
   return store_.Install(std::move(node));
 }

@@ -23,7 +23,7 @@ namespace lazytree {
 /// Knobs shared by every processor of one tree.
 struct TreeConfig {
   /// Max entries per node before the PC half-splits it (fanout).
-  size_t max_entries = 8;
+  size_t max_entries = kDefaultFanout;
   /// Record per-copy histories for the §3 checkers (tests on, benches off).
   bool track_history = true;
   /// Inserting an existing key overwrites (true) or fails AlreadyExists.

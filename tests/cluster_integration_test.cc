@@ -3,9 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "src/core/inspect.h"
+#include "src/protocol/fixed.h"
 #include "src/workload/distributions.h"
 #include "src/workload/driver.h"
 #include "tests/test_util.h"
@@ -17,6 +19,30 @@ using testing::ExpectCorrect;
 using testing::ExpectMatchesOracle;
 using testing::RandomKeys;
 using testing::SimOptions;
+
+TEST(FixedPlacement, MembershipMatchesTheCopyList) {
+  // Routing tests membership on the (first, count) placement instead of
+  // the copy list it used to build; both must name the same processors.
+  for (uint32_t cluster = 1; cluster <= 6; ++cluster) {
+    for (uint32_t interior = 0; interior <= cluster; ++interior) {
+      for (uint32_t seq = 0; seq < 40; ++seq) {
+        const NodeId id = NodeId::Make(seq % cluster, seq);
+        for (int32_t level = 0; level <= 1; ++level) {
+          const FixedPlacement place =
+              PlaceFixed(id, level, cluster, interior, /*leaf=*/2);
+          const std::vector<ProcessorId> copies = place.Copies();
+          ASSERT_EQ(copies.size(), place.count);
+          for (ProcessorId p = 0; p < cluster; ++p) {
+            EXPECT_EQ(place.Contains(p),
+                      std::find(copies.begin(), copies.end(), p) !=
+                          copies.end())
+                << "p" << p << " of " << cluster << ", " << id.ToString();
+          }
+        }
+      }
+    }
+  }
+}
 
 TEST(ClusterBasics, EmptyTreeSearchMisses) {
   Cluster cluster(SimOptions(ProtocolKind::kSemiSyncSplit, 4, 1));

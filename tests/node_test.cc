@@ -1,17 +1,39 @@
 // Node and NodeStore unit tests: range logic, half-splits, snapshot
-// round trips, overflow buckets, closest-node recovery, forwarding, and
-// the per-level index against a brute-force oracle.
+// round trips, overflow buckets, the inline entry array against a vector
+// model, allocations per copy, closest-node recovery, forwarding, and the
+// per-level index against a brute-force oracle.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <iterator>
 #include <map>
+#include <new>
 #include <vector>
 
 #include "src/node/node.h"
 #include "src/node/node_store.h"
 #include "src/util/rng.h"
+
+// Counts every global allocation in this test binary, so a test can check
+// how many heap blocks one node copy costs.
+namespace {
+size_t g_allocations = 0;
+}  // namespace
+
+void* operator new(std::size_t n) {
+  ++g_allocations;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+// GCC flags free() on memory from operator new once these inline into a
+// delete-expression; here operator new is malloc, so the pair matches.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace lazytree {
 namespace {
@@ -136,9 +158,147 @@ TEST(Node, SnapshotRoundTripPreservesEverything) {
   EXPECT_EQ(copy.pc(), 1u);
   EXPECT_EQ(copy.version(), 5u);
   EXPECT_EQ(copy.link_version(LinkKind::kLeft), 3u);
-  EXPECT_EQ(copy.entries(), n.entries());
+  EXPECT_TRUE(std::ranges::equal(copy.entries(), n.entries()));
   EXPECT_TRUE(copy.HasApplied(77));
   EXPECT_FALSE(copy.HasApplied(78));
+}
+
+// The copy's entries, checked two ways against the model: the accessor
+// and the snapshot that seeds other copies.
+void ExpectEntries(const Node& n, const std::vector<Entry>& model) {
+  ASSERT_TRUE(std::ranges::equal(n.entries(), model)) << n.ToString();
+  ASSERT_EQ(n.ToSnapshot().entries, model) << n.ToString();
+}
+
+TEST(Node, InlineEntriesMatchVectorModel) {
+  // Random insert / remove / split histories on a small key space keep a
+  // copy's size sweeping across the inline capacity in both directions;
+  // re-seeding a copy from its snapshot exercises assign at every size.
+  static_assert(Node::kInlineEntries == kDefaultFanout + 1);
+  Rng rng(0x1e7);
+  size_t max_size = 0;
+  size_t spilled_then_shrunk = 0;
+  for (int history = 0; history < 200; ++history) {
+    auto n = std::make_unique<Node>(Id(1), 0, KeyRange{0, 64},
+                                    /*track=*/history % 2 == 0);
+    std::vector<Entry> model;
+    bool spilled = false;
+    for (int step = 0; step < 300; ++step) {
+      const KeyRange range = n->range();
+      const Key key = range.low + rng.Below(range.high - range.low);
+      const uint64_t choice = rng.Below(100);
+      auto it = std::lower_bound(model.begin(), model.end(), Entry{key, 0});
+      const bool present = it != model.end() && it->key == key;
+      if (choice < 55) {
+        const bool upsert = rng.Chance(0.5);
+        EXPECT_EQ(n->Insert(key, step, upsert), !present);
+        if (!present) {
+          model.insert(it, Entry{key, static_cast<uint64_t>(step)});
+        } else if (upsert) {
+          it->payload = step;
+        }
+      } else if (choice < 85) {
+        EXPECT_EQ(n->Remove(key), present);
+        if (present) model.erase(it);
+      } else if (choice < 92 && model.size() >= 2) {
+        // The PC's half-split: the upper half seeds the sibling.
+        const size_t keep = model.size() / 2;
+        Node::SplitResult split = n->HalfSplit(Id(2));
+        EXPECT_EQ(split.sep, model[keep].key);
+        EXPECT_EQ(split.sibling.entries,
+                  std::vector<Entry>(model.begin() + keep, model.end()));
+        model.resize(keep);
+      } else if (choice < 97 && key > range.low) {
+        // A relayed split at a non-PC copy.
+        n->ApplySplit(key, Id(3));
+        model.erase(std::lower_bound(model.begin(), model.end(),
+                                     Entry{key, 0}),
+                    model.end());
+      } else {
+        n = std::make_unique<Node>(n->ToSnapshot(), history % 2 == 0);
+      }
+      ExpectEntries(*n, model);
+      if (n->range().high - n->range().low < 2) break;
+      max_size = std::max(max_size, model.size());
+      if (model.size() > Node::kInlineEntries) spilled = true;
+      if (spilled && model.size() < Node::kInlineEntries) {
+        ++spilled_then_shrunk;
+        spilled = false;
+      }
+    }
+  }
+  EXPECT_GT(max_size, 2 * Node::kInlineEntries);
+  EXPECT_GT(spilled_then_shrunk, 10u);
+}
+
+TEST(Node, OverflowBucketGrowsPastInlineAndShrinksBack) {
+  // A non-PC copy keeps applying relayed inserts while the PC's split is
+  // in flight: it grows to three times the fanout, then the relayed split
+  // lands and it shrinks back under the inline capacity.
+  Node copy(Id(4), 0, KeyRange{0, 1000}, false);
+  std::vector<Entry> model;
+  for (Key k = 3 * kDefaultFanout; k >= 1; --k) {
+    ASSERT_TRUE(copy.Insert(k * 10, k));
+    model.insert(model.begin(), Entry{k * 10, k});
+    ExpectEntries(copy, model);
+  }
+  EXPECT_EQ(copy.size(), 3 * kDefaultFanout);
+  EXPECT_TRUE(copy.Overflowing(kDefaultFanout));
+  copy.ApplySplit(50, Id(5));
+  model.resize(4);
+  ExpectEntries(copy, model);
+  for (Key k = 1; k < 50; k += 7) {
+    if (copy.Insert(k, k)) {
+      model.insert(std::lower_bound(model.begin(), model.end(), Entry{k, 0}),
+                   Entry{k, k});
+    }
+  }
+  ExpectEntries(copy, model);
+  Node reseeded(copy.ToSnapshot(), false);
+  ExpectEntries(reseeded, model);
+}
+
+TEST(Node, DefaultFanoutCopyIsOneAllocation) {
+  // A copy that fits the inline array, with tracking off, costs exactly
+  // its own block: entries live inside it, and update-tracking state is
+  // never allocated. Its copy list, when it has one, is the only other.
+  NodeSnapshot snapshot;
+  snapshot.id = Id(6);
+  snapshot.range = KeyRange{0, 1000};
+  for (Key k = 1; k <= Node::kInlineEntries; ++k) {
+    snapshot.entries.push_back(Entry{k, k});
+  }
+  size_t before = g_allocations;
+  auto copy = std::make_unique<Node>(snapshot, /*track=*/false);
+  EXPECT_EQ(g_allocations - before, 1u);
+  ExpectEntries(*copy, snapshot.entries);
+
+  snapshot.copies = {0};
+  snapshot.pc = 0;
+  before = g_allocations;
+  auto installed = std::make_unique<Node>(snapshot, /*track=*/false);
+  EXPECT_EQ(g_allocations - before, 2u) << "the Node and its copy list";
+  EXPECT_EQ(installed->copies(), snapshot.copies);
+  EXPECT_TRUE(copy->applied_updates().empty());
+  EXPECT_FALSE(copy->HasApplied(1));
+
+  // Tracking on: the state appears with the first applied update and
+  // round-trips through the snapshot.
+  Node tracked(snapshot, /*track=*/true);
+  EXPECT_TRUE(tracked.applied_updates().empty());
+  tracked.NoteApplied(41);
+  tracked.NoteApplied(42);
+  EXPECT_TRUE(tracked.HasApplied(41));
+  EXPECT_FALSE(tracked.HasApplied(43));
+  const NodeSnapshot image = tracked.ToSnapshot();
+  EXPECT_EQ(image.applied_updates, (std::vector<UpdateId>{41, 42}));
+  Node reseeded(image, /*track=*/true);
+  EXPECT_TRUE(std::ranges::equal(reseeded.applied_updates(),
+                                 image.applied_updates));
+  EXPECT_TRUE(reseeded.HasApplied(42));
+  // Tracking off still ignores new updates.
+  copy->NoteApplied(7);
+  EXPECT_FALSE(copy->HasApplied(7));
 }
 
 TEST(Node, CopyMembership) {
