@@ -618,6 +618,34 @@ std::vector<BatteryItem> VerifyBattery() {
     item.min_transitions = d.min_transitions;
     items.push_back(std::move(item));
   }
+  // Deletes on replicated leaves. Round 0 only inserts (there is nothing
+  // to delete yet), so a delete needs a second round. Each workload seed
+  // is one whose second round deletes a key while inserts split leaves,
+  // so relayed deletes race splits: sync's AAS defers initial updates,
+  // and semisync's PC rewrites a relayed delete that a split overtook.
+  // The floors are half the transitions each item explored when it was
+  // added.
+  struct Deletes {
+    ProtocolKind protocol;
+    uint64_t seed;
+    uint32_t ops;
+    uint32_t fanout;
+    uint64_t min_transitions;
+  };
+  const Deletes deletes[] = {
+      {ProtocolKind::kSyncSplit, 4, 4, 2, 8693},
+      {ProtocolKind::kSemiSyncSplit, 4, 3, 3, 472},
+  };
+  for (const Deletes& d : deletes) {
+    BatteryItem item{std::string(ProtocolKindName(d.protocol)) + "-delete",
+                     BoundedConfig(d.protocol)};
+    item.config.episode.seed = d.seed;
+    item.config.episode.rounds = 2;
+    item.config.episode.ops_per_round = d.ops;
+    item.config.episode.fanout = d.fanout;
+    item.min_transitions = d.min_transitions;
+    items.push_back(std::move(item));
+  }
   // Bounded loss: the same protocols with a drop budget of 1 and the
   // reliable layer recovering every loss. Each DFS frame forks a drop
   // branch per enabled channel and retransmission deepens schedules, so

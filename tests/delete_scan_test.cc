@@ -196,38 +196,57 @@ TEST(DeleteReplicated, RelayedDeletesConvergeOnReplicatedLeaves) {
   }
 }
 
-// Deletes racing splits: out-of-range relayed deletes hit the history
-// rewrite at the PC, exactly like inserts in Fig. 5.
+// Deletes racing splits. Under semisync, out-of-range relayed deletes hit
+// the history rewrite, exactly like inserts in Fig. 5: every seed records
+// rewritten deletes. Under sync, the split's AAS defers the initial
+// updates that reach a copy while it is open; a relayed delete that
+// reached the PC after its split would fail the sync PC's check.
 TEST(DeleteReplicated, DeletesRacingSplitsRewriteHistory) {
-  for (uint64_t seed = 1; seed <= 4; ++seed) {
-    ClusterOptions o =
-        SimOptions(ProtocolKind::kSemiSyncSplit, 5, seed, /*fanout=*/4);
-    o.tree.leaf_replication = 3;
-    Cluster cluster(o);
-    cluster.Start();
-    Oracle oracle;
-    std::vector<Key> keys = RandomKeys(250, seed + 5);
-    for (Key k : keys) {
-      ASSERT_TRUE(cluster.Insert(k % 5, k, 2).ok());
-      ASSERT_TRUE(oracle.Insert(k, 2).ok());
-    }
-    // Interleave: a wave of new inserts (forcing splits) with deletes of
-    // existing keys, all racing.
-    std::vector<Key> wave = RandomKeys(250, seed + 500);
-    for (size_t i = 0; i < wave.size(); ++i) {
-      if (oracle.Insert(wave[i], 3).ok()) {
-        cluster.InsertAsync(static_cast<ProcessorId>(i % 5), wave[i], 3,
-                            [](const OpResult&) {});
+  for (ProtocolKind protocol :
+       {ProtocolKind::kSemiSyncSplit, ProtocolKind::kSyncSplit}) {
+    for (uint64_t seed = 1; seed <= 4; ++seed) {
+      SCOPED_TRACE(::testing::Message() << ProtocolKindName(protocol)
+                                        << " seed " << seed);
+      ClusterOptions o = SimOptions(protocol, 5, seed, /*fanout=*/4);
+      o.tree.leaf_replication = 3;
+      Cluster cluster(o);
+      cluster.Start();
+      Oracle oracle;
+      std::vector<Key> keys = RandomKeys(250, seed + 5);
+      for (Key k : keys) {
+        ASSERT_TRUE(cluster.Insert(k % 5, k, 2).ok());
+        ASSERT_TRUE(oracle.Insert(k, 2).ok());
       }
-      if (i < keys.size() && i % 2 == 0) {
-        cluster.DeleteAsync(static_cast<ProcessorId>((i + 1) % 5), keys[i],
-                            [](const OpResult&) {});
-        ASSERT_TRUE(oracle.Delete(keys[i]).ok());
+      // Interleave: a wave of new inserts (forcing splits) with deletes of
+      // existing keys, all racing.
+      std::vector<Key> wave = RandomKeys(250, seed + 500);
+      for (size_t i = 0; i < wave.size(); ++i) {
+        if (oracle.Insert(wave[i], 3).ok()) {
+          cluster.InsertAsync(static_cast<ProcessorId>(i % 5), wave[i], 3,
+                              [](const OpResult&) {});
+        }
+        if (i < keys.size() && i % 2 == 0) {
+          cluster.DeleteAsync(static_cast<ProcessorId>((i + 1) % 5), keys[i],
+                              [](const OpResult&) {});
+          ASSERT_TRUE(oracle.Delete(keys[i]).ok());
+        }
+      }
+      ASSERT_TRUE(cluster.Settle());
+      ExpectMatchesOracle(cluster, oracle);
+      ExpectCorrect(cluster);
+      if (protocol == ProtocolKind::kSemiSyncSplit) {
+        size_t rewritten_deletes = 0;
+        for (const auto& [key, hist] : cluster.history_log().Copies()) {
+          for (const history::Record& r : hist.records) {
+            rewritten_deletes +=
+                r.cls == history::UpdateClass::kDelete && r.rewritten;
+          }
+        }
+        EXPECT_GT(rewritten_deletes, 0u);
+      } else {
+        EXPECT_GT(cluster.NetStats().deferred_inserts, 0u);
       }
     }
-    ASSERT_TRUE(cluster.Settle());
-    ExpectMatchesOracle(cluster, oracle);
-    ExpectCorrect(cluster);
   }
 }
 

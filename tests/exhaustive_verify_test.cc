@@ -3,9 +3,10 @@
 // These pin the acceptance surface of lazytree_verify: every battery item
 // behaves as the battery demands within tier-1 time (clean items exhaust
 // with at least their floor of transitions, so coverage cannot shrink
-// silently, and two items with their exact counts, so the state
-// fingerprint's partition cannot drift; planted mutations are found), the
-// deep-tree items really race separator inserts against splits, the
+// silently, and with their exact counts, so neither the state
+// fingerprint's partition nor the protocols' messages can drift; planted
+// mutations are found), the deep-tree items really race separator inserts
+// against splits, the delete items really relay deletes, the
 // commutativity-guided POR + state dedup reduce the explored executions by
 // well over the required factor versus the naive DFS, the POR runtime
 // cross-check and prefix-replay determinism check stay silent on healthy
@@ -14,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <iterator>
 #include <map>
 #include <memory>
@@ -47,9 +49,11 @@ VerifyConfig SwapMutationConfig() {
   return VerifyConfig();
 }
 
-// Exact counts of two items. The state fingerprint decides which states
-// the dedup cache merges, so a fingerprint that starts merging or
-// splitting states differently moves these numbers.
+// Exact counts of every clean item. The state fingerprint decides which
+// states the dedup cache merges, and every message a protocol sends is a
+// transition, so a fingerprint that merges or splits states differently,
+// or a protocol change that moves, adds or drops one action, moves these
+// numbers.
 struct PinnedCounts {
   const char* label;
   uint64_t executions;
@@ -58,11 +62,26 @@ struct PinnedCounts {
 };
 constexpr PinnedCounts kPinned[] = {
     {"sync", 895, 19278, 1445},
+    {"semisync", 7384, 157951, 7764},
+    {"mobile", 914, 21932, 769},
+    {"varcopies", 218, 3706, 194},
+    {"sync-deep", 396, 13843, 919},
+    {"semisync-deep", 137, 4458, 173},
+    {"sync-delete", 676, 17387, 670},
+    {"semisync-delete", 59, 945, 73},
     {"sync-drop1", 937, 17142, 2113},
+    {"semisync-drop1", 894, 14304, 1645},
+    {"mobile-drop1", 298, 4670, 552},
+    {"varcopies-drop1", 342, 5753, 585},
+    {"sync-drop2", 3066, 60277, 6398},
+    {"semisync-drop2", 2674, 46473, 4710},
+    {"mobile-drop2", 832, 14326, 1708},
+    {"varcopies-drop2", 1068, 19753, 1853},
 };
 
 // Every clean battery item (each protocol without drops and under drop
-// budgets of one and two, and the deep-tree items) must exhaust with zero
+// budgets of one and two, the deep-tree and the delete items) must
+// exhaust with its pinned counts and zero
 // violations, zero cross-check failures and zero determinism failures,
 // and explore at least its floor of transitions: a change that removes
 // schedulable events fails here.
@@ -74,12 +93,15 @@ TEST(ExhaustiveVerify, BatteryItemsExhaustCleanAboveTransitionFloors) {
     SCOPED_TRACE(item.label);
     ++clean;
     VerifyResult result = VerifyExhaustive(item.config);
-    for (const PinnedCounts& pin : kPinned) {
-      if (item.label != pin.label) continue;
+    const PinnedCounts* pin = std::ranges::find_if(
+        kPinned, [&](const PinnedCounts& p) { return item.label == p.label; });
+    if (pin != std::end(kPinned)) {
       ++pinned;
-      EXPECT_EQ(result.stats.executions, pin.executions);
-      EXPECT_EQ(result.stats.transitions, pin.transitions);
-      EXPECT_EQ(result.stats.states, pin.states);
+      EXPECT_EQ(result.stats.executions, pin->executions);
+      EXPECT_EQ(result.stats.transitions, pin->transitions);
+      EXPECT_EQ(result.stats.states, pin->states);
+    } else {
+      ADD_FAILURE() << "clean item without pinned counts";
     }
     EXPECT_EQ(sim::CheckBatteryItem(item, result), "") << result.Summary();
     EXPECT_GT(item.min_transitions, 0u) << "every clean item needs a floor";
@@ -91,7 +113,7 @@ TEST(ExhaustiveVerify, BatteryItemsExhaustCleanAboveTransitionFloors) {
     EXPECT_EQ(result.stats.cross_check_failures, 0u);
     EXPECT_EQ(result.stats.determinism_failures, 0u);
   }
-  EXPECT_EQ(clean, 14u);
+  EXPECT_EQ(clean, 16u);
   EXPECT_EQ(pinned, std::size(kPinned));
 }
 
@@ -172,6 +194,57 @@ TEST(ExhaustiveVerify, DeepItemsRaceSeparatorInsertsAgainstSplits) {
     EXPECT_GT(race_handled, 0);
   }
   EXPECT_EQ(deep, 2u);
+}
+
+// What the delete items are for. Round 0 only inserts, so the second
+// round's workload must hold a delete; on random schedules of it every
+// run relays a delete to the leaf's second copy, and the protocol's race
+// handling runs in some: sync defers an initial update while a split's
+// AAS is open, semisync rewrites a relayed delete that a split overtook.
+TEST(ExhaustiveVerify, DeleteItemsRelayDeletesAcrossSplits) {
+  size_t items = 0;
+  for (const BatteryItem& item : sim::VerifyBattery()) {
+    if (!item.label.ends_with("-delete")) continue;
+    SCOPED_TRACE(item.label);
+    ++items;
+    const sim::EpisodeConfig& episode = item.config.episode;
+    ASSERT_EQ(episode.rounds, 2u);
+    ASSERT_GE(episode.leaf_replication, 2u);
+    const auto rounds = sim::GenerateEpisodeWorkload(episode);
+    EXPECT_GE(std::ranges::count(rounds[1], sim::WorkKind::kDelete,
+                                 &sim::WorkOp::kind),
+              1);
+    int race_handled = 0;
+    for (uint64_t seed = 1; seed <= 20; ++seed) {
+      sim::StrategyOptions options;
+      options.kind = sim::StrategyKind::kUniform;
+      options.seed = seed;
+      std::unique_ptr<net::ScheduleStrategy> strategy =
+          sim::MakeStrategy(options);
+      sim::EpisodeHooks hooks;
+      hooks.on_quiescent = [&](Cluster& cluster, uint32_t round) {
+        if (round != 1) return;
+        const net::StatsSnapshot stats = cluster.NetStats();
+        EXPECT_GT(stats.ActionCount(ActionKind::kRelayedDelete), 0u);
+        bool rewritten = false;
+        for (const auto& [key, hist] : cluster.history_log().Copies()) {
+          for (const history::Record& r : hist.records) {
+            rewritten |= r.cls == history::UpdateClass::kDelete && r.rewritten;
+          }
+        }
+        if (episode.protocol == ProtocolKind::kSemiSyncSplit) {
+          race_handled += rewritten;
+        } else {
+          race_handled += stats.deferred_inserts > 0;
+        }
+      };
+      sim::EpisodeResult result =
+          sim::RunEpisodeUnder(episode, strategy.get(), nullptr, hooks);
+      EXPECT_TRUE(result.ok) << result.Signature();
+    }
+    EXPECT_GT(race_handled, 0);
+  }
+  EXPECT_EQ(items, 2u);
 }
 
 // The reductions must buy at least the required 5x over naive DFS on the
