@@ -43,7 +43,9 @@ namespace lazytree::net {
   X(kRecoveryRoutes, recovery_routes)           /* mobile */              \
   X(kForwardHits, forward_hits)                 /* mobile */              \
   X(kDroppedLeafRelays, dropped_leaf_relays)    /* naive: lost keys */    \
-  X(kDeferredInserts, deferred_inserts)         /* sync: AAS-blocked */   \
+  /* sync: initial updates UpdateBlocked deferred, deletes too (the */    \
+  /* printed name says inserts: fig5 and the tests print it) */           \
+  X(kDeferredInserts, deferred_inserts)                                   \
   X(kJoinsGranted, joins_granted)               /* varcopies */           \
   X(kUnjoinsProcessed, unjoins_processed)       /* varcopies */           \
   X(kLateJoinerRerelays, late_joiner_rerelays)  /* varcopies, Fig. 6 */

@@ -6,19 +6,39 @@
 
 namespace lazytree {
 
+namespace {
+
+history::UpdateClass KeyUpdateClass(bool insert) {
+  return insert ? history::UpdateClass::kInsert
+                : history::UpdateClass::kDelete;
+}
+
+// What an insert stores at `n`: the value at a leaf, the child id above.
+uint64_t InsertPayload(const Node& n, const Action& a) {
+  return n.is_leaf() ? a.value : a.new_node.v;
+}
+
+}  // namespace
+
 BaseProtocol::BaseProtocol(Processor& p)
     : p_(p), rng_(0x5eedba5e ^ (static_cast<uint64_t>(p.id()) << 17)) {}
 
 void BaseProtocol::Handle(Action a) {
   switch (a.kind) {
-    case ActionKind::kSearch: HandleSearch(std::move(a)); break;
-    case ActionKind::kInsertOp: HandleInsertOp(std::move(a)); break;
-    case ActionKind::kDeleteOp: HandleDeleteOp(std::move(a)); break;
-    case ActionKind::kScanOp: HandleScanOp(std::move(a)); break;
-    case ActionKind::kInsert: HandleInitialInsert(std::move(a)); break;
-    case ActionKind::kRelayedInsert: HandleRelayedInsert(std::move(a)); break;
-    case ActionKind::kDelete: HandleInitialDelete(std::move(a)); break;
-    case ActionKind::kRelayedDelete: HandleRelayedDelete(std::move(a)); break;
+    case ActionKind::kSearch:
+    case ActionKind::kInsertOp:
+    case ActionKind::kDeleteOp:
+    case ActionKind::kScanOp:
+      Navigate(std::move(a));
+      break;
+    case ActionKind::kInsert:
+    case ActionKind::kDelete:
+      HandleInitialUpdate(std::move(a));
+      break;
+    case ActionKind::kRelayedInsert:
+    case ActionKind::kRelayedDelete:
+      HandleRelayedUpdate(std::move(a));
+      break;
     case ActionKind::kSplitStart: HandleSplitStart(std::move(a)); break;
     case ActionKind::kSplitAck: HandleSplitAck(std::move(a)); break;
     case ActionKind::kSplitEnd: HandleSplitEnd(std::move(a)); break;
@@ -77,18 +97,28 @@ void BaseProtocol::HandleMissing(Action a) {
   parked_[a.target].push_back(std::move(a));
 }
 
+void BaseProtocol::RouteAway(Action a) {
+  const ProcessorId dest = ResolveDest(a.target, a.level);
+  if (dest == p_.id()) {
+    HandleMissing(std::move(a));
+  } else {
+    p_.out().SendAction(dest, std::move(a));
+  }
+}
+
+Node* BaseProtocol::LocalOrRoute(Action& a) {
+  Node* n = Local(a.target);
+  if (n == nullptr) RouteAway(std::move(a));
+  return n;
+}
+
 void BaseProtocol::RouteToNode(NodeId id, int32_t level, Action a) {
   a.target = id;
   a.level = level;
   if (Local(id) != nullptr) {
     p_.out().SendLocal(std::move(a));
-    return;
-  }
-  ProcessorId dest = ResolveDest(id, level);
-  if (dest == p_.id()) {
-    HandleMissing(std::move(a));
   } else {
-    p_.out().SendAction(dest, std::move(a));
+    RouteAway(std::move(a));
   }
 }
 
@@ -106,16 +136,8 @@ void BaseProtocol::Navigate(Action a) {
   }
   size_t inline_hops = 0;
   for (;;) {
-    Node* n = Local(a.target);
-    if (n == nullptr) {
-      ProcessorId dest = ResolveDest(a.target, a.level);
-      if (dest == p_.id()) {
-        HandleMissing(std::move(a));
-      } else {
-        p_.out().SendAction(dest, std::move(a));
-      }
-      break;
-    }
+    Node* n = LocalOrRoute(a);
+    if (n == nullptr) break;
     if (ReadBlocked(*n)) {
       p_.aas().Defer(n->id(), std::move(a));
       break;
@@ -146,14 +168,12 @@ void BaseProtocol::Navigate(Action a) {
         ContinueScan(std::move(a), *n);
         break;
       case ActionKind::kInsertOp:
-        // The navigation phase ends here; the action becomes an initial
-        // insert on this leaf (§4.1).
-        a.kind = ActionKind::kInsert;
-        HandleInitialInsert(std::move(a));
-        break;
       case ActionKind::kDeleteOp:
-        a.kind = ActionKind::kDelete;
-        HandleInitialDelete(std::move(a));
+        // The navigation phase ends here; the action becomes an initial
+        // update on this leaf (§4.1).
+        a.kind = a.kind == ActionKind::kInsertOp ? ActionKind::kInsert
+                                                 : ActionKind::kDelete;
+        HandleInitialUpdate(std::move(a));
         break;
       default:
         Unexpected(a);
@@ -217,6 +237,55 @@ void BaseProtocol::Reply(const Action& a, Action::Rc rc, Value value) {
   r.rc = rc;
   r.hops = a.hops;
   SendReturn(std::move(r));
+}
+
+Action::Rc BaseProtocol::ApplyKeyUpdate(Node& n, Action& a, bool initial) {
+  const bool insert = IsInsert(a);
+  if (initial && a.update == kNoUpdate) {
+    a.update = NewRegisteredUpdate(KeyUpdateClass(insert), n.id(), a.key,
+                                   insert ? a.value : 0);
+  }
+  Action::Rc rc = Action::Rc::kOk;
+  if (insert) {
+    const bool upsert = p_.config().upsert;
+    if (!n.Insert(a.key, InsertPayload(n, a), upsert) && !upsert) {
+      rc = Action::Rc::kExists;
+    }
+  } else if (!n.Remove(a.key)) {
+    rc = Action::Rc::kNotFound;
+  }
+  RecordKeyUpdate(n, a, initial, /*rewritten=*/false);
+  return rc;
+}
+
+void BaseProtocol::RecordRewritten(Node& n, const Action& a) {
+  RecordKeyUpdate(n, a, /*initial=*/false, /*rewritten=*/true);
+}
+
+void BaseProtocol::RecordKeyUpdate(Node& n, const Action& a, bool initial,
+                                   bool rewritten) {
+  const bool insert = IsInsert(a);
+  RecordUpdate(n, KeyUpdateClass(insert), a.update, initial, rewritten,
+               a.key, insert ? InsertPayload(n, a) : 0,
+               insert ? a.new_node : kInvalidNode, 0, n.version());
+}
+
+void BaseProtocol::RelayToCopies(const Node& n, const Action& a) {
+  if (n.copies().size() <= 1) return;
+  Action relay = a;
+  relay.kind = IsInsert(a) ? ActionKind::kRelayedInsert
+                           : ActionKind::kRelayedDelete;
+  relay.op = kNoOp;
+  relay.origin = p_.id();
+  relay.version = n.version();
+  p_.out().Broadcast(n.copies(), relay);
+}
+
+void BaseProtocol::ForwardRewritten(const Node& n, Action a) {
+  a.kind = IsInsert(a) ? ActionKind::kInsert : ActionKind::kDelete;
+  a.op = kNoOp;  // the client was answered at the first execution
+  a.origin = p_.id();
+  RouteToNode(n.right(), n.level(), std::move(a));
 }
 
 UpdateId BaseProtocol::NewRegisteredUpdate(history::UpdateClass cls,

@@ -33,14 +33,10 @@ class BaseProtocol : public ProtocolHandler {
 
  protected:
   // --- per-kind handlers; protocols override what they change ---
-  virtual void HandleSearch(Action a) { Navigate(std::move(a)); }
-  virtual void HandleInsertOp(Action a) { Navigate(std::move(a)); }
-  virtual void HandleDeleteOp(Action a) { Navigate(std::move(a)); }
-  virtual void HandleScanOp(Action a) { Navigate(std::move(a)); }
-  virtual void HandleInitialInsert(Action a) = 0;
-  virtual void HandleRelayedInsert(Action a) { Unexpected(a); }
-  virtual void HandleInitialDelete(Action a) { Unexpected(a); }
-  virtual void HandleRelayedDelete(Action a) { Unexpected(a); }
+  /// kInsert and kDelete at the copy where the update is issued.
+  virtual void HandleInitialUpdate(Action a) = 0;
+  /// kRelayedInsert and kRelayedDelete at the other copies.
+  virtual void HandleRelayedUpdate(Action a) { Unexpected(a); }
   virtual void HandleSplitStart(Action a) { Unexpected(a); }
   virtual void HandleSplitAck(Action a) { Unexpected(a); }
   virtual void HandleSplitEnd(Action a) { Unexpected(a); }
@@ -74,10 +70,14 @@ class BaseProtocol : public ProtocolHandler {
   /// Local copy of `id`, or nullptr.
   Node* Local(NodeId id) { return p_.store().Get(id); }
 
+  /// Local copy of a.target; else sends `a` on toward it (HandleMissing
+  /// when ResolveDest names this processor) and returns nullptr.
+  Node* LocalOrRoute(Action& a);
+
   /// Routes an action toward its target node (self-send when local).
   void RouteToNode(NodeId id, int32_t level, Action a);
 
-  // --- navigation (kSearch / kInsertOp) ---
+  // --- navigation (client ops: search, insert, delete, scan) ---
   //
   // The descent continues *inline* while the next node is locally
   // replicated: root-everywhere placement means a search usually walks
@@ -90,7 +90,7 @@ class BaseProtocol : public ProtocolHandler {
   // at a time.
   void Navigate(Action a);
 
-  // --- key-routed updates (initial inserts/deletes, link-changes) ---
+  // --- key-routed updates (initial key updates, link-changes) ---
   //
   // `a.level` is the update's destination level. The node it reaches may
   // sit above that level (a start found by Closest or SplitParentTarget)
@@ -128,6 +128,44 @@ class BaseProtocol : public ProtocolHandler {
 
   /// Sends the operation's return-value action to its origin.
   void Reply(const Action& a, Action::Rc rc, Value value);
+
+  // --- key updates (kInsert, kDelete and their relays) ---
+  //
+  // Inserts and deletes are one lazy update that differs by kind only in
+  // what it does to a copy (store the payload, or remove the key), the
+  // client's reply code and the history class, and in that only an
+  // insert can overflow a copy into a split (deletes free at empty, [11]).
+
+  static bool IsInsert(const Action& a) {
+    return a.kind == ActionKind::kInsert ||
+           a.kind == ActionKind::kRelayedInsert;
+  }
+
+  /// Applies key update `a` at copy `n` and records it. An insert stores
+  /// the value at a leaf and the child id above. At the issuing copy
+  /// (`initial`) a client update is registered first: its leaf is the
+  /// issue point. Returns the client's reply code.
+  Action::Rc ApplyKeyUpdate(Node& n, Action& a, bool initial);
+
+  /// Records relayed update `a` at `n` as rewritten: a split moved its key
+  /// out of this copy first, so it is reordered before that split and has
+  /// no local effect (§4.1), but it stays in the history.
+  void RecordRewritten(Node& n, const Action& a);
+
+  /// True when `a` is an insert that left `n` over the fanout.
+  bool SplitDue(const Node& n, const Action& a) const {
+    return IsInsert(a) && n.Overflowing(p_.config().max_entries);
+  }
+
+  /// Relays initial update `a`, just applied at `n`, to n's other copies
+  /// (the lazy update). Relays carry no client context — the initial
+  /// execution alone answers the client — and this copy's version.
+  void RelayToCopies(const Node& n, const Action& a);
+
+  /// The PC's half of a history rewrite (§4.1.2): forwards relayed update
+  /// `a`, whose key a split moved right of `n`, as a fresh initial update
+  /// (the same UpdateId) toward the node that owns the key now.
+  void ForwardRewritten(const Node& n, Action a);
 
   // --- update bookkeeping (§3) ---
 
@@ -187,6 +225,12 @@ class BaseProtocol : public ProtocolHandler {
   Rng rng_;
 
  private:
+  /// Sends an action for a non-local target toward its holder.
+  void RouteAway(Action a);
+
+  void RecordKeyUpdate(Node& n, const Action& a, bool initial,
+                       bool rewritten);
+
   // Actions parked while waiting for a kCreateNode to install their target.
   std::unordered_map<NodeId, std::vector<Action>> parked_;
 };

@@ -62,143 +62,35 @@ void FixedCopiesProtocol::HandleMissing(Action a) {
   BaseProtocol::HandleMissing(std::move(a));
 }
 
-void FixedCopiesProtocol::HandleInitialInsert(Action a) {
-  Node* n = Local(a.target);
-  if (n == nullptr) {
-    ProcessorId dest = ResolveDest(a.target, a.level);
-    if (dest == p_.id()) {
-      HandleMissing(std::move(a));
-    } else {
-      p_.out().SendAction(dest, std::move(a));
-    }
-    return;
-  }
+void FixedCopiesProtocol::HandleInitialUpdate(Action a) {
+  Node* n = LocalOrRoute(a);
+  if (n == nullptr) return;
   ++a.hops;
   if (a.key >= n->right_low()) {
-    // The node split before the insert arrived: chase the right link,
-    // still as an *initial* insert (§4.1 insert step 1).
+    // The node split before the update arrived: chase the right link,
+    // still as an *initial* update (§4.1 insert step 1).
     ChaseRight(*n, std::move(a));
     return;
   }
   LAZYTREE_CHECK(a.key >= n->range().low)
-      << "initial insert left of node: " << a.ToString();
+      << "initial update left of node: " << a.ToString();
   if (n->level() > a.level) {
     // A separator insert that started at a local copy above its parent
     // level (partial interior replication): descend by key.
     Descend(*n, std::move(a));
     return;
   }
-  if (InsertBlocked(*n)) {
+  if (UpdateBlocked(*n)) {
     p_.aas().Defer(n->id(), std::move(a));  // re-enqueued at split_end
     return;
   }
-  PerformInitialInsert(*n, std::move(a));
+  const Action::Rc rc = ApplyKeyUpdate(*n, a, /*initial=*/true);
+  RelayToCopies(*n, a);
+  Reply(a, rc, 0);
+  if (SplitDue(*n, a) && n->pc() == p_.id()) InitiateSplit(*n);
 }
 
-void FixedCopiesProtocol::PerformInitialInsert(Node& n, Action a) {
-  if (a.update == kNoUpdate) {
-    // A client insert reaching its leaf: this is the issue point.
-    a.update = NewRegisteredUpdate(history::UpdateClass::kInsert, n.id(),
-                                   a.key, a.value);
-  }
-  const uint64_t payload = n.is_leaf() ? a.value : a.new_node.v;
-  const bool inserted = n.Insert(a.key, payload, p_.config().upsert);
-  RecordUpdate(n, history::UpdateClass::kInsert, a.update,
-               /*initial=*/true, /*rewritten=*/false, a.key, payload,
-               a.new_node, 0, n.version());
-
-  // Relay to the other copies (the lazy update). Relays carry no client
-  // context; the client is answered by this initial execution alone.
-  if (n.copies().size() > 1) {
-    Action relay = a;
-    relay.kind = ActionKind::kRelayedInsert;
-    relay.op = kNoOp;
-    relay.origin = p_.id();
-    relay.version = n.version();
-    p_.out().Broadcast(n.copies(), relay);
-  }
-
-  Reply(a, inserted || p_.config().upsert ? Action::Rc::kOk
-                                          : Action::Rc::kExists,
-        0);
-
-  if (n.Overflowing(p_.config().max_entries) && n.pc() == p_.id()) {
-    InitiateSplit(n);
-  }
-}
-
-void FixedCopiesProtocol::HandleInitialDelete(Action a) {
-  Node* n = Local(a.target);
-  if (n == nullptr) {
-    ProcessorId dest = ResolveDest(a.target, a.level);
-    if (dest == p_.id()) {
-      HandleMissing(std::move(a));
-    } else {
-      p_.out().SendAction(dest, std::move(a));
-    }
-    return;
-  }
-  ++a.hops;
-  if (a.key >= n->right_low()) {
-    RouteToNode(n->right(), n->level(), std::move(a));
-    return;
-  }
-  LAZYTREE_CHECK(a.key >= n->range().low)
-      << "initial delete left of node: " << a.ToString();
-  if (InsertBlocked(*n)) {
-    // Deletes conflict with splits exactly like inserts do.
-    p_.aas().Defer(n->id(), std::move(a));
-    return;
-  }
-  PerformInitialDelete(*n, std::move(a));
-}
-
-void FixedCopiesProtocol::PerformInitialDelete(Node& n, Action a) {
-  if (a.update == kNoUpdate) {
-    a.update = NewRegisteredUpdate(history::UpdateClass::kDelete, n.id(),
-                                   a.key, 0);
-  }
-  const bool removed = n.Remove(a.key);
-  RecordUpdate(n, history::UpdateClass::kDelete, a.update,
-               /*initial=*/true, /*rewritten=*/false, a.key, 0,
-               kInvalidNode, 0, n.version());
-  if (n.copies().size() > 1) {
-    Action relay = a;
-    relay.kind = ActionKind::kRelayedDelete;
-    relay.op = kNoOp;
-    relay.origin = p_.id();
-    relay.version = n.version();
-    p_.out().Broadcast(n.copies(), relay);
-  }
-  Reply(a, removed ? Action::Rc::kOk : Action::Rc::kNotFound, 0);
-  // Free-at-empty: an emptied node stays in the structure ([11]).
-}
-
-void FixedCopiesProtocol::HandleRelayedDelete(Action a) {
-  Node* n = Local(a.target);
-  if (n == nullptr) {
-    HandleMissing(std::move(a));
-    return;
-  }
-  if (n->Contains(a.key)) {
-    n->Remove(a.key);
-    RecordUpdate(*n, history::UpdateClass::kDelete, a.update,
-                 /*initial=*/false, /*rewritten=*/false, a.key, 0,
-                 kInvalidNode, 0, n->version());
-    return;
-  }
-  LAZYTREE_CHECK(a.key >= n->range().low)
-      << "relayed delete left of node: " << a.ToString();
-  if (n->pc() == p_.id()) {
-    OnPcOutOfRangeRelay(*n, std::move(a));
-  } else {
-    RecordUpdate(*n, history::UpdateClass::kDelete, a.update,
-                 /*initial=*/false, /*rewritten=*/true, a.key, 0,
-                 kInvalidNode, 0, n->version());
-  }
-}
-
-void FixedCopiesProtocol::HandleRelayedInsert(Action a) {
+void FixedCopiesProtocol::HandleRelayedUpdate(Action a) {
   Node* n = Local(a.target);
   if (n == nullptr) {
     // Relays are addressed directly to copy holders; if ours is not
@@ -206,28 +98,19 @@ void FixedCopiesProtocol::HandleRelayedInsert(Action a) {
     HandleMissing(std::move(a));
     return;
   }
-  const uint64_t payload = n->is_leaf() ? a.value : a.new_node.v;
   if (n->Contains(a.key)) {
-    n->Insert(a.key, payload, p_.config().upsert);
-    RecordUpdate(*n, history::UpdateClass::kInsert, a.update,
-                 /*initial=*/false, /*rewritten=*/false, a.key, payload,
-                 a.new_node, 0, n->version());
-    if (n->Overflowing(p_.config().max_entries) && n->pc() == p_.id()) {
-      InitiateSplit(*n);
-    }
+    ApplyKeyUpdate(*n, a, /*initial=*/false);
+    if (SplitDue(*n, a) && n->pc() == p_.id()) InitiateSplit(*n);
     return;
   }
   LAZYTREE_CHECK(a.key >= n->range().low)
-      << "relayed insert left of node: " << a.ToString();
+      << "relayed update left of node: " << a.ToString();
   if (n->pc() == p_.id()) {
     OnPcOutOfRangeRelay(*n, std::move(a));
   } else {
-    // A split this copy already applied moved the key out; the update is
-    // logically reordered before that split and has no local effect
-    // (§4.1: "the action is discarded") — but it stays in the history.
-    RecordUpdate(*n, history::UpdateClass::kInsert, a.update,
-                 /*initial=*/false, /*rewritten=*/true, a.key, payload,
-                 a.new_node, 0, n->version());
+    // A split this copy already applied moved the key out (§4.1: "the
+    // action is discarded").
+    RecordRewritten(*n, a);
   }
 }
 

@@ -66,17 +66,11 @@ class FixedCopiesProtocol : public BaseProtocol {
   /// between restarted replicas indefinitely.
   void HandleMissing(Action a) override;
 
-  void HandleInitialInsert(Action a) override;
-  void HandleRelayedInsert(Action a) override;
-  void HandleInitialDelete(Action a) override;
-  void HandleRelayedDelete(Action a) override;
-
-  /// Applies an in-range initial insert at `n`, relays it to the other
-  /// copies, answers the client, and lets the PC consider a split.
-  void PerformInitialInsert(Node& n, Action a);
-
-  /// Same for deletes (free-at-empty: nodes never merge, [11]).
-  void PerformInitialDelete(Node& n, Action a);
+  /// Moves the update to the copy that covers its key and level, then
+  /// applies it, relays it to the other copies, answers the client, and
+  /// lets the PC consider a split.
+  void HandleInitialUpdate(Action a) override;
+  void HandleRelayedUpdate(Action a) override;
 
   /// Applies a relayed split at a non-PC copy (split_end / relayed split).
   void ApplyRelayedSplit(Node& n, const Action& a);
@@ -84,13 +78,13 @@ class FixedCopiesProtocol : public BaseProtocol {
   /// PC-side overflow trigger; ordering policy differs per protocol.
   virtual void InitiateSplit(Node& n) = 0;
 
-  /// True when an initial insert must wait at this copy (sync AAS).
-  virtual bool InsertBlocked(Node& n) {
+  /// True when an initial update must wait at this copy (sync AAS).
+  virtual bool UpdateBlocked(Node& n) {
     (void)n;
     return false;
   }
 
-  /// Policy when the PC receives a relayed insert whose key left the PC's
+  /// Policy when the PC receives a relayed update whose key left the PC's
   /// range (a split won the race): §4.1.2 rewrites history and forwards;
   /// the Fig.-4 strawman drops it.
   virtual void OnPcOutOfRangeRelay(Node& n, Action a) = 0;

@@ -89,17 +89,9 @@ void MobileProtocol::HandleMissing(Action a) {
   Reply(a, Action::Rc::kNotFound, 0);
 }
 
-void MobileProtocol::HandleInitialInsert(Action a) {
-  Node* n = Local(a.target);
-  if (n == nullptr) {
-    ProcessorId dest = ResolveDest(a.target, a.level);
-    if (dest == p_.id()) {
-      HandleMissing(std::move(a));
-    } else {
-      p_.out().SendAction(dest, std::move(a));
-    }
-    return;
-  }
+void MobileProtocol::HandleInitialUpdate(Action a) {
+  Node* n = LocalOrRoute(a);
+  if (n == nullptr) return;
   ++a.hops;
   const int32_t want = std::max(a.level, 0);
   if (a.key >= n->right_low()) {
@@ -112,56 +104,12 @@ void MobileProtocol::HandleInitialInsert(Action a) {
     return;
   }
   LAZYTREE_CHECK(n->level() == want)
-      << "insert below destination level: " << a.ToString();
+      << "update below destination level: " << a.ToString();
   LAZYTREE_CHECK(a.key >= n->range().low)
-      << "initial insert left of node: " << a.ToString();
-
-  if (a.update == kNoUpdate) {
-    a.update = NewRegisteredUpdate(history::UpdateClass::kInsert, n->id(),
-                                   a.key, a.value);
-  }
-  const uint64_t payload = n->is_leaf() ? a.value : a.new_node.v;
-  const bool inserted = n->Insert(a.key, payload, p_.config().upsert);
-  RecordUpdate(*n, history::UpdateClass::kInsert, a.update,
-               /*initial=*/true, /*rewritten=*/false, a.key, payload,
-               a.new_node, 0, n->version());
-  Reply(a, inserted || p_.config().upsert ? Action::Rc::kOk
-                                          : Action::Rc::kExists,
-        0);
-  if (n->Overflowing(p_.config().max_entries)) LocalSplit(*n);
-}
-
-void MobileProtocol::HandleInitialDelete(Action a) {
-  Node* n = Local(a.target);
-  if (n == nullptr) {
-    ProcessorId dest = ResolveDest(a.target, a.level);
-    if (dest == p_.id()) {
-      HandleMissing(std::move(a));
-    } else {
-      p_.out().SendAction(dest, std::move(a));
-    }
-    return;
-  }
-  ++a.hops;
-  const int32_t want = std::max(a.level, 0);
-  if (a.key >= n->right_low()) {
-    ChaseRight(*n, std::move(a));
-    return;
-  }
-  if (n->level() > want) {
-    Descend(*n, std::move(a));
-    return;
-  }
-  if (a.update == kNoUpdate) {
-    a.update = NewRegisteredUpdate(history::UpdateClass::kDelete, n->id(),
-                                   a.key, 0);
-  }
-  const bool removed = n->Remove(a.key);
-  RecordUpdate(*n, history::UpdateClass::kDelete, a.update,
-               /*initial=*/true, /*rewritten=*/false, a.key, 0,
-               kInvalidNode, 0, n->version());
-  Reply(a, removed ? Action::Rc::kOk : Action::Rc::kNotFound, 0);
-  // Free-at-empty ([11]): an emptied node stays.
+      << "initial update left of node: " << a.ToString();
+  const Action::Rc rc = ApplyKeyUpdate(*n, a, /*initial=*/true);
+  Reply(a, rc, 0);
+  if (SplitDue(*n, a)) LocalSplit(*n);
 }
 
 void MobileProtocol::LocalSplit(Node& n) {
@@ -222,16 +170,8 @@ void MobileProtocol::HandleLinkChange(Action a) {
   NoteAddr(a.new_node, a.origin, a.version);
   if (a.link == LinkKind::kParent) return;  // cache refresh only
 
-  Node* m = Local(a.target);
-  if (m == nullptr) {
-    ProcessorId dest = ResolveDest(a.target, a.level);
-    if (dest == p_.id()) {
-      HandleMissing(std::move(a));
-    } else {
-      p_.out().SendAction(dest, std::move(a));
-    }
-    return;
-  }
+  Node* m = LocalOrRoute(a);
+  if (m == nullptr) return;
   if (a.key >= m->right_low()) {
     // The neighbor split: the geometric neighbor is further right.
     ChaseRight(*m, std::move(a));

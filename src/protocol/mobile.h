@@ -56,8 +56,7 @@ class MobileProtocol : public BaseProtocol {
   ProcessorId ResolveDest(NodeId id, int32_t level) override;
   void HandleMissing(Action a) override;
 
-  void HandleInitialInsert(Action a) override;
-  void HandleInitialDelete(Action a) override;
+  void HandleInitialUpdate(Action a) override;
   void HandleLinkChange(Action a) override;
   void HandleMigrateNode(Action a) override;
   void HandleMigrateAck(Action a) override;

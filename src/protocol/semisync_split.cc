@@ -43,20 +43,9 @@ void SemiSyncSplitProtocol::OnPcOutOfRangeRelay(Node& n, Action a) {
   // Rewrite history (§4.1.2): pretend the update arrived before the split
   // it lost the race to. It has no effect on this node's value, but the
   // split's subsequent actions must now include delivering the key to the
-  // node that owns it — so forward a fresh initial action to the right
-  // sibling (the same logical update: the UpdateId is preserved).
-  const bool is_delete = a.kind == ActionKind::kRelayedDelete;
-  RecordUpdate(n,
-               is_delete ? history::UpdateClass::kDelete
-                         : history::UpdateClass::kInsert,
-               a.update, /*initial=*/false, /*rewritten=*/true, a.key,
-               n.is_leaf() ? a.value : a.new_node.v, a.new_node, 0,
-               n.version());
-  Action forward = std::move(a);
-  forward.kind = is_delete ? ActionKind::kDelete : ActionKind::kInsert;
-  forward.op = kNoOp;  // the client was answered at the first execution
-  forward.origin = p_.id();
-  RouteToNode(n.right(), n.level(), std::move(forward));
+  // node that owns it.
+  RecordRewritten(n, a);
+  ForwardRewritten(n, std::move(a));
 }
 
 }  // namespace lazytree

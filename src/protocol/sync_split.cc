@@ -4,7 +4,7 @@
 
 namespace lazytree {
 
-bool SyncSplitProtocol::InsertBlocked(Node& n) {
+bool SyncSplitProtocol::UpdateBlocked(Node& n) {
   const bool blocked = p_.aas().Active(n.id());
   if (blocked) p_.Count(net::Counter::kDeferredInserts);
   return blocked;
@@ -12,7 +12,7 @@ bool SyncSplitProtocol::InsertBlocked(Node& n) {
 
 void SyncSplitProtocol::InitiateSplit(Node& n) {
   if (p_.aas().Active(n.id())) return;  // a split is already under way
-  p_.aas().Begin(n.id());               // block local initial inserts too
+  p_.aas().Begin(n.id());               // block local initial updates too
   if (n.copies().size() <= 1) {
     PerformSyncSplit(n);
     return;
@@ -32,8 +32,8 @@ void SyncSplitProtocol::HandleSplitStart(Action a) {
     HandleMissing(std::move(a));
     return;
   }
-  // Block initial inserts until split_end; relayed inserts and searches
-  // keep flowing (the AAS conflicts only with initial inserts).
+  // Block initial updates until split_end; relayed updates and searches
+  // keep flowing (the AAS conflicts only with initial updates).
   p_.aas().Begin(n->id());
   Action ack;
   ack.kind = ActionKind::kSplitAck;
@@ -76,7 +76,7 @@ void SyncSplitProtocol::PerformSyncSplit(Node& n) {
 
   FinishSplit(n, split);
 
-  // Release the local AAS and replay the inserts it parked.
+  // Release the local AAS and replay the updates it parked.
   for (Action& deferred : p_.aas().End(n.id())) {
     p_.out().SendLocal(std::move(deferred));
   }
@@ -92,7 +92,7 @@ void SyncSplitProtocol::HandleSplitEnd(Action a) {
 }
 
 void SyncSplitProtocol::OnPcOutOfRangeRelay(Node& n, Action a) {
-  // The AAS ordering proof (Theorem 1) guarantees relayed inserts reach
+  // The AAS ordering proof (Theorem 1) guarantees relayed updates reach
   // the PC before the split that would move them — so this can only be a
   // protocol bug. Fail loudly.
   LAZYTREE_CHECK(false) << "sync protocol: out-of-range relay at PC: "

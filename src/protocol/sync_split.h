@@ -1,8 +1,8 @@
 // Synchronous split protocol (§4.1.1).
 //
 // Splits run under an AAS (the distributed lock analogue): the PC sends
-// split_start to every copy, copies block *initial* inserts (searches and
-// relayed inserts keep flowing) and acknowledge, and once all acks arrive
+// split_start to every copy, copies block *initial* updates (searches and
+// relayed updates keep flowing) and acknowledge, and once all acks arrive
 // the PC performs the half-split and broadcasts split_end. The ordering
 // of inserts vs. splits at the PC becomes the standard every copy obeys.
 // Cost: 3·|copies(n)| messages per split, and initial inserts stall for a
@@ -37,7 +37,7 @@ class SyncSplitProtocol : public FixedCopiesProtocol {
 
  protected:
   void InitiateSplit(Node& n) override;
-  bool InsertBlocked(Node& n) override;
+  bool UpdateBlocked(Node& n) override;
   void HandleSplitStart(Action a) override;
   void HandleSplitAck(Action a) override;
   void HandleSplitEnd(Action a) override;

@@ -34,17 +34,9 @@ std::vector<ProcessorId> VarCopiesProtocol::PlaceSibling(
   return copies;
 }
 
-void VarCopiesProtocol::HandleInitialInsert(Action a) {
-  Node* n = Local(a.target);
-  if (n == nullptr) {
-    ProcessorId dest = ResolveDest(a.target, a.level);
-    if (dest == p_.id()) {
-      HandleMissing(std::move(a));
-    } else {
-      p_.out().SendAction(dest, std::move(a));
-    }
-    return;
-  }
+void VarCopiesProtocol::HandleInitialUpdate(Action a) {
+  Node* n = LocalOrRoute(a);
+  if (n == nullptr) return;
   ++a.hops;
   const int32_t want = std::max(a.level, 0);
   if (a.key >= n->right_low()) {
@@ -56,135 +48,20 @@ void VarCopiesProtocol::HandleInitialInsert(Action a) {
     return;
   }
   LAZYTREE_CHECK(n->level() == want && a.key >= n->range().low)
-      << "misrouted initial insert: " << a.ToString();
-  PerformInsert(*n, std::move(a));
-}
-
-void VarCopiesProtocol::PerformInsert(Node& n, Action a) {
-  if (a.update == kNoUpdate) {
-    a.update = NewRegisteredUpdate(history::UpdateClass::kInsert, n.id(),
-                                   a.key, a.value);
-  }
-  const uint64_t payload = n.is_leaf() ? a.value : a.new_node.v;
-  const bool inserted = n.Insert(a.key, payload, p_.config().upsert);
-  RecordUpdate(n, history::UpdateClass::kInsert, a.update,
-               /*initial=*/true, /*rewritten=*/false, a.key, payload,
-               a.new_node, 0, n.version());
-
+      << "misrouted initial update: " << a.ToString();
+  const Action::Rc rc = ApplyKeyUpdate(*n, a, /*initial=*/true);
   // §4.3 insert step 1: relay to every copy we are aware of, with this
   // copy's version number attached.
-  if (n.copies().size() > 1) {
-    Action relay = a;
-    relay.kind = ActionKind::kRelayedInsert;
-    relay.op = kNoOp;
-    relay.origin = p_.id();
-    relay.version = n.version();
-    p_.out().Broadcast(n.copies(), relay);
-  }
-
-  Reply(a, inserted || p_.config().upsert ? Action::Rc::kOk
-                                          : Action::Rc::kExists,
-        0);
-
-  if (n.Overflowing(p_.config().max_entries)) {
-    if (n.is_leaf()) {
-      LocalSplit(n);  // single-copy mobile leaf (§4.2)
-    } else if (n.pc() == p_.id()) {
-      SplitNode(n);
+  RelayToCopies(*n, a);
+  Reply(a, rc, 0);
+  if (SplitDue(*n, a)) {
+    if (n->is_leaf()) {
+      LocalSplit(*n);  // single-copy mobile leaf (§4.2)
+    } else if (n->pc() == p_.id()) {
+      SplitNode(*n);
     }
     // A non-PC interior copy overflows into its bucket; the PC splits
     // when the relay reaches it.
-  }
-}
-
-void VarCopiesProtocol::HandleInitialDelete(Action a) {
-  Node* n = Local(a.target);
-  if (n == nullptr) {
-    ProcessorId dest = ResolveDest(a.target, a.level);
-    if (dest == p_.id()) {
-      HandleMissing(std::move(a));
-    } else {
-      p_.out().SendAction(dest, std::move(a));
-    }
-    return;
-  }
-  ++a.hops;
-  const int32_t want = std::max(a.level, 0);
-  if (a.key >= n->right_low()) {
-    ChaseRight(*n, std::move(a));
-    return;
-  }
-  if (n->level() > want) {
-    Descend(*n, std::move(a));
-    return;
-  }
-  if (a.update == kNoUpdate) {
-    a.update = NewRegisteredUpdate(history::UpdateClass::kDelete, n->id(),
-                                   a.key, 0);
-  }
-  const bool removed = n->Remove(a.key);
-  RecordUpdate(*n, history::UpdateClass::kDelete, a.update,
-               /*initial=*/true, /*rewritten=*/false, a.key, 0,
-               kInvalidNode, 0, n->version());
-  if (n->copies().size() > 1) {
-    Action relay = a;
-    relay.kind = ActionKind::kRelayedDelete;
-    relay.op = kNoOp;
-    relay.origin = p_.id();
-    relay.version = n->version();
-    p_.out().Broadcast(n->copies(), relay);
-  }
-  Reply(a, removed ? Action::Rc::kOk : Action::Rc::kNotFound, 0);
-}
-
-void VarCopiesProtocol::HandleRelayedDelete(Action a) {
-  Node* n = Local(a.target);
-  if (n == nullptr) {
-    ParkOrDiscardRelay(std::move(a));
-    return;
-  }
-  if (n->HasApplied(a.update)) return;  // exactly-once (see relayed insert)
-  if (n->Contains(a.key)) {
-    n->Remove(a.key);
-    RecordUpdate(*n, history::UpdateClass::kDelete, a.update,
-                 /*initial=*/false, /*rewritten=*/false, a.key, 0,
-                 kInvalidNode, 0, n->version());
-    if (n->pc() == p_.id()) {
-      auto it = join_versions_.find(n->id());
-      if (it != join_versions_.end() && !p_.config().ablate_fig6_rerelay) {
-        for (const auto& [member, joined_at] : it->second) {
-          if (joined_at > a.version && member != a.origin &&
-              member != p_.id()) {
-            p_.Count(net::Counter::kLateJoinerRerelays);
-            p_.out().SendAction(member, a);
-          }
-        }
-      }
-    }
-    return;
-  }
-  LAZYTREE_CHECK(a.key >= n->range().low)
-      << "relayed delete left of node: " << a.ToString();
-  RecordUpdate(*n, history::UpdateClass::kDelete, a.update,
-               /*initial=*/false, /*rewritten=*/true, a.key, 0,
-               kInvalidNode, 0, n->version());
-  if (n->pc() == p_.id()) {
-    auto it = join_versions_.find(n->id());
-    if (it != join_versions_.end() && !p_.config().ablate_fig6_rerelay) {
-      for (const auto& [member, joined_at] : it->second) {
-        if (joined_at > a.version && member != a.origin &&
-            member != p_.id()) {
-          p_.Count(net::Counter::kLateJoinerRerelays);
-          p_.out().SendAction(member, a);
-        }
-      }
-    }
-    Action forward = std::move(a);
-    forward.kind = ActionKind::kDelete;
-    forward.op = kNoOp;
-    forward.origin = p_.id();
-    forward.level = n->level();
-    RouteToNode(n->right(), n->level(), std::move(forward));
   }
 }
 
@@ -197,7 +74,21 @@ void VarCopiesProtocol::ParkOrDiscardRelay(Action a) {
   }
 }
 
-void VarCopiesProtocol::HandleRelayedInsert(Action a) {
+void VarCopiesProtocol::ReRelayToLateJoiners(const Node& n,
+                                             const Action& a) {
+  auto it = join_versions_.find(n.id());
+  if (it == join_versions_.end() || p_.config().ablate_fig6_rerelay) return;
+  for (const auto& [member, joined_at] : it->second) {
+    if (joined_at > a.version && member != a.origin && member != p_.id()) {
+      p_.Count(net::Counter::kLateJoinerRerelays);
+      p_.out().SendAction(member, a);
+    }
+  }
+}
+
+void VarCopiesProtocol::HandleRelayedUpdate(Action a) {
+  // Leaves are single-copy, so only separator inserts into replicated
+  // interior nodes are relayed; deletes never are.
   Node* n = Local(a.target);
   if (n == nullptr) {
     ParkOrDiscardRelay(std::move(a));
@@ -211,61 +102,22 @@ void VarCopiesProtocol::HandleRelayedInsert(Action a) {
     // value-idempotent anyway.
     return;
   }
-  const uint64_t payload = n->is_leaf() ? a.value : a.new_node.v;
   if (n->Contains(a.key)) {
-    n->Insert(a.key, payload, p_.config().upsert);
-    RecordUpdate(*n, history::UpdateClass::kInsert, a.update,
-                 /*initial=*/false, /*rewritten=*/false, a.key, payload,
-                 a.new_node, 0, n->version());
+    ApplyKeyUpdate(*n, a, /*initial=*/false);
     if (n->pc() == p_.id()) {
-      // §4.3 insert step 3a: re-relay to members that joined after the
-      // version attached to this update (Fig. 6).
-      auto it = join_versions_.find(n->id());
-      if (it != join_versions_.end() && !p_.config().ablate_fig6_rerelay) {
-        for (const auto& [member, joined_at] : it->second) {
-          if (joined_at > a.version && member != a.origin &&
-              member != p_.id()) {
-            p_.Count(net::Counter::kLateJoinerRerelays);
-            p_.out().SendAction(member, a);
-          }
-        }
-      }
-      if (n->Overflowing(p_.config().max_entries) && !n->is_leaf()) {
-        SplitNode(*n);
-      }
+      ReRelayToLateJoiners(*n, a);
+      if (SplitDue(*n, a) && !n->is_leaf()) SplitNode(*n);
     }
     return;
   }
   LAZYTREE_CHECK(a.key >= n->range().low)
-      << "relayed insert left of node: " << a.ToString();
+      << "relayed update left of node: " << a.ToString();
+  RecordRewritten(*n, a);
   if (n->pc() == p_.id()) {
     // §4.3 insert step 3b (the §4.1.2 history rewrite): forward to the
-    // node that owns the key now.
-    RecordUpdate(*n, history::UpdateClass::kInsert, a.update,
-                 /*initial=*/false, /*rewritten=*/true, a.key, payload,
-                 a.new_node, 0, n->version());
-    // Late joiners still need the relay (they record the same rewrite) —
-    // their seed snapshot predates this update just like ours did.
-    auto it = join_versions_.find(n->id());
-    if (it != join_versions_.end() && !p_.config().ablate_fig6_rerelay) {
-      for (const auto& [member, joined_at] : it->second) {
-        if (joined_at > a.version && member != a.origin &&
-            member != p_.id()) {
-          p_.Count(net::Counter::kLateJoinerRerelays);
-          p_.out().SendAction(member, a);
-        }
-      }
-    }
-    Action forward = std::move(a);
-    forward.kind = ActionKind::kInsert;
-    forward.op = kNoOp;
-    forward.origin = p_.id();
-    forward.level = n->level();
-    RouteToNode(n->right(), n->level(), std::move(forward));
-  } else {
-    RecordUpdate(*n, history::UpdateClass::kInsert, a.update,
-                 /*initial=*/false, /*rewritten=*/true, a.key, payload,
-                 a.new_node, 0, n->version());
+    // node that owns the key now. Late joiners still need the relay.
+    ReRelayToLateJoiners(*n, a);
+    ForwardRewritten(*n, std::move(a));
   }
 }
 
@@ -334,24 +186,16 @@ void VarCopiesProtocol::HandleLinkChange(Action a) {
   NoteAddr(a.new_node, a.origin, a.version);
   if (a.link == LinkKind::kParent) return;  // cache refresh only
 
-  Node* m = Local(a.target);
-  if (m == nullptr) {
-    if (a.kind == ActionKind::kRelayedLinkChange) {
-      ParkOrDiscardRelay(std::move(a));
-      return;
-    }
-    ProcessorId dest = ResolveDest(a.target, a.level);
-    if (dest == p_.id()) {
-      HandleMissing(std::move(a));
-    } else {
-      p_.out().SendAction(dest, std::move(a));
-    }
-    return;
-  }
   if (a.kind == ActionKind::kRelayedLinkChange) {
-    ApplyGatedLinkChange(*m, a, /*initial=*/false);
+    if (Node* m = Local(a.target)) {
+      ApplyGatedLinkChange(*m, a, /*initial=*/false);
+    } else {
+      ParkOrDiscardRelay(std::move(a));
+    }
     return;
   }
+  Node* m = LocalOrRoute(a);
+  if (m == nullptr) return;
   // Initial link-change: geometry corrections first, as in §4.2.
   if (a.key >= m->right_low()) {
     ChaseRight(*m, std::move(a));
@@ -377,16 +221,8 @@ void VarCopiesProtocol::HandleLinkChange(Action a) {
 }
 
 void VarCopiesProtocol::HandleJoin(Action a) {
-  Node* n = Local(a.target);
-  if (n == nullptr) {
-    ProcessorId dest = ResolveDest(a.target, a.level);
-    if (dest == p_.id()) {
-      HandleMissing(std::move(a));  // id-bound: creator chase only
-    } else {
-      p_.out().SendAction(dest, std::move(a));
-    }
-    return;
-  }
+  Node* n = LocalOrRoute(a);  // id-bound: HandleMissing chases the creator
+  if (n == nullptr) return;
   if (n->pc() != p_.id()) {
     p_.out().SendAction(n->pc(), std::move(a));  // the PC registers joins
     return;
@@ -462,16 +298,8 @@ void VarCopiesProtocol::HandleRelayedJoin(Action a) {
 }
 
 void VarCopiesProtocol::HandleUnjoin(Action a) {
-  Node* n = Local(a.target);
-  if (n == nullptr) {
-    ProcessorId dest = ResolveDest(a.target, a.level);
-    if (dest == p_.id()) {
-      HandleMissing(std::move(a));
-    } else {
-      p_.out().SendAction(dest, std::move(a));
-    }
-    return;
-  }
+  Node* n = LocalOrRoute(a);
+  if (n == nullptr) return;
   if (n->pc() != p_.id()) {
     p_.out().SendAction(n->pc(), std::move(a));
     return;

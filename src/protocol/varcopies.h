@@ -74,10 +74,8 @@ class VarCopiesProtocol : public MobileProtocol {
   std::vector<ProcessorId> PlaceSibling(const Node& splitting,
                                         NodeId sibling_id) override;
 
-  void HandleInitialInsert(Action a) override;
-  void HandleRelayedInsert(Action a) override;
-  void HandleInitialDelete(Action a) override;
-  void HandleRelayedDelete(Action a) override;
+  void HandleInitialUpdate(Action a) override;
+  void HandleRelayedUpdate(Action a) override;
   void HandleRelayedSplit(Action a) override;
   void HandleLinkChange(Action a) override;
   void HandleCreateNode(Action a) override;
@@ -96,10 +94,6 @@ class VarCopiesProtocol : public MobileProtocol {
   void SplitNode(Node& n);
 
  private:
-  /// Applies an in-range insert at a local copy, relays it with this
-  /// copy's version attached, answers the client, and considers a split.
-  void PerformInsert(Node& n, Action a);
-
   /// Joins every interior node on the path from the root down to the
   /// leaf covering `leaf_low` that is not already local. The descent is
   /// geometric (by key, through local copies and right links), because
@@ -125,6 +119,12 @@ class VarCopiesProtocol : public MobileProtocol {
   /// Shared disposition for a relayed action whose target is not local:
   /// park (join/create in flight) or discard (we unjoined).
   void ParkOrDiscardRelay(Action a);
+
+  /// §4.3 insert step 3a (Fig. 6), at the PC: re-relays update `a` to the
+  /// members that joined after the version it carries. Their seed snapshot
+  /// predates it just as this copy's state did, so they apply it, or
+  /// record the same rewrite, as this copy did.
+  void ReRelayToLateJoiners(const Node& n, const Action& a);
 };
 
 }  // namespace lazytree

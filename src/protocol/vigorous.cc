@@ -4,22 +4,9 @@
 
 namespace lazytree {
 
-void VigorousProtocol::HandleInitialDelete(Action a) {
-  // Deletes are updates too: funnel through the same PC rounds.
-  HandleInitialInsert(std::move(a));
-}
-
-void VigorousProtocol::HandleInitialInsert(Action a) {
-  Node* n = Local(a.target);
-  if (n == nullptr) {
-    ProcessorId dest = ResolveDest(a.target, a.level);
-    if (dest == p_.id()) {
-      HandleMissing(std::move(a));
-    } else {
-      p_.out().SendAction(dest, std::move(a));
-    }
-    return;
-  }
+void VigorousProtocol::HandleInitialUpdate(Action a) {
+  Node* n = LocalOrRoute(a);
+  if (n == nullptr) return;
   ++a.hops;
   if (a.key >= n->right_low()) {
     ChaseRight(*n, std::move(a));

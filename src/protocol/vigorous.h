@@ -24,10 +24,9 @@ class VigorousProtocol : public FixedCopiesProtocol {
   using FixedCopiesProtocol::FixedCopiesProtocol;
 
  protected:
-  void HandleInitialInsert(Action a) override;
-  void HandleInitialDelete(Action a) override;
-  void HandleRelayedInsert(Action a) override { Unexpected(a); }
-  void HandleRelayedDelete(Action a) override { Unexpected(a); }
+  /// Funnels every update, insert or delete, into its node's PC rounds.
+  void HandleInitialUpdate(Action a) override;
+  void HandleRelayedUpdate(Action a) override { Unexpected(a); }
   void HandleVigorous(Action a) override;
   void InitiateSplit(Node& n) override;
   bool ReadBlocked(Node& n) override { return p_.aas().Active(n.id()); }
