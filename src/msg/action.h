@@ -9,8 +9,10 @@
 #ifndef LAZYTREE_MSG_ACTION_H_
 #define LAZYTREE_MSG_ACTION_H_
 
+#include <atomic>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/msg/key.h"
@@ -52,6 +54,60 @@ struct NodeSnapshot {
 
   bool valid() const { return id.valid(); }
   friend bool operator==(const NodeSnapshot&, const NodeSnapshot&) = default;
+};
+
+/// The node an action carries, held out of line: one pointer, null for
+/// every action that carries no node. Copies of a node-carrying action
+/// share one immutable snapshot through an atomic reference count, so
+/// fanning a create out to every holder, a hop by value, or the reliable
+/// layer's window copy never copies entries. A null ref reads as the
+/// default (invalid) snapshot; equality compares contents.
+class SnapshotRef {
+ public:
+  SnapshotRef() = default;
+  explicit SnapshotRef(NodeSnapshot node)
+      : block_(new Block{{1}, std::move(node)}) {}
+  SnapshotRef(const SnapshotRef& other) noexcept : block_(other.block_) {
+    if (block_ != nullptr) {
+      block_->refs.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+  SnapshotRef(SnapshotRef&& other) noexcept
+      : block_(std::exchange(other.block_, nullptr)) {}
+  SnapshotRef& operator=(SnapshotRef other) noexcept {
+    std::swap(block_, other.block_);
+    return *this;
+  }
+  SnapshotRef& operator=(NodeSnapshot node) {
+    return *this = SnapshotRef(std::move(node));
+  }
+  ~SnapshotRef() {
+    if (block_ != nullptr &&
+        block_->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      delete block_;
+    }
+  }
+
+  bool valid() const { return block_ != nullptr && block_->node.valid(); }
+  const NodeSnapshot& operator*() const {
+    return block_ != nullptr ? block_->node : None();
+  }
+  const NodeSnapshot* operator->() const { return &**this; }
+  friend bool operator==(const SnapshotRef& a, const SnapshotRef& b) {
+    return a.block_ == b.block_ || *a == *b;
+  }
+
+ private:
+  struct Block {
+    std::atomic<uint32_t> refs;
+    const NodeSnapshot node;
+  };
+  static const NodeSnapshot& None() {
+    static const NodeSnapshot kNone;
+    return kNone;
+  }
+
+  Block* block_ = nullptr;
 };
 
 /// Every kind of action exchanged by the protocols.
@@ -253,6 +309,10 @@ enum class LinkKind : uint8_t { kRight = 0, kLeft = 1, kParent = 2 };
 
 /// One action plus its routing metadata. A single struct covers all kinds;
 /// unused fields stay at their defaults and encode compactly (wire.h).
+/// Every field is inline except the node payload, which only kCreateNode,
+/// kJoinGrant and kMigrateNode carry: `snapshot` is one shared pointer
+/// (SnapshotRef), so the 160-byte action that every hop, send and
+/// retransmit copy moves does not also carry a 176-byte NodeSnapshot.
 struct Action {
   ActionKind kind = ActionKind::kInvalid;
   NodeId target = kInvalidNode;  ///< logical node the action addresses
@@ -280,8 +340,8 @@ struct Action {
   // Membership payload (join / unjoin / create).
   std::vector<ProcessorId> members;
 
-  // Node payload (create / join grant / migrate / split end).
-  NodeSnapshot snapshot;
+  // Node payload (create / join grant / migrate), shared and immutable.
+  SnapshotRef snapshot;
 
   // Scan accumulator (kScanOp gathers as it walks; kReturnValue carries
   // the final batch home). `value` holds the scan limit.

@@ -69,6 +69,8 @@ struct ClientOp {
   }
 };
 static_assert(sizeof(ClientOp) == 32, "ClientOp fills half a cache line");
+static_assert(sizeof(Action) <= 160,
+              "Action keeps its node payload out of line (SnapshotRef)");
 
 }  // namespace lazytree
 

@@ -77,7 +77,7 @@ size_t MessageReserveHint(const Message& m) {
   size_t n = 16;
   for (const Action& a : m.actions) {
     n += 72 + 5 * a.members.size() + 10 * a.range_results.size() +
-         SnapshotReserveHint(a.snapshot);
+         SnapshotReserveHint(*a.snapshot);
   }
   return n;
 }
@@ -139,7 +139,7 @@ void EncodeActionTo(Sink& w, const Action& a) {
       w.PutVarint(e.payload);
     }
   }
-  EncodeSnapshotTo(w, a.snapshot);
+  EncodeSnapshotTo(w, *a.snapshot);
 }
 
 template <typename Sink>
@@ -290,7 +290,8 @@ StatusOr<Action> DecodeAction(Reader& r) {
   }
   auto snap = DecodeSnapshot(r);
   if (!snap.ok()) return snap.status();
-  a.snapshot = std::move(*snap);
+  // An absent snapshot stays a null ref: no allocation.
+  if (snap->valid()) a.snapshot = std::move(*snap);
   return a;
 }
 

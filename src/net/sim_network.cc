@@ -28,7 +28,19 @@ bool ParseScheduleMutation(const std::string& name, ScheduleMutation* out) {
 SimNetwork::SimNetwork(uint64_t seed) : rng_(seed) {}
 
 void SimNetwork::Register(ProcessorId id, Receiver* receiver) {
-  if (receivers_.size() <= id) receivers_.resize(id + 1, nullptr);
+  if (receivers_.size() <= id) {
+    // Re-lay the arrival table out for the new processor count.
+    const size_t old_n = receivers_.size();
+    const size_t n = id + 1;
+    std::vector<uint64_t> arrivals(n * n, 0);
+    for (size_t from = 0; from < old_n; ++from) {
+      for (size_t to = 0; to < old_n; ++to) {
+        arrivals[from * n + to] = last_arrival_[from * old_n + to];
+      }
+    }
+    last_arrival_ = std::move(arrivals);
+    receivers_.resize(n, nullptr);
+  }
   LAZYTREE_CHECK(receivers_[id] == nullptr) << "double register p" << id;
   receivers_[id] = receiver;
   stats_.Register(id);
@@ -81,7 +93,7 @@ void SimNetwork::Send(Message m) {
         m.from == m.to
             ? local_us_
             : base_us_ + (jitter_us_ ? rng_.Below(jitter_us_ + 1) : 0);
-    uint64_t& last = last_arrival_[{m.from, m.to}];
+    uint64_t& last = last_arrival_[m.from * receivers_.size() + m.to];
     uint64_t arrival = std::max(now_us_ + latency, last);  // FIFO clamp
     last = arrival;
     timeline_.push_back(TimedEvent{arrival, event_seq_++, std::move(m)});

@@ -149,7 +149,9 @@ class SimNetwork : public Network {
   uint64_t local_us_ = 0;
   uint64_t now_us_ = 0;
   uint64_t event_seq_ = 0;
-  std::map<std::pair<ProcessorId, ProcessorId>, uint64_t> last_arrival_;
+  // Latest arrival per (from, to) channel at `from * n + to`, n the
+  // registered processor count: the FIFO clamp's floor.
+  std::vector<uint64_t> last_arrival_;
   // Min-heap on (arrival_us, seq) under std::greater, kept with
   // std::push_heap/pop_heap so Step can move the earliest event out.
   std::vector<TimedEvent> timeline_;

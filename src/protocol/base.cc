@@ -352,7 +352,7 @@ Node* BaseProtocol::InstallFromSnapshot(const NodeSnapshot& snapshot) {
 
 void BaseProtocol::HandleCreateNode(Action a) {
   LAZYTREE_CHECK(a.snapshot.valid()) << "create without snapshot";
-  InstallFromSnapshot(a.snapshot);
+  InstallFromSnapshot(*a.snapshot);
 }
 
 void BaseProtocol::HandleRootHint(Action a) {
@@ -360,15 +360,17 @@ void BaseProtocol::HandleRootHint(Action a) {
 }
 
 void BaseProtocol::DistributeCopies(const NodeSnapshot& snapshot) {
+  SnapshotRef shared;  // one copy, shared by every remote holder's create
   for (ProcessorId holder : snapshot.copies) {
     if (holder == p_.id()) {
       InstallFromSnapshot(snapshot);
     } else {
+      if (!shared.valid()) shared = snapshot;
       Action create;
       create.kind = ActionKind::kCreateNode;
       create.target = snapshot.id;
       create.level = snapshot.level;
-      create.snapshot = snapshot;
+      create.snapshot = shared;
       p_.out().SendAction(holder, std::move(create));
     }
   }

@@ -209,7 +209,7 @@ void MobileProtocol::ApplyGatedLinkChange(Node& m, const Action& a,
 void MobileProtocol::HandleMigrateNode(Action a) {
   if (a.snapshot.valid()) {
     // Destination side: install, advertise, acknowledge.
-    Node* n = InstallFromSnapshot(a.snapshot);
+    Node* n = InstallFromSnapshot(*a.snapshot);
     NoteAddr(n->id(), p_.id(), n->version());
     RecordUpdate(*n, history::UpdateClass::kMigrate, a.update,
                  /*initial=*/true, /*rewritten=*/false, 0, 0,
@@ -257,11 +257,11 @@ void MobileProtocol::HandleMigrateNode(Action a) {
   install.origin = p_.id();
   const NodeId id = n->id();
   const Version version = n->version();
-  const NodeSnapshot departed = install.snapshot;
+  const SnapshotRef departed = install.snapshot;
   p_.RemoveNode(id, /*forward_to=*/dest);  // leaves a forwarding address
   NoteAddr(id, dest, version);
   p_.out().SendAction(dest, std::move(install));
-  OnNodeMigratedAway(departed);
+  OnNodeMigratedAway(*departed);
 }
 
 void MobileProtocol::AnnounceMigration(Node& n, Version version) {

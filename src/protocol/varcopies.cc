@@ -173,8 +173,8 @@ void VarCopiesProtocol::HandleRelayedSplit(Action a) {
 }
 
 void VarCopiesProtocol::HandleCreateNode(Action a) {
-  const NodeId id = a.snapshot.id;
-  const int32_t level = a.snapshot.level;
+  const NodeId id = a.snapshot->id;
+  const int32_t level = a.snapshot->level;
   unjoined_.erase(id);
   BaseProtocol::HandleCreateNode(std::move(a));
   // Interior siblings arrive with inherited membership; keep the copy
@@ -275,7 +275,7 @@ void VarCopiesProtocol::HandleJoinGrant(Action a) {
   }
   if (Local(a.target) == nullptr) {
     unjoined_.erase(a.target);
-    Node* n = InstallFromSnapshot(a.snapshot);
+    Node* n = InstallFromSnapshot(*a.snapshot);
     NoteAddr(n->id(), p_.id(), n->version());
   }
   // Resume every suspended path descent through the fresh copy.

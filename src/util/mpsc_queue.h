@@ -195,10 +195,18 @@ class MpscRingQueue {
           pos = r->claim.load(std::memory_order_acquire);
         }
       }
+      // Announce the growth before reading the link, then re-check the
+      // shutdown: either Close's store comes first and this push returns
+      // false, or DrainClosed waits for `growing_` and so sees the ring
+      // this push may link.
+      growing_.fetch_add(1, std::memory_order_seq_cst);
       Ring* succ = r->successor.load(std::memory_order_seq_cst);
       if (succ == nullptr) {
         // A ring closed with no successor was closed by Close.
-        if (pos & kClosed) return false;
+        if ((pos & kClosed) || shut_.load(std::memory_order_seq_cst)) {
+          growing_.fetch_sub(1, std::memory_order_release);
+          return false;
+        }
         auto grown = std::make_unique<Ring>((r->mask + 1) * 2);
         grown->cells[0].item = std::move(item);
         grown->cells[0].lap.store(1, std::memory_order_relaxed);
@@ -212,12 +220,14 @@ class MpscRingQueue {
           if (shut_.load(std::memory_order_seq_cst)) {
             mine->claim.fetch_or(kClosed, std::memory_order_seq_cst);
           }
+          growing_.fetch_sub(1, std::memory_order_release);
           return true;
         }
         // Another producer linked first; `succ` now holds its ring. Take
         // the item back before `grown` is freed.
         item = std::move(grown->cells[0].item);
       }
+      growing_.fetch_sub(1, std::memory_order_release);
       Advance(r, succ);
       r = succ;
     }
@@ -262,10 +272,13 @@ class MpscRingQueue {
       n += Drain(std::numeric_limits<size_t>::max(),
                  [](T& item) { item = T(); });
       // A ring linked just before Close is closed by its linker a moment
-      // later; wait for that too, so no claim can follow.
+      // later; wait for that too, so no claim can follow. A producer that
+      // announced its growth before Close may still link one: wait until
+      // none is growing before trusting a null successor.
+      const bool growing = growing_.load(std::memory_order_seq_cst) != 0;
       const uint64_t claimed =
           head_ring_->claim.load(std::memory_order_acquire);
-      if (claimed == (head_ | kClosed) &&
+      if (!growing && claimed == (head_ | kClosed) &&
           head_ring_->successor.load(std::memory_order_acquire) == nullptr) {
         return n;
       }
@@ -327,6 +340,9 @@ class MpscRingQueue {
 
   std::atomic<Ring*> tail_ring_{nullptr};
   std::atomic<bool> shut_{false};
+  // Producers between reading a full ring's null successor and linking
+  // (or giving up on) a grown one.
+  std::atomic<uint32_t> growing_{0};
   Ring* first_ring_ = nullptr;
   // Consumer-owned read position.
   Ring* head_ring_ = nullptr;

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -412,6 +413,43 @@ TEST(MpscRingQueue, MoveOnlyItemsSurviveRacingGrowth) {
     ASSERT_EQ(reordered, 0) << "round " << round;
     ASSERT_EQ(total, kProducers * kPerProducer)
         << "round " << round << ": an item was lost";
+  }
+}
+
+// Producers grow a two-cell queue while the consumer closes it and
+// drains: every push that returned true must be drained. A producer that
+// read a full ring's null successor just before Close, and linked its
+// grown ring only after the consumer's DrainClosed had returned, used to
+// return true for an item nobody drained (the lost message that left a
+// stopped ThreadNetwork with work counted in flight).
+TEST(MpscRingQueue, PushesRacingCloseAreAllDrained) {
+  constexpr int kRounds = 300;
+  constexpr int kProducers = 3;
+  constexpr int kMaxPushes = 64;  // per producer and round
+  Rng rng(11);
+  for (int round = 0; round < kRounds; ++round) {
+    MpscRingQueue<uint64_t> q(2);
+    std::atomic<int> ready{0};
+    std::atomic<uint64_t> accepted{0};
+    std::vector<std::thread> producers;
+    for (int p = 0; p < kProducers; ++p) {
+      producers.emplace_back([&] {
+        ready.fetch_add(1);
+        while (ready.load() < kProducers + 1) std::this_thread::yield();
+        for (int i = 0; i < kMaxPushes && q.Push(1); ++i) {
+          accepted.fetch_add(1, std::memory_order_relaxed);
+        }
+      });
+    }
+    ready.fetch_add(1);
+    while (ready.load() < kProducers + 1) std::this_thread::yield();
+    // Close at a varying point of the producers' first growths.
+    for (uint64_t spin = rng.Below(2000); spin > 0; --spin) CpuRelax();
+    q.Close();
+    const size_t drained = q.DrainClosed();
+    for (auto& t : producers) t.join();
+    ASSERT_EQ(accepted.load(), drained)
+        << "round " << round << ": an accepted push was never drained";
   }
 }
 

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -60,20 +61,22 @@ Action FullActionFixture() {
   a.sep = 500;
   a.link = LinkKind::kLeft;
   a.members = {0, 2, 5};
-  a.snapshot.id = NodeId::Make(9, 1);
-  a.snapshot.level = 1;
-  a.snapshot.range = {100, 900};
-  a.snapshot.version = 3;
-  a.snapshot.right = NodeId::Make(9, 2);
-  a.snapshot.right_low = 900;
-  a.snapshot.left = NodeId::Make(9, 3);
-  a.snapshot.parent = NodeId::Make(9, 4);
-  a.snapshot.link_versions[0] = 5;
-  a.snapshot.link_versions[2] = 7;
-  a.snapshot.entries = {{100, 11}, {200, 22}, {800, 33}};
-  a.snapshot.copies = {1, 2, 3};
-  a.snapshot.pc = 2;
-  a.snapshot.applied_updates = {4, 9, 16};
+  NodeSnapshot node;
+  node.id = NodeId::Make(9, 1);
+  node.level = 1;
+  node.range = {100, 900};
+  node.version = 3;
+  node.right = NodeId::Make(9, 2);
+  node.right_low = 900;
+  node.left = NodeId::Make(9, 3);
+  node.parent = NodeId::Make(9, 4);
+  node.link_versions[0] = 5;
+  node.link_versions[2] = 7;
+  node.entries = {{100, 11}, {200, 22}, {800, 33}};
+  node.copies = {1, 2, 3};
+  node.pc = 2;
+  node.applied_updates = {4, 9, 16};
+  a.snapshot = node;
   return a;
 }
 
@@ -229,30 +232,32 @@ Action RandomAction(Rng& rng) {
     }
   }
   if (rng.Chance(0.3)) {
-    a.snapshot.id = NodeId{rng.Next() | 1};
-    a.snapshot.level = static_cast<int32_t>(rng.Below(5));
-    a.snapshot.range = {rng.Below(1000), 1000 + rng.Below(1000)};
-    a.snapshot.version = rng.Next();
-    a.snapshot.right = NodeId{rng.Next()};
-    a.snapshot.right_low = rng.Next();
-    a.snapshot.left = NodeId{rng.Next()};
-    a.snapshot.parent = NodeId{rng.Next()};
-    for (Version& v : a.snapshot.link_versions) v = rng.Below(1000);
+    NodeSnapshot node;
+    node.id = NodeId{rng.Next() | 1};
+    node.level = static_cast<int32_t>(rng.Below(5));
+    node.range = {rng.Below(1000), 1000 + rng.Below(1000)};
+    node.version = rng.Next();
+    node.right = NodeId{rng.Next()};
+    node.right_low = rng.Next();
+    node.left = NodeId{rng.Next()};
+    node.parent = NodeId{rng.Next()};
+    for (Version& v : node.link_versions) v = rng.Below(1000);
     size_t entries = rng.Below(20);
-    Key k = a.snapshot.range.low;
+    Key k = node.range.low;
     for (size_t i = 0; i < entries; ++i) {
       k += 1 + rng.Below(50);
-      a.snapshot.entries.push_back({k, rng.Next()});
+      node.entries.push_back({k, rng.Next()});
     }
     for (uint64_t i = rng.Below(5); i > 0; --i) {
-      a.snapshot.copies.push_back(static_cast<ProcessorId>(rng.Below(64)));
+      node.copies.push_back(static_cast<ProcessorId>(rng.Below(64)));
     }
     if (rng.Chance(0.7)) {
-      a.snapshot.pc = static_cast<ProcessorId>(rng.Below(64));
+      node.pc = static_cast<ProcessorId>(rng.Below(64));
     }
     for (uint64_t i = rng.Below(8); i > 0; --i) {
-      a.snapshot.applied_updates.push_back(rng.Next());
+      node.applied_updates.push_back(rng.Next());
     }
+    a.snapshot = std::move(node);
   }
   return a;
 }
@@ -307,6 +312,7 @@ class WireContractObserver : public net::DeliveryObserver {
     if (m.flags & Message::kHasSack) ++sacks;
     if (outcome == net::DeliveryOutcome::kCrashDrop) ++crash_drops;
     const std::vector<uint8_t> bytes = wire::EncodeMessage(m);
+    encoded_bytes += bytes.size();
     auto decoded = wire::DecodeMessage(bytes);
     const bool size_ok = wire::EncodedSize(m) == bytes.size();
     const bool round_trip_ok = decoded.ok() && *decoded == m;
@@ -324,6 +330,7 @@ class WireContractObserver : public net::DeliveryObserver {
   uint64_t sacks = 0;
   uint64_t crash_drops = 0;
   uint64_t broken = 0;
+  uint64_t encoded_bytes = 0;  ///< every delivery's encoding, summed
   std::string first_broken;
 };
 
@@ -335,6 +342,30 @@ struct ContractCase {
 };
 
 class WireContract : public ::testing::TestWithParam<ContractCase> {};
+
+std::string CaseName(const ContractCase& c);
+
+// Encoded bytes of every delivery per case (see the test below).
+const std::map<std::string, uint64_t> kPinnedBytes = {
+    {"syncClean", 20313},
+    {"syncLossyReliable", 21283},
+    {"syncCrash", 13995},
+    {"semisyncClean", 16671},
+    {"semisyncLossyReliable", 18906},
+    {"semisyncCrash", 13042},
+    {"naiveClean", 14064},
+    {"naiveLossyReliable", 14611},
+    {"naiveCrash", 12274},
+    {"vigorousClean", 31423},
+    {"vigorousLossyReliable", 30858},
+    {"vigorousCrash", 19700},
+    {"mobileClean", 10414},
+    {"mobileLossyReliable", 11298},
+    {"mobileCrash", 631140},
+    {"varcopiesClean", 13714},
+    {"varcopiesLossyReliable", 14960},
+    {"varcopiesCrash", 633182},
+};
 
 TEST_P(WireContract, EveryMessageTheSimMovesRoundTrips) {
   const ContractCase c = GetParam();
@@ -381,6 +412,13 @@ TEST_P(WireContract, EveryMessageTheSimMovesRoundTrips) {
     EXPECT_GT(observer.crash_drops, 0u);
   }
   EXPECT_EQ(observer.broken, 0u) << observer.first_broken;
+  // The episode is deterministic, so the bytes its deliveries encode to
+  // pin both the wire format and the schedule: a change to either (or to
+  // which actions a protocol sends) moves this sum.
+  const auto pin = kPinnedBytes.find(CaseName(c));
+  ASSERT_NE(pin, kPinnedBytes.end())
+      << "no pin for " << CaseName(c) << ": " << observer.encoded_bytes;
+  EXPECT_EQ(observer.encoded_bytes, pin->second);
 }
 
 std::string CaseName(const ContractCase& c) {

@@ -468,7 +468,20 @@ const AtomicOrderJustification kAtomicOrderAllowlist[] = {
      "producers' acquire load of the ring they push into"},
     {"src/util/mpsc_queue.h", "shut_",
      "seq_cst store in Close before its walk pairs with a linker's "
-     "seq_cst load after its link: one of them closes the new ring"},
+     "seq_cst load after its link: one of them closes the new ring; "
+     "and with a growing producer's seq_cst re-check (see growing_)"},
+    {"src/util/mpsc_queue.h", "growing_",
+     "a producer's seq_cst increment before its shut_ re-check pairs "
+     "with DrainClosed's seq_cst load after Close's shut_ store (Dekker): "
+     "the producer sees the close and gives up, or the consumer sees it "
+     "growing and waits; the release decrement after its link pairs with "
+     "that load, so a zero count implies the linked ring is visible"},
+    {"src/msg/action.h", "refs",
+     "acq_rel decrement of a shared snapshot's reference count: the "
+     "release half orders each holder's reads of the immutable snapshot "
+     "before its drop, the acquire half of the last drop orders them all "
+     "before the delete (increments are relaxed: the copier already "
+     "holds a reference)"},
     {"src/server/op_tracker.cc", "tag",
      "a slot's release store (live after Begin filled the callback; "
      "empty after a claim took it) pairs with the acquire CAS of the next "
