@@ -646,6 +646,27 @@ std::vector<BatteryItem> VerifyBattery() {
     item.min_transitions = d.min_transitions;
     items.push_back(std::move(item));
   }
+  // The vigorous baseline: every update is a lock-step round at the PC
+  // that applies it at every copy. `vigorous` is the smallest bounded
+  // workload whose schedules apply a split at the leaf's second copy;
+  // `vigorous-delete` adds a second round (seed 4) that deletes, so the
+  // copies apply deletes as well. The floors are half the transitions
+  // each item explored when it was added.
+  {
+    BatteryItem item{"vigorous", BoundedConfig(ProtocolKind::kVigorous)};
+    item.config.episode.ops_per_round = 4;
+    item.min_transitions = 5900;
+    items.push_back(std::move(item));
+  }
+  {
+    BatteryItem item{"vigorous-delete",
+                     BoundedConfig(ProtocolKind::kVigorous)};
+    item.config.episode.seed = 4;
+    item.config.episode.rounds = 2;
+    item.config.episode.ops_per_round = 3;
+    item.min_transitions = 23498;
+    items.push_back(std::move(item));
+  }
   // Bounded loss: the same protocols with a drop budget of 1 and the
   // reliable layer recovering every loss. Each DFS frame forks a drop
   // branch per enabled channel and retransmission deepens schedules, so

@@ -69,6 +69,8 @@ constexpr PinnedCounts kPinned[] = {
     {"semisync-deep", 137, 4458, 173},
     {"sync-delete", 676, 17387, 670},
     {"semisync-delete", 59, 945, 73},
+    {"vigorous", 440, 11805, 1229},
+    {"vigorous-delete", 1345, 46996, 2060},
     {"sync-drop1", 937, 17142, 2113},
     {"semisync-drop1", 894, 14304, 1645},
     {"mobile-drop1", 298, 4670, 552},
@@ -80,7 +82,8 @@ constexpr PinnedCounts kPinned[] = {
 };
 
 // Every clean battery item (each protocol without drops and under drop
-// budgets of one and two, the deep-tree and the delete items) must
+// budgets of one and two, the deep-tree, the delete and the vigorous
+// items) must
 // exhaust with its pinned counts and zero
 // violations, zero cross-check failures and zero determinism failures,
 // and explore at least its floor of transitions: a change that removes
@@ -113,7 +116,7 @@ TEST(ExhaustiveVerify, BatteryItemsExhaustCleanAboveTransitionFloors) {
     EXPECT_EQ(result.stats.cross_check_failures, 0u);
     EXPECT_EQ(result.stats.determinism_failures, 0u);
   }
-  EXPECT_EQ(clean, 16u);
+  EXPECT_EQ(clean, 18u);
   EXPECT_EQ(pinned, std::size(kPinned));
 }
 
@@ -196,15 +199,19 @@ TEST(ExhaustiveVerify, DeepItemsRaceSeparatorInsertsAgainstSplits) {
   EXPECT_EQ(deep, 2u);
 }
 
-// What the delete items are for. Round 0 only inserts, so the second
+// What the lazy delete items are for. Round 0 only inserts, so the second
 // round's workload must hold a delete; on random schedules of it every
 // run relays a delete to the leaf's second copy, and the protocol's race
 // handling runs in some: sync defers an initial update while a split's
 // AAS is open, semisync rewrites a relayed delete that a split overtook.
+// (The vigorous baseline relays nothing; its items are checked below.)
 TEST(ExhaustiveVerify, DeleteItemsRelayDeletesAcrossSplits) {
   size_t items = 0;
   for (const BatteryItem& item : sim::VerifyBattery()) {
-    if (!item.label.ends_with("-delete")) continue;
+    if (!item.label.ends_with("-delete") ||
+        item.config.episode.protocol == ProtocolKind::kVigorous) {
+      continue;
+    }
     SCOPED_TRACE(item.label);
     ++items;
     const sim::EpisodeConfig& episode = item.config.episode;
@@ -243,6 +250,42 @@ TEST(ExhaustiveVerify, DeleteItemsRelayDeletesAcrossSplits) {
       EXPECT_TRUE(result.ok) << result.Signature();
     }
     EXPECT_GT(race_handled, 0);
+  }
+  EXPECT_EQ(items, 2u);
+}
+
+// What the vigorous items are for: on random schedules of their workloads
+// the PC's rounds reach the leaf's second copy as applies, every run of
+// each item applies a split there, and every run of vigorous-delete
+// applies a delete there too.
+TEST(ExhaustiveVerify, VigorousItemsApplySplitsAndDeletesAtCopies) {
+  size_t items = 0;
+  for (const BatteryItem& item : sim::VerifyBattery()) {
+    if (item.config.episode.protocol != ProtocolKind::kVigorous) continue;
+    SCOPED_TRACE(item.label);
+    ++items;
+    const sim::EpisodeConfig& episode = item.config.episode;
+    ASSERT_GE(episode.leaf_replication, 2u);
+    const bool deletes = item.label.ends_with("-delete");
+    for (uint64_t seed = 1; seed <= 20; ++seed) {
+      sim::StrategyOptions options;
+      options.kind = sim::StrategyKind::kUniform;
+      options.seed = seed;
+      std::unique_ptr<net::ScheduleStrategy> strategy =
+          sim::MakeStrategy(options);
+      sim::EpisodeHooks hooks;
+      hooks.on_quiescent = [&](Cluster& cluster, uint32_t round) {
+        if (round + 1 != episode.rounds) return;
+        const net::StatsSnapshot stats = cluster.NetStats();
+        EXPECT_GT(stats.ActionCount(ActionKind::kVigorousApplySplit), 0u);
+        if (deletes) {
+          EXPECT_GT(stats.ActionCount(ActionKind::kVigorousApplyDelete), 0u);
+        }
+      };
+      sim::EpisodeResult result =
+          sim::RunEpisodeUnder(episode, strategy.get(), nullptr, hooks);
+      EXPECT_TRUE(result.ok) << result.Signature();
+    }
   }
   EXPECT_EQ(items, 2u);
 }
