@@ -36,8 +36,6 @@ const char* ActionKindName(ActionKind kind) {
     case ActionKind::kVigorousApply: return "vig_apply";
     case ActionKind::kVigorousApplyDelete: return "vig_apply_delete";
     case ActionKind::kVigorousApplySplit: return "vig_apply_split";
-    case ActionKind::kVigorousApplyAck: return "vig_apply_ack";
-    case ActionKind::kVigorousUnlock: return "vig_unlock";
     case ActionKind::kMaxKind: return "max_kind";
   }
   return "?";

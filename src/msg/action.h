@@ -150,8 +150,6 @@ enum class ActionKind : uint8_t {
   kVigorousApply,   ///< apply an insert at every copy (also unlocks)
   kVigorousApplyDelete, ///< apply a delete at every copy (also unlocks)
   kVigorousApplySplit, ///< apply a split at every copy (also unlocks)
-  kVigorousApplyAck,///< copy applied the update
-  kVigorousUnlock,  ///< release
 
   kMaxKind,
 };
@@ -243,8 +241,6 @@ constexpr OrderClass OrderClassOf(ActionKind kind) {
     case ActionKind::kJoinGrant:
     case ActionKind::kVigorousLock:
     case ActionKind::kVigorousLockAck:
-    case ActionKind::kVigorousApplyAck:
-    case ActionKind::kVigorousUnlock:
     case ActionKind::kMaxKind:
       return OrderClass::kNonUpdate;
   }

@@ -61,8 +61,6 @@ void BaseProtocol::Handle(Action a) {
     case ActionKind::kVigorousApply:
     case ActionKind::kVigorousApplyDelete:
     case ActionKind::kVigorousApplySplit:
-    case ActionKind::kVigorousApplyAck:
-    case ActionKind::kVigorousUnlock:
       HandleVigorous(std::move(a));
       break;
     default:
@@ -239,12 +237,16 @@ void BaseProtocol::Reply(const Action& a, Action::Rc rc, Value value) {
   SendReturn(std::move(r));
 }
 
+void BaseProtocol::RegisterKeyUpdate(const Node& n, Action& a) {
+  if (a.update != kNoUpdate) return;
+  const bool insert = IsInsert(a);
+  a.update = NewRegisteredUpdate(KeyUpdateClass(insert), n.id(), a.key,
+                                 insert ? a.value : 0);
+}
+
 Action::Rc BaseProtocol::ApplyKeyUpdate(Node& n, Action& a, bool initial) {
   const bool insert = IsInsert(a);
-  if (initial && a.update == kNoUpdate) {
-    a.update = NewRegisteredUpdate(KeyUpdateClass(insert), n.id(), a.key,
-                                   insert ? a.value : 0);
-  }
+  if (initial) RegisterKeyUpdate(n, a);
   Action::Rc rc = Action::Rc::kOk;
   if (insert) {
     const bool upsert = p_.config().upsert;
@@ -320,6 +322,60 @@ void BaseProtocol::RecordUpdate(Node& node, history::UpdateClass cls,
   r.version = version;
   r.link = link;
   log->Append(std::move(r));
+}
+
+BaseProtocol::PcSplit BaseProtocol::SplitAtPc(Node& n) {
+  PcSplit s;
+  s.update = NewRegisteredUpdate(history::UpdateClass::kSplit, n.id(),
+                                 /*key=*/0, /*value=*/0);
+  s.split = n.HalfSplit(p_.NewNodeId());
+  n.bump_version();
+  RecordUpdate(n, history::UpdateClass::kSplit, s.update, /*initial=*/true,
+               /*rewritten=*/false, 0, 0, s.split.sibling.id, s.split.sep,
+               n.version());
+  return s;
+}
+
+void BaseProtocol::RelaySplit(const Node& n, const PcSplit& s,
+                              ActionKind kind) {
+  if (n.copies().size() <= 1) return;
+  Action relay;
+  relay.kind = kind;
+  relay.target = n.id();
+  relay.update = s.update;
+  relay.sep = s.split.sep;
+  relay.new_node = s.split.sibling.id;
+  relay.version = n.version();
+  relay.origin = p_.id();
+  p_.out().Broadcast(n.copies(), relay);
+}
+
+void BaseProtocol::ApplyRelayedSplit(Node& n, const Action& a) {
+  n.ApplySplit(a.sep, a.new_node);
+  if (a.version > n.version()) n.set_version(a.version);
+  RecordUpdate(n, history::UpdateClass::kSplit, a.update,
+               /*initial=*/false, /*rewritten=*/false, 0, 0, a.new_node,
+               a.sep, a.version);
+}
+
+void BaseProtocol::JoinAas(Action a, ActionKind ack_kind) {
+  Node* n = Local(a.target);
+  if (n == nullptr) {
+    HandleMissing(std::move(a));
+    return;
+  }
+  p_.aas().Begin(n->id());
+  Action ack;
+  ack.kind = ack_kind;
+  ack.target = n->id();
+  ack.origin = p_.id();
+  p_.out().SendAction(a.origin, std::move(ack));
+}
+
+void BaseProtocol::EndAas(const Node& n) {
+  for (Action& deferred : p_.aas().End(n.id())) {
+    p_.out().SendLocal(std::move(deferred));
+  }
 }
 
 Node* BaseProtocol::InstallFromSnapshot(const NodeSnapshot& snapshot) {

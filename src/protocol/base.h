@@ -136,15 +136,22 @@ class BaseProtocol : public ProtocolHandler {
   // client's reply code and the history class, and in that only an
   // insert can overflow a copy into a split (deletes free at empty, [11]).
 
+  /// True for the kinds that insert: the initial insert, its relay and
+  /// the vigorous baseline's apply at a copy.
   static bool IsInsert(const Action& a) {
     return a.kind == ActionKind::kInsert ||
-           a.kind == ActionKind::kRelayedInsert;
+           a.kind == ActionKind::kRelayedInsert ||
+           a.kind == ActionKind::kVigorousApply;
   }
 
-  /// Applies key update `a` at copy `n` and records it. An insert stores
-  /// the value at a leaf and the child id above. At the issuing copy
-  /// (`initial`) a client update is registered first: its leaf is the
-  /// issue point. Returns the client's reply code.
+  /// Registers client key update `a` with its issue point `n`, unless it
+  /// already has an id (a separator insert, a forwarded rewrite).
+  void RegisterKeyUpdate(const Node& n, Action& a);
+
+  /// Applies key update `a` at copy `n` and records it with n's version.
+  /// An insert stores the value at a leaf and the child id above. At the
+  /// issuing copy (`initial`) the update is registered first. Returns the
+  /// client's reply code.
   Action::Rc ApplyKeyUpdate(Node& n, Action& a, bool initial);
 
   /// Records relayed update `a` at `n` as rewritten: a split moved its key
@@ -179,6 +186,39 @@ class BaseProtocol : public ProtocolHandler {
                     bool initial, bool rewritten = false, Key key = 0,
                     Value value = 0, NodeId new_node = kInvalidNode,
                     Key sep = 0, Version version = 0, uint8_t link = 0);
+
+  // --- splits ---
+  //
+  // Every protocol half-splits a node at its PC the same way; they differ
+  // only in how the outcome reaches the other copies (RelaySplit's kind):
+  // split_end under sync's AAS (§4.1.1), a relayed split (§4.1.2, §4.3),
+  // the vigorous apply, or nothing for single copies (§4.2).
+
+  /// A split performed at the PC: its registered update and its outcome.
+  struct PcSplit {
+    UpdateId update = kNoUpdate;
+    Node::SplitResult split;
+  };
+
+  /// Half-splits `n` at its PC: registers the split, moves the upper half
+  /// into a sibling image, bumps n's version (links into n are now one
+  /// version stale) and records the split.
+  PcSplit SplitAtPc(Node& n);
+
+  /// Sends split `s`, just performed at `n`, to n's other copies as a
+  /// `kind` action carrying n's new version.
+  void RelaySplit(const Node& n, const PcSplit& s, ActionKind kind);
+
+  /// Applies split `a`, relayed by the PC, at another copy `n`.
+  void ApplyRelayedSplit(Node& n, const Action& a);
+
+  /// A copy's side of the PC's AAS request `a` (sync's split_start,
+  /// vigorous's lock): begins the AAS on the target copy and acks the PC
+  /// with `ack_kind`. A copy not installed yet goes to HandleMissing.
+  void JoinAas(Action a, ActionKind ack_kind);
+
+  /// Ends the AAS on `n` and re-enqueues the actions it deferred.
+  void EndAas(const Node& n);
 
   // --- shared split plumbing ---
 

@@ -114,12 +114,4 @@ void FixedCopiesProtocol::HandleRelayedUpdate(Action a) {
   }
 }
 
-void FixedCopiesProtocol::ApplyRelayedSplit(Node& n, const Action& a) {
-  n.ApplySplit(a.sep, a.new_node);
-  if (a.version > n.version()) n.set_version(a.version);
-  RecordUpdate(n, history::UpdateClass::kSplit, a.update,
-               /*initial=*/false, /*rewritten=*/false, 0, 0, a.new_node,
-               a.sep, a.version);
-}
-
 }  // namespace lazytree

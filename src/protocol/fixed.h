@@ -72,9 +72,6 @@ class FixedCopiesProtocol : public BaseProtocol {
   void HandleInitialUpdate(Action a) override;
   void HandleRelayedUpdate(Action a) override;
 
-  /// Applies a relayed split at a non-PC copy (split_end / relayed split).
-  void ApplyRelayedSplit(Node& n, const Action& a);
-
   /// PC-side overflow trigger; ordering policy differs per protocol.
   virtual void InitiateSplit(Node& n) = 0;
 

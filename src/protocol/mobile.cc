@@ -109,29 +109,24 @@ void MobileProtocol::HandleInitialUpdate(Action a) {
       << "initial update left of node: " << a.ToString();
   const Action::Rc rc = ApplyKeyUpdate(*n, a, /*initial=*/true);
   Reply(a, rc, 0);
-  if (SplitDue(*n, a)) LocalSplit(*n);
+  if (SplitDue(*n, a)) SplitNode(*n);
 }
 
-void MobileProtocol::LocalSplit(Node& n) {
-  UpdateId u = NewRegisteredUpdate(history::UpdateClass::kSplit, n.id(),
-                                   0, 0);
-  Node::SplitResult split = n.HalfSplit(p_.NewNodeId());
-  n.bump_version();
-  RecordUpdate(n, history::UpdateClass::kSplit, u, /*initial=*/true,
-               /*rewritten=*/false, 0, 0, split.sibling.id, split.sep,
-               n.version());
+void MobileProtocol::SplitNode(Node& n) {
+  PcSplit s = SplitAtPc(n);
+  // Only §4.3's replicated interior nodes have other copies to tell.
+  RelaySplit(n, s, ActionKind::kRelayedSplit);
 
   // §4.2: "a link-change action is sent to the right neighbor" — its left
-  // link must now point at the new sibling.
-  if (split.sibling.right.valid()) {
-    SendLinkChange(split.sibling.right, LinkKind::kLeft, split.sibling.id,
-                   split.sibling.version, split.sibling.right_low,
-                   n.level());
+  // link must now point at the new sibling (§4.3 split step 1).
+  const NodeSnapshot& sibling = s.split.sibling;
+  if (sibling.right.valid()) {
+    SendLinkChange(sibling.right, LinkKind::kLeft, sibling.id,
+                   sibling.version, sibling.right_low, n.level());
   }
 
   const bool is_leaf = n.is_leaf();
-  const NodeId sibling_id = split.sibling.id;
-  FinishSplit(n, split);
+  FinishSplit(n, s.split);
 
   // Online data balancing ([14]): shed the fresh sibling when this
   // processor is over its leaf budget.
@@ -143,7 +138,7 @@ void MobileProtocol::LocalSplit(Node& n) {
     if (dest >= p_.id()) ++dest;  // anyone but self
     Action cmd;
     cmd.kind = ActionKind::kMigrateNode;
-    cmd.target = sibling_id;
+    cmd.target = sibling.id;
     cmd.members = {dest};
     p_.out().SendLocal(std::move(cmd));
   }

@@ -61,10 +61,12 @@ class MobileProtocol : public BaseProtocol {
   void HandleMigrateNode(Action a) override;
   void HandleMigrateAck(Action a) override;
 
-  /// Performs a local half-split (§4.2: sibling on the same processor,
-  /// version + 1), issues the parent insert and the left-link change to
-  /// the old right neighbor, and optionally sheds the new leaf.
-  virtual void LocalSplit(Node& n);
+  /// Splits `n` at this processor, its PC (§4.2: version + 1, the sibling
+  /// placed by PlaceSibling): relays the split to n's other copies (§4.3
+  /// replicated interior nodes; mobile nodes have none), sends the
+  /// left-link change to the old right neighbor, issues the parent insert,
+  /// and optionally sheds a new leaf.
+  void SplitNode(Node& n);
 
   /// Sends address refreshes + sibling link-changes after a migration
   /// lands (§4.2 step 3: "a link-change action is sent to all known

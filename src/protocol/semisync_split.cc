@@ -5,29 +5,11 @@
 namespace lazytree {
 
 void SemiSyncSplitProtocol::InitiateSplit(Node& n) {
-  UpdateId u = NewRegisteredUpdate(history::UpdateClass::kSplit, n.id(),
-                                   /*key=*/0, /*value=*/0);
-  Node::SplitResult split = n.HalfSplit(p_.NewNodeId());
-  n.bump_version();  // links into this node are now one version stale
-  RecordUpdate(n, history::UpdateClass::kSplit, u, /*initial=*/true,
-               /*rewritten=*/false, 0, 0, split.sibling.id, split.sep,
-               n.version());
-
+  PcSplit s = SplitAtPc(n);
   // One relayed-split message per remaining copy — the optimal cost the
   // paper claims for this protocol.
-  if (n.copies().size() > 1) {
-    Action relay;
-    relay.kind = ActionKind::kRelayedSplit;
-    relay.target = n.id();
-    relay.update = u;
-    relay.sep = split.sep;
-    relay.new_node = split.sibling.id;
-    relay.version = n.version();
-    relay.origin = p_.id();
-    p_.out().Broadcast(n.copies(), relay);
-  }
-
-  FinishSplit(n, split);
+  RelaySplit(n, s, ActionKind::kRelayedSplit);
+  FinishSplit(n, s.split);
 }
 
 void SemiSyncSplitProtocol::HandleRelayedSplit(Action a) {

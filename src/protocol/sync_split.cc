@@ -27,19 +27,9 @@ void SyncSplitProtocol::InitiateSplit(Node& n) {
 }
 
 void SyncSplitProtocol::HandleSplitStart(Action a) {
-  Node* n = Local(a.target);
-  if (n == nullptr) {
-    HandleMissing(std::move(a));
-    return;
-  }
   // Block initial updates until split_end; relayed updates and searches
   // keep flowing (the AAS conflicts only with initial updates).
-  p_.aas().Begin(n->id());
-  Action ack;
-  ack.kind = ActionKind::kSplitAck;
-  ack.target = n->id();
-  ack.origin = p_.id();
-  p_.out().SendAction(a.origin, std::move(ack));
+  JoinAas(std::move(a), ActionKind::kSplitAck);
 }
 
 void SyncSplitProtocol::HandleSplitAck(Action a) {
@@ -54,41 +44,17 @@ void SyncSplitProtocol::HandleSplitAck(Action a) {
 }
 
 void SyncSplitProtocol::PerformSyncSplit(Node& n) {
-  UpdateId u = NewRegisteredUpdate(history::UpdateClass::kSplit, n.id(),
-                                   /*key=*/0, /*value=*/0);
-  Node::SplitResult split = n.HalfSplit(p_.NewNodeId());
-  n.bump_version();
-  RecordUpdate(n, history::UpdateClass::kSplit, u, /*initial=*/true,
-               /*rewritten=*/false, 0, 0, split.sibling.id, split.sep,
-               n.version());
-
-  if (n.copies().size() > 1) {
-    Action end;
-    end.kind = ActionKind::kSplitEnd;
-    end.target = n.id();
-    end.update = u;
-    end.sep = split.sep;
-    end.new_node = split.sibling.id;
-    end.version = n.version();
-    end.origin = p_.id();
-    p_.out().Broadcast(n.copies(), end);
-  }
-
-  FinishSplit(n, split);
-
-  // Release the local AAS and replay the updates it parked.
-  for (Action& deferred : p_.aas().End(n.id())) {
-    p_.out().SendLocal(std::move(deferred));
-  }
+  PcSplit s = SplitAtPc(n);
+  RelaySplit(n, s, ActionKind::kSplitEnd);
+  FinishSplit(n, s.split);
+  EndAas(n);  // release the local AAS and replay the updates it parked
 }
 
 void SyncSplitProtocol::HandleSplitEnd(Action a) {
   Node* n = Local(a.target);
   LAZYTREE_CHECK(n != nullptr) << "split_end for unknown node";
   ApplyRelayedSplit(*n, a);
-  for (Action& deferred : p_.aas().End(n->id())) {
-    p_.out().SendLocal(std::move(deferred));
-  }
+  EndAas(*n);
 }
 
 void SyncSplitProtocol::OnPcOutOfRangeRelay(Node& n, Action a) {

@@ -54,14 +54,11 @@ void VarCopiesProtocol::HandleInitialUpdate(Action a) {
   // copy's version number attached.
   RelayToCopies(*n, a);
   Reply(a, rc, 0);
-  if (SplitDue(*n, a)) {
-    if (n->is_leaf()) {
-      LocalSplit(*n);  // single-copy mobile leaf (§4.2)
-    } else if (n->pc() == p_.id()) {
-      SplitNode(*n);
-    }
-    // A non-PC interior copy overflows into its bucket; the PC splits
-    // when the relay reaches it.
+  // A single-copy mobile leaf (§4.2) splits here, a replicated interior
+  // node at its PC (§4.1.2). A non-PC interior copy overflows into its
+  // bucket; the PC splits when the relay reaches it.
+  if (SplitDue(*n, a) && (n->is_leaf() || n->pc() == p_.id())) {
+    SplitNode(*n);
   }
 }
 
@@ -121,34 +118,6 @@ void VarCopiesProtocol::HandleRelayedUpdate(Action a) {
   }
 }
 
-void VarCopiesProtocol::SplitNode(Node& n) {
-  UpdateId u = NewRegisteredUpdate(history::UpdateClass::kSplit, n.id(),
-                                   0, 0);
-  Node::SplitResult split = n.HalfSplit(p_.NewNodeId());
-  n.bump_version();
-  RecordUpdate(n, history::UpdateClass::kSplit, u, /*initial=*/true,
-               /*rewritten=*/false, 0, 0, split.sibling.id, split.sep,
-               n.version());
-  if (n.copies().size() > 1) {
-    Action relay;
-    relay.kind = ActionKind::kRelayedSplit;
-    relay.target = n.id();
-    relay.update = u;
-    relay.sep = split.sep;
-    relay.new_node = split.sibling.id;
-    relay.version = n.version();
-    relay.origin = p_.id();
-    p_.out().Broadcast(n.copies(), relay);
-  }
-  // §4.3 split step 1: link-change to the PC of the old right sibling.
-  if (split.sibling.right.valid()) {
-    SendLinkChange(split.sibling.right, LinkKind::kLeft, split.sibling.id,
-                   split.sibling.version, split.sibling.right_low,
-                   n.level());
-  }
-  FinishSplit(n, split);
-}
-
 void VarCopiesProtocol::HandleRelayedSplit(Action a) {
   Node* n = Local(a.target);
   if (n == nullptr) {
@@ -161,15 +130,10 @@ void VarCopiesProtocol::HandleRelayedSplit(Action a) {
     // copy's version is already reflected. (Happens after rejoin races.)
     return;
   }
-  const NodeId id = n->id();
-  n->ApplySplit(a.sep, a.new_node);
-  if (a.version > n->version()) n->set_version(a.version);
-  RecordUpdate(*n, history::UpdateClass::kSplit, a.update,
-               /*initial=*/false, /*rewritten=*/false, 0, 0, a.new_node,
-               a.sep, a.version);
+  ApplyRelayedSplit(*n, a);
   // The split may have moved every local child under the sibling: this
   // copy might no longer be on any local leaf's path.
-  MaybeUnjoinAncestors(id);
+  MaybeUnjoinAncestors(n->id());
 }
 
 void VarCopiesProtocol::HandleCreateNode(Action a) {

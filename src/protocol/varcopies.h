@@ -88,11 +88,6 @@ class VarCopiesProtocol : public MobileProtocol {
   void OnMigratedNodeInstalled(Node& n) override;
   void OnNodeMigratedAway(const NodeSnapshot& snapshot) override;
 
-  /// Splits a replicated interior node at its PC (semi-sync §4.1.2 with
-  /// the §4.2 version/link-change additions); single-copy nodes fall back
-  /// to the local mobile split.
-  void SplitNode(Node& n);
-
  private:
   /// Joins every interior node on the path from the root down to the
   /// leaf covering `leaf_low` that is not already local. The descent is

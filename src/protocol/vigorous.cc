@@ -23,12 +23,7 @@ void VigorousProtocol::HandleInitialUpdate(Action a) {
     p_.out().SendAction(n->pc(), std::move(a));
     return;
   }
-  if (a.update == kNoUpdate) {
-    a.update = NewRegisteredUpdate(a.kind == ActionKind::kDelete
-                                       ? history::UpdateClass::kDelete
-                                       : history::UpdateClass::kInsert,
-                                   n->id(), a.key, a.value);
-  }
+  RegisterKeyUpdate(*n, a);  // issued here, before it waits for a round
   rounds_[n->id()].pending.push_back(std::move(a));
   PumpQueue(*n);
 }
@@ -76,20 +71,9 @@ void VigorousProtocol::PumpQueue(Node& n) {
 
 void VigorousProtocol::HandleVigorous(Action a) {
   switch (a.kind) {
-    case ActionKind::kVigorousLock: {
-      Node* n = Local(a.target);
-      if (n == nullptr) {
-        HandleMissing(std::move(a));
-        return;
-      }
-      p_.aas().Begin(n->id());  // block local reads until the apply
-      Action ack;
-      ack.kind = ActionKind::kVigorousLockAck;
-      ack.target = n->id();
-      ack.origin = p_.id();
-      p_.out().SendAction(a.origin, std::move(ack));
+    case ActionKind::kVigorousLock:
+      JoinAas(std::move(a), ActionKind::kVigorousLockAck);  // blocks reads
       return;
-    }
     case ActionKind::kVigorousLockAck: {
       Node* n = Local(a.target);
       LAZYTREE_CHECK(n != nullptr) << "ack for unknown node";
@@ -98,37 +82,17 @@ void VigorousProtocol::HandleVigorous(Action a) {
       if (--q.acks == 0) ApplyRound(*n);
       return;
     }
-    case ActionKind::kVigorousApply: {
-      Node* n = Local(a.target);
-      LAZYTREE_CHECK(n != nullptr) << "apply for unknown node";
-      const uint64_t payload = n->is_leaf() ? a.value : a.new_node.v;
-      n->Insert(a.key, payload, p_.config().upsert);
-      RecordUpdate(*n, history::UpdateClass::kInsert, a.update,
-                   /*initial=*/false, /*rewritten=*/false, a.key, payload,
-                   a.new_node);
-      for (Action& deferred : p_.aas().End(n->id())) {
-        p_.out().SendLocal(std::move(deferred));
-      }
-      return;
-    }
-    case ActionKind::kVigorousApplyDelete: {
-      Node* n = Local(a.target);
-      LAZYTREE_CHECK(n != nullptr) << "apply-delete for unknown node";
-      n->Remove(a.key);
-      RecordUpdate(*n, history::UpdateClass::kDelete, a.update,
-                   /*initial=*/false, /*rewritten=*/false, a.key, 0);
-      for (Action& deferred : p_.aas().End(n->id())) {
-        p_.out().SendLocal(std::move(deferred));
-      }
-      return;
-    }
+    case ActionKind::kVigorousApply:
+    case ActionKind::kVigorousApplyDelete:
     case ActionKind::kVigorousApplySplit: {
       Node* n = Local(a.target);
-      LAZYTREE_CHECK(n != nullptr) << "apply-split for unknown node";
-      ApplyRelayedSplit(*n, a);
-      for (Action& deferred : p_.aas().End(n->id())) {
-        p_.out().SendLocal(std::move(deferred));
+      LAZYTREE_CHECK(n != nullptr) << "apply for unknown node";
+      if (a.kind == ActionKind::kVigorousApplySplit) {
+        ApplyRelayedSplit(*n, a);
+      } else {
+        ApplyKeyUpdate(*n, a, /*initial=*/false);
       }
+      EndAas(*n);  // the apply releases this copy's lock
       return;
     }
     default:
@@ -141,54 +105,18 @@ void VigorousProtocol::ApplyRound(Node& n) {
   Action a = std::move(q.current);
   if (a.kind == kSplitRound) {
     q.split_queued = false;
-    UpdateId u = NewRegisteredUpdate(history::UpdateClass::kSplit, n.id(),
-                                     0, 0);
-    Node::SplitResult split = n.HalfSplit(p_.NewNodeId());
-    n.bump_version();
-    RecordUpdate(n, history::UpdateClass::kSplit, u, /*initial=*/true,
-                 /*rewritten=*/false, 0, 0, split.sibling.id, split.sep,
-                 n.version());
-    if (n.copies().size() > 1) {
-      Action apply;
-      apply.kind = ActionKind::kVigorousApplySplit;
-      apply.target = n.id();
-      apply.update = u;
-      apply.sep = split.sep;
-      apply.new_node = split.sibling.id;
-      apply.version = n.version();
-      p_.out().Broadcast(n.copies(), apply);
-    }
-    FinishSplit(n, split);
+    PcSplit s = SplitAtPc(n);
+    RelaySplit(n, s, ActionKind::kVigorousApplySplit);
+    FinishSplit(n, s.split);
     FinishRound(n);
     return;
   }
 
-  if (a.kind == ActionKind::kDelete) {
-    const bool removed = n.Remove(a.key);
-    RecordUpdate(n, history::UpdateClass::kDelete, a.update,
-                 /*initial=*/true, /*rewritten=*/false, a.key, 0);
-    if (n.copies().size() > 1) {
-      Action apply;
-      apply.kind = ActionKind::kVigorousApplyDelete;
-      apply.target = n.id();
-      apply.update = a.update;
-      apply.key = a.key;
-      p_.out().Broadcast(n.copies(), apply);
-    }
-    Reply(a, removed ? Action::Rc::kOk : Action::Rc::kNotFound, 0);
-    FinishRound(n);
-    return;
-  }
-
-  // Insert round.
-  const uint64_t payload = n.is_leaf() ? a.value : a.new_node.v;
-  const bool inserted = n.Insert(a.key, payload, p_.config().upsert);
-  RecordUpdate(n, history::UpdateClass::kInsert, a.update,
-               /*initial=*/true, /*rewritten=*/false, a.key, payload,
-               a.new_node);
+  const Action::Rc rc = ApplyKeyUpdate(n, a, /*initial=*/true);
   if (n.copies().size() > 1) {
     Action apply;
-    apply.kind = ActionKind::kVigorousApply;
+    apply.kind = IsInsert(a) ? ActionKind::kVigorousApply
+                             : ActionKind::kVigorousApplyDelete;
     apply.target = n.id();
     apply.update = a.update;
     apply.key = a.key;
@@ -196,18 +124,14 @@ void VigorousProtocol::ApplyRound(Node& n) {
     apply.new_node = a.new_node;
     p_.out().Broadcast(n.copies(), apply);
   }
-  Reply(a, inserted || p_.config().upsert ? Action::Rc::kOk
-                                          : Action::Rc::kExists,
-        0);
+  Reply(a, rc, 0);
   FinishRound(n);
-  if (n.Overflowing(p_.config().max_entries)) InitiateSplit(n);
+  if (SplitDue(n, a)) InitiateSplit(n);
 }
 
 void VigorousProtocol::FinishRound(Node& n) {
   rounds_[n.id()].busy = false;
-  for (Action& deferred : p_.aas().End(n.id())) {
-    p_.out().SendLocal(std::move(deferred));
-  }
+  EndAas(n);
   PumpQueue(n);
 }
 

@@ -2,11 +2,12 @@
 // (§1, §3: "we can ensure the coherence of the copies by serializing the
 // actions on the nodes ... however, we want to be lazy").
 //
-// Every update on a node — insert or split — executes as a synchronous
-// round at the node's PC: lock every copy (an AAS that also blocks reads),
-// gather acks, apply everywhere, release. Cost: 3·|copies(n)| messages per
-// *insert* (vs. |copies(n)|-1 commuting relays for lazy updates) plus a
-// full round-trip of blocking for reads and writes alike. Benches C2/C3
+// Every update on a node — insert, delete or split — executes as a
+// synchronous round at the node's PC: lock every copy (an AAS that also
+// blocks reads), gather acks, apply everywhere. The apply releases a
+// copy's lock, so no release message exists. Cost: 3·|copies(n)| messages
+// per *update* (vs. |copies(n)|-1 commuting relays for lazy updates) plus
+// a full round-trip of blocking for reads and writes alike. Benches C2/C3
 // quantify the gap.
 
 #ifndef LAZYTREE_PROTOCOL_VIGOROUS_H_
