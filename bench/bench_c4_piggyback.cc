@@ -3,8 +3,8 @@
 // management."
 //
 // Relayed updates commute, so they can ride later messages for free.
-// Sweep the piggyback window and measure real network messages and bytes
-// per operation on an insert-heavy replicated workload.
+// Sweep the piggyback window and measure real network messages per
+// operation on an insert-heavy replicated workload.
 
 #include "bench/bench_util.h"
 
@@ -18,8 +18,7 @@ void Run() {
       "next message for that destination: same correctness, fewer\n"
       "messages on the wire.");
 
-  bench::Table table({"window", "remote msgs/op", "bytes/op",
-                      "piggybacked", "correct"});
+  bench::Table table({"window", "remote msgs/op", "piggybacked", "correct"});
   table.Header();
 
   for (size_t window : {size_t{0}, size_t{2}, size_t{8}, size_t{32}}) {
@@ -41,7 +40,6 @@ void Run() {
                               .piggybacked_actions;
     table.Row({window == 0 ? "off" : std::to_string(window),
                bench::Fmt("%.2f", result.PerOp(result.net.remote_messages)),
-               bench::Fmt("%.0f", result.PerOp(result.net.remote_bytes)),
                bench::FmtU(piggybacked), report.ok() ? "yes" : "NO"});
     if (!report.ok()) std::printf("%s\n", report.ToString().c_str());
   }

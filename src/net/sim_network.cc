@@ -40,6 +40,7 @@ void SimNetwork::Register(ProcessorId id, Receiver* receiver) {
     }
     last_arrival_ = std::move(arrivals);
     receivers_.resize(n, nullptr);
+    tick_.resize(n);
   }
   LAZYTREE_CHECK(receivers_[id] == nullptr) << "double register p" << id;
   receivers_[id] = receiver;
@@ -55,6 +56,9 @@ void SimNetwork::EnableLatency(uint64_t base_us, uint64_t jitter_us,
   LAZYTREE_CHECK(pending_ == 0) << "EnableLatency before any Send";
   LAZYTREE_CHECK(strategy_ == nullptr)
       << "latency mode and schedule strategies are mutually exclusive";
+  // A delivery's own sends must land in a later tick than the batch
+  // being delivered.
+  LAZYTREE_CHECK(base_us >= 1 && local_us >= 1) << "zero link latency";
   latency_mode_ = true;
   base_us_ = base_us;
   jitter_us_ = jitter_us;
@@ -85,8 +89,7 @@ void SimNetwork::Send(Message m) {
   LAZYTREE_CHECK(m.to < receivers_.size() && receivers_[m.to] != nullptr &&
                  m.from < receivers_.size())
       << "send p" << m.from << "->p" << m.to << " between unregistered ids";
-  // Self-sends are never counted as network bytes, so skip their sizing.
-  stats_.AddSend(m, m.from != m.to ? wire::EncodedSize(m) : 0);
+  stats_.AddSend(m);
   ++pending_;
   if (latency_mode_) {
     uint64_t latency =
@@ -107,45 +110,34 @@ void SimNetwork::Send(Message m) {
 bool SimNetwork::Step() {
   if (pending_ == 0) return false;
   LAZYTREE_CHECK(!in_step_) << "reentrant Step";
-  Message m;
   if (latency_mode_) {
-    std::pop_heap(timeline_.begin(), timeline_.end(),
-                  std::greater<TimedEvent>());
-    TimedEvent event = std::move(timeline_.back());
-    timeline_.pop_back();
-    now_us_ = std::max(now_us_, event.arrival_us);
-    m = std::move(event.m);
-  } else {
-    nonempty_.clear();
-    for (auto& [key, ch] : channels_) {
-      if (!ch.Empty()) nonempty_.push_back(key);
-    }
-    LAZYTREE_CHECK(!nonempty_.empty()) << "pending_ out of sync";
-    size_t index;
-    if (strategy_ != nullptr) {
-      views_.clear();
-      for (const auto& [f, t] : nonempty_) {
-        views_.push_back(ChannelView{f, t, channels_[{f, t}].Size()});
-      }
-      index = strategy_->PickChannel(views_);
-      LAZYTREE_CHECK(index < nonempty_.size())
-          << "strategy picked channel " << index << " of "
-          << nonempty_.size();
-    } else {
-      index = rng_.Below(nonempty_.size());
-    }
-    Channel& channel = channels_[nonempty_[index]];
-    if (mutation_ == ScheduleMutation::kSwapOrdered && !mutation_applied_) {
-      mutation_applied_ = MaybeSwapOrdered(channel);
-    }
-    m = channel.Pop();
+    StepTick();
+    return true;
   }
+  nonempty_.clear();
+  for (auto& [key, ch] : channels_) {
+    if (!ch.Empty()) nonempty_.push_back(key);
+  }
+  LAZYTREE_CHECK(!nonempty_.empty()) << "pending_ out of sync";
+  size_t index;
+  if (strategy_ != nullptr) {
+    views_.clear();
+    for (const auto& [f, t] : nonempty_) {
+      views_.push_back(ChannelView{f, t, channels_[{f, t}].Size()});
+    }
+    index = strategy_->PickChannel(views_);
+    LAZYTREE_CHECK(index < nonempty_.size())
+        << "strategy picked channel " << index << " of " << nonempty_.size();
+  } else {
+    index = rng_.Below(nonempty_.size());
+  }
+  Channel& channel = channels_[nonempty_[index]];
+  if (mutation_ == ScheduleMutation::kSwapOrdered && !mutation_applied_) {
+    mutation_applied_ = MaybeSwapOrdered(channel);
+  }
+  Message m = channel.Pop();
   --pending_;
 
-  // Resolve the message's fate: a crashed destination always drops; a
-  // strategy may force an outcome (trace replay); otherwise the fault
-  // plan decides. Every decision reaches the observer, so faults are
-  // recorded, replayed and minimized like any other scheduling choice.
   // The strategy is asked even when a crash drops the message, since a
   // replaying strategy consumes one recorded outcome per call. Only a
   // crash drops with kCrashDrop, so it also stands for "not forced".
@@ -153,21 +145,10 @@ bool SimNetwork::Step() {
       strategy_ != nullptr
           ? strategy_->ForceOutcome().value_or(DeliveryOutcome::kCrashDrop)
           : DeliveryOutcome::kCrashDrop;
-  DeliveryOutcome outcome = DeliveryOutcome::kDeliver;
-  if (IsCrashed(m.to)) {
-    outcome = DeliveryOutcome::kCrashDrop;
-  } else if (forced != DeliveryOutcome::kCrashDrop) {
-    outcome = forced;
-  } else if (faults_ != nullptr) {
-    outcome = faults_->Next(m.from, m.to);
-  }
-  if (observer_ != nullptr) observer_->OnDelivery(m, outcome);
+  const DeliveryOutcome outcome = Resolve(m, forced);
   if (outcome == DeliveryOutcome::kDrop ||
       outcome == DeliveryOutcome::kCrashDrop) {
     return true;
-  }
-  if (mutation_ == ScheduleMutation::kDropRelay && !mutation_applied_) {
-    mutation_applied_ = MaybeDropRelay(m);
   }
   in_step_ = true;
   if (outcome == DeliveryOutcome::kDuplicate) {
@@ -178,6 +159,85 @@ bool SimNetwork::Step() {
   receivers_[m.to]->Deliver(std::move(m));
   in_step_ = false;
   return true;
+}
+
+void SimNetwork::StepTick() {
+  if (tick_left_ == 0) {
+    // Pop the whole earliest tick into per-destination lanes; the heap
+    // yields it in seq order.
+    const uint64_t arrival = timeline_.front().arrival_us;
+    now_us_ = std::max(now_us_, arrival);
+    while (!timeline_.empty() && timeline_.front().arrival_us == arrival) {
+      std::pop_heap(timeline_.begin(), timeline_.end(),
+                    std::greater<TimedEvent>());
+      TimedEvent& event = timeline_.back();
+      tick_[event.m.to].events.push_back(std::move(event));
+      timeline_.pop_back();
+      ++tick_left_;
+    }
+  }
+  // The destination whose next message has the lowest seq goes next.
+  ProcessorId to = kInvalidProcessor;
+  for (ProcessorId p = 0; p < tick_.size(); ++p) {
+    const TickLane& lane = tick_[p];
+    if (lane.head == lane.events.size()) continue;
+    if (to == kInvalidProcessor ||
+        lane.events[lane.head].seq < tick_[to].events[tick_[to].head].seq) {
+      to = p;
+    }
+  }
+  // Take up to kMaxBatch of its messages in seq order, deciding each
+  // fate as it is taken.
+  TickLane& lane = tick_[to];
+  const size_t end = std::min(lane.events.size(), lane.head + kMaxBatch);
+  for (; lane.head < end; ++lane.head) {
+    Message& m = lane.events[lane.head].m;
+    --tick_left_;
+    --pending_;
+    switch (Resolve(m, DeliveryOutcome::kCrashDrop)) {
+      case DeliveryOutcome::kDrop:
+      case DeliveryOutcome::kCrashDrop:
+        continue;
+      case DeliveryOutcome::kDuplicate:
+        batch_.push_back(m);  // a copy, then the moved original
+        break;
+      case DeliveryOutcome::kDeliver:
+        break;
+    }
+    batch_.push_back(std::move(m));
+  }
+  if (lane.head == lane.events.size()) {
+    lane.events.clear();
+    lane.head = 0;
+  }
+  if (batch_.empty()) return;
+  in_step_ = true;
+  delivered_ += batch_.size();
+  receivers_[to]->DeliverBatch(batch_);
+  batch_.clear();
+  in_step_ = false;
+}
+
+DeliveryOutcome SimNetwork::Resolve(Message& m, DeliveryOutcome forced) {
+  // A crashed destination always drops; a strategy may force an outcome
+  // (trace replay); otherwise the fault plan decides. Every decision
+  // reaches the observer, so faults are recorded, replayed and minimized
+  // like any other scheduling choice.
+  DeliveryOutcome outcome = DeliveryOutcome::kDeliver;
+  if (IsCrashed(m.to)) {
+    outcome = DeliveryOutcome::kCrashDrop;
+  } else if (forced != DeliveryOutcome::kCrashDrop) {
+    outcome = forced;
+  } else if (faults_ != nullptr) {
+    outcome = faults_->Next(m.from, m.to);
+  }
+  if (observer_ != nullptr) observer_->OnDelivery(m, outcome);
+  if (outcome != DeliveryOutcome::kDrop &&
+      outcome != DeliveryOutcome::kCrashDrop &&
+      mutation_ == ScheduleMutation::kDropRelay && !mutation_applied_) {
+    mutation_applied_ = MaybeDropRelay(m);
+  }
+  return outcome;
 }
 
 const Message& SimNetwork::PeekChannel(ProcessorId from, ProcessorId to,

@@ -1,13 +1,27 @@
 // SimNetwork: deterministic, seed-replayable message scheduler.
 //
-// There are no threads: WaitQuiescent repeatedly picks a random non-empty
-// (from, to) channel using the seeded Rng, pops its head message, and calls
-// the receiver synchronously. Per-channel FIFO is preserved (the paper's
-// assumption); *cross*-channel order is adversarially random, which models
-// arbitrary relative network latency. The same seed always yields the same
+// There are no threads. In queue mode (the default) WaitQuiescent
+// repeatedly picks a random non-empty (from, to) channel using the seeded
+// Rng (or the installed strategy's pick), pops its head message, and
+// calls Receiver::Deliver synchronously. Per-channel FIFO is preserved
+// (the paper's assumption); *cross*-channel order is adversarially
+// random, which models arbitrary relative network latency. The same seed always yields the same
 // interleaving, so failing schedules replay exactly. Messages travel as
-// moved `Message` values, never through the wire codec; Send sizes remote
-// ones with wire::EncodedSize for the byte statistics.
+// moved `Message` values, never through the wire codec, and no remote
+// bytes are counted.
+//
+// Latency mode (EnableLatency) replaces the random pick with simulated
+// time. A Step delivers one tick to one processor: the messages due at
+// the earliest arrival time and bound for the destination of that
+// tick's lowest-seq message, in seq order, at most kMaxBatch of them, as
+// one Receiver::DeliverBatch, so the processor's outbox scope spans a
+// tick here as it spans a drained turn on a ThreadNetwork worker. The
+// tick's other destinations wait, in first-seq order, for the next
+// Steps. Each message's fate (crash, fault plan, duplicate, observer,
+// planted kDropRelay) is decided one by one as its batch is built, so a
+// crash during an earlier Step drops the later ones. A delivery's own
+// sends arrive at least 1 µs later and never join the batch being
+// delivered.
 
 #ifndef LAZYTREE_NET_SIM_NETWORK_H_
 #define LAZYTREE_NET_SIM_NETWORK_H_
@@ -32,10 +46,10 @@ class SimNetwork : public Network {
   /// Switches to timestamped mode: every message is assigned an arrival
   /// time of now + latency, where latency is `base_us` plus a uniform
   /// jitter in [0, jitter_us] (remote) or `local_us` (self-sends), and
-  /// Step always delivers the earliest arrival. Per-channel FIFO is
+  /// Step always delivers from the earliest tick. Per-channel FIFO is
   /// preserved (arrivals are clamped to be non-decreasing per channel).
   /// Gives operations a measurable latency in simulated microseconds.
-  /// Call before any Send.
+  /// Both latencies must be at least 1 µs. Call before any Send.
   void EnableLatency(uint64_t base_us, uint64_t jitter_us,
                      uint64_t local_us = 1);
 
@@ -52,8 +66,11 @@ class SimNetwork : public Network {
   /// number of deliveries (defensive against livelock bugs), not wall time.
   bool WaitQuiescent(std::chrono::milliseconds timeout) override;
 
-  /// Delivers exactly one message (random non-empty channel, or the
-  /// installed strategy's pick). Returns false when nothing is pending.
+  /// Queue mode: delivers exactly one message (random non-empty channel,
+  /// or the installed strategy's pick). Latency mode: delivers one
+  /// processor's share of the earliest tick as one batch (see the file
+  /// comment); a batch whose every message was dropped delivers nothing.
+  /// Returns false when nothing is pending.
   bool Step();
 
   /// Installs a delivery strategy (non-owning; nullptr restores the
@@ -81,7 +98,7 @@ class SimNetwork : public Network {
   /// Messages currently queued across all channels.
   size_t Pending() const { return pending_; }
 
-  /// Total deliveries performed so far.
+  /// Total messages delivered so far (a duplicate counts twice).
   uint64_t delivered() const { return delivered_; }
 
   // --- exhaustive-verifier hooks (queue mode only) ---
@@ -114,6 +131,12 @@ class SimNetwork : public Network {
   /// Applies a planted kDropRelay to a message about to be delivered;
   /// returns true when an action was stripped.
   bool MaybeDropRelay(Message& m);
+  /// Decides popped message `m`'s fate, reports it to the observer and
+  /// applies a planted kDropRelay to a survivor. `forced` is the
+  /// strategy's outcome, kCrashDrop for none.
+  DeliveryOutcome Resolve(Message& m, DeliveryOutcome forced);
+  /// Latency mode's Step: one destination's share of the earliest tick.
+  void StepTick();
 
   Rng rng_;
   std::vector<Receiver*> receivers_;
@@ -155,6 +178,16 @@ class SimNetwork : public Network {
   // Min-heap on (arrival_us, seq) under std::greater, kept with
   // std::push_heap/pop_heap so Step can move the earliest event out.
   std::vector<TimedEvent> timeline_;
+  // The tick being delivered: per destination, the events due at now_us_
+  // in seq order, those before `head` already taken. Refilled from
+  // timeline_ once all `tick_left_` are taken.
+  struct TickLane {
+    std::vector<TimedEvent> events;
+    size_t head = 0;
+  };
+  std::vector<TickLane> tick_;  // by destination
+  size_t tick_left_ = 0;
+  std::vector<Message> batch_;  // scratch: the batch StepTick delivers
 };
 
 }  // namespace lazytree::net

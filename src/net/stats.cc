@@ -32,16 +32,12 @@ void NetworkStats::Register(ProcessorId id) {
   while (shards_.size() <= id) shards_.push_back(std::make_unique<Shard>());
 }
 
-void NetworkStats::AddSend(const Message& m, size_t encoded_bytes) {
+void NetworkStats::AddSend(const Message& m) {
   Shard& shard = *shards_[m.from];
   const Counter kind =
       m.from == m.to ? Counter::kLocalMessages : Counter::kRemoteMessages;
   shard.counts[static_cast<size_t>(kind)].fetch_add(
       1, std::memory_order_relaxed);
-  if (encoded_bytes != 0) {
-    shard.counts[static_cast<size_t>(Counter::kRemoteBytes)].fetch_add(
-        encoded_bytes, std::memory_order_relaxed);
-  }
   // Coalesced messages repeat kinds, so aggregate locally and issue one
   // atomic RMW per distinct kind instead of one per action.
   uint32_t kinds[kNumKinds] = {};

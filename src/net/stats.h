@@ -1,6 +1,6 @@
-// The counter ledger: every count the system keeps (messages, bytes,
-// sends by action kind, reliable-layer and protocol events) is one
-// `Counter`, kept in one shard per processor. A count goes to the shard
+// The counter ledger: every count the system keeps (messages, sends by
+// action kind, reliable-layer and protocol events) is one `Counter`,
+// kept in one shard per processor. A count goes to the shard
 // of the processor whose code did the work: a send to `m.from`, a
 // reliable-layer event to the owner of that channel half, a queue-manager
 // or protocol event to its own processor. Cluster::Settle's flush of held
@@ -26,7 +26,7 @@ namespace lazytree::net {
   /* transport, under the sender */                                       \
   X(kRemoteMessages, remote_messages) /* crossed processors */            \
   X(kLocalMessages, local_messages)   /* self-sends, not traffic */       \
-  X(kRemoteBytes, remote_bytes)       /* wire size, sim only */           \
+  X(kRemoteBytes, remote_bytes)       /* never counted: reads 0 */        \
   /* queue manager */                                                     \
   X(kPiggybackedActions, piggybacked_actions) /* relays held over */     \
   X(kCombinedActions, combined_actions) /* fused into one message */      \
@@ -109,9 +109,9 @@ class NetworkStats {
         n, std::memory_order_relaxed);
   }
 
-  /// Counts message `m` under `m.from`: one remote or local message,
-  /// `encoded_bytes` remote bytes, and its actions by kind.
-  void AddSend(const Message& m, size_t encoded_bytes);
+  /// Counts message `m` under `m.from`: one remote or local message and
+  /// its actions by kind.
+  void AddSend(const Message& m);
 
   /// All shards summed.
   StatsSnapshot Snapshot() const;

@@ -4,14 +4,6 @@
 #include "src/util/logging.h"
 
 namespace lazytree::net {
-namespace {
-
-// Items drained per queue per worker turn. Bounds the tail: a flooded
-// inbox is served in chunks instead of one unbounded atomic batch that
-// starves everything queued behind it.
-constexpr size_t kMaxBatch = 128;
-
-}  // namespace
 
 ThreadNetwork::~ThreadNetwork() { Stop(); }
 
@@ -59,7 +51,7 @@ void ThreadNetwork::SubmitLocal(ProcessorId p, const ClientOp& op) {
 
 void ThreadNetwork::Enqueue(Message m) {
   Station& station = *stations_[m.to];
-  stats_.AddSend(m, 0);
+  stats_.AddSend(m);
   inflight_.fetch_add(1, std::memory_order_relaxed);
   if (!station.inbox.Push(std::move(m))) {
     // Inbox closed during shutdown: account the message as handled.
@@ -101,7 +93,7 @@ void ThreadNetwork::WorkerLoop(Station* station) {
         kMaxBatch, [&](Message& m) { batch.push_back(std::move(m)); });
     station->clients.Drain(kMaxBatch, [&](const ClientOp& op) {
       batch.emplace_back(id, id, op.ToAction());
-      stats_.AddSend(batch.back(), 0);
+      stats_.AddSend(batch.back());
     });
     if (!batch.empty()) {
       station->receiver->DeliverBatch(batch);

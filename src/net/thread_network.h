@@ -5,9 +5,10 @@
 // client operations enter the `clients` ring as 32-byte ClientOps. Both
 // producer paths count the item in flight, publish it without a lock, and
 // then poke the worker only if it has parked (Parker::WakeIfParked). The
-// worker drains up to 128 items from each queue per turn, builds each
-// op's self-addressed Message on its own thread (counted as a local
-// message there), and calls Receiver::DeliverBatch serially, which gives
+// worker drains up to kMaxBatch items from each queue per turn (the cap
+// the sim's latency mode puts on a tick's batch), builds each op's
+// self-addressed Message on its own thread (counted as a local message
+// there), and calls Receiver::DeliverBatch serially, which gives
 // the paper's one-node-manager-per-processor execution model (§1.1) with
 // genuine hardware parallelism across processors. FIFO per (from, to)
 // pair holds because a sender enqueues in program order and each ring is
@@ -18,11 +19,10 @@
 // never gets here; the QueueManager buffers it in the outbox's self lane.
 //
 // Send *moves* the Message straight into the destination's inbox ring —
-// no wire encode/decode — and counts no remote bytes: the byte cost
-// model (wire::EncodedSize) is the sim's, where the RPC-cost benches
-// run. The sim transport moves messages the same way; the wire
-// format stays a held contract through wire_test (the codec fuzz and the
-// WireContract suite over every message of sim episodes) and the lint's
+// no wire encode/decode — and counts no remote bytes. The sim transport
+// moves messages the same way; the wire format stays a held contract
+// through wire_test (the codec fuzz and the WireContract suite, which
+// pins exact sizes, over every message of sim episodes) and the lint's
 // wire-coverage pass.
 
 #ifndef LAZYTREE_NET_THREAD_NETWORK_H_

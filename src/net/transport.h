@@ -9,10 +9,18 @@
 //     determines the interleaving, so property tests can replay
 //     adversarial schedules.
 //
-// Delivery model: each processor registers a Receiver; the network invokes
-// Receiver::Deliver for one message at a time per processor (this provides
-// the paper's "an action on a node is implicitly atomic" guarantee —
-// §1.1). Deliver may call Send reentrantly.
+// Delivery model: each processor registers a Receiver, and the network
+// hands it messages serially per processor (this provides the paper's
+// "an action on a node is implicitly atomic" guarantee — §1.1). Both
+// transports deliver in batches through Receiver::DeliverBatch: a
+// ThreadNetwork worker passes what it drained in one turn, and a
+// latency-mode SimNetwork passes one processor's arrivals of one
+// simulated microsecond; kMaxBatch caps both. The Processor opens one
+// outbox scope over a batch, so the actions it emits toward one
+// destination leave as one message on either transport. The sim's queue
+// mode, which the explorer and the verifier schedule, delivers one
+// message per step through Receiver::Deliver. Deliveries may call Send
+// reentrantly.
 //
 // Client edge: a client operation enters its home processor's queue
 // through SubmitLocal, as a 32-byte ClientOp rather than a Message. By
@@ -34,6 +42,12 @@
 
 namespace lazytree::net {
 
+/// Most messages one batch takes from one source: a ThreadNetwork
+/// worker's inbox or client ring, or a SimNetwork tick. Bounds the tail:
+/// a flooded inbox is served in chunks instead of one unbounded atomic
+/// batch that starves everything queued behind it.
+inline constexpr size_t kMaxBatch = 128;
+
 /// Message sink implemented by each processor.
 class Receiver {
  public:
@@ -42,7 +56,7 @@ class Receiver {
   /// Handles one message. Called serially per processor. May Send.
   virtual void Deliver(Message m) = 0;
 
-  /// Handles a drained inbox batch. Called serially per processor with
+  /// Handles a batch (see kMaxBatch). Called serially per processor with
   /// the same atomicity guarantee as Deliver (the batch is just a loop of
   /// serial Delivers from the receiver's point of view). Overriding lets
   /// a receiver amortize per-delivery work across the batch — the

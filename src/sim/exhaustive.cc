@@ -667,6 +667,19 @@ std::vector<BatteryItem> VerifyBattery() {
     item.min_transitions = 23498;
     items.push_back(std::move(item));
   }
+  // A split of a replicated varcopies interior node. Fanout 2 makes the
+  // root, which both processors hold once a leaf has migrated, split at
+  // its PC within five ops, so the PC relays the split to the other copy
+  // and that copy applies it behind its version gate. The floor is half
+  // the transitions the item explored when it was added.
+  {
+    BatteryItem item{"varcopies-split",
+                     BoundedConfig(ProtocolKind::kVarCopies)};
+    item.config.episode.ops_per_round = 5;
+    item.config.episode.fanout = 2;
+    item.min_transitions = 10791;
+    items.push_back(std::move(item));
+  }
   // Bounded loss: the same protocols with a drop budget of 1 and the
   // reliable layer recovering every loss. Each DFS frame forks a drop
   // branch per enabled channel and retransmission deepens schedules, so

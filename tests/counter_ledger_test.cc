@@ -50,7 +50,7 @@ TEST(CounterLedger, ReliableLayerOverLossyLinks) {
     ledger += std::to_string(cluster.processor(p).actions_handled());
   }
   EXPECT_EQ(ledger,
-            "remote_messages=2449 local_messages=510 remote_bytes=238493"
+            "remote_messages=2449 local_messages=510"
             " piggybacked_actions=572 combined_actions=2842"
             " fastpath_reads=5698 retransmits=144 duplicates_dropped=81"
             " acks_piggybacked=1273 pure_acks=39 actions_handled=5618"

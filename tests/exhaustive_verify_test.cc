@@ -71,6 +71,7 @@ constexpr PinnedCounts kPinned[] = {
     {"semisync-delete", 59, 945, 73},
     {"vigorous", 440, 11805, 1229},
     {"vigorous-delete", 1345, 46996, 2060},
+    {"varcopies-split", 997, 21583, 804},
     {"sync-drop1", 937, 17142, 2113},
     {"semisync-drop1", 894, 14304, 1645},
     {"mobile-drop1", 298, 4670, 552},
@@ -82,9 +83,8 @@ constexpr PinnedCounts kPinned[] = {
 };
 
 // Every clean battery item (each protocol without drops and under drop
-// budgets of one and two, the deep-tree, the delete and the vigorous
-// items) must
-// exhaust with its pinned counts and zero
+// budgets of one and two, the deep-tree, the delete, the vigorous and
+// the varcopies-split items) must exhaust with its pinned counts and zero
 // violations, zero cross-check failures and zero determinism failures,
 // and explore at least its floor of transitions: a change that removes
 // schedulable events fails here.
@@ -116,7 +116,7 @@ TEST(ExhaustiveVerify, BatteryItemsExhaustCleanAboveTransitionFloors) {
     EXPECT_EQ(result.stats.cross_check_failures, 0u);
     EXPECT_EQ(result.stats.determinism_failures, 0u);
   }
-  EXPECT_EQ(clean, 18u);
+  EXPECT_EQ(clean, 19u);
   EXPECT_EQ(pinned, std::size(kPinned));
 }
 
@@ -288,6 +288,37 @@ TEST(ExhaustiveVerify, VigorousItemsApplySplitsAndDeletesAtCopies) {
     }
   }
   EXPECT_EQ(items, 2u);
+}
+
+// What the varcopies-split item is for, checked on random schedules of
+// its workload: the root, held by both processors, splits at its PC and
+// the PC relays the split to the other copy. Varcopies leaves have one
+// copy here, so every relayed split is an interior node's.
+TEST(ExhaustiveVerify, VarcopiesSplitItemRelaysAnInteriorSplit) {
+  size_t items = 0;
+  for (const BatteryItem& item : sim::VerifyBattery()) {
+    if (item.label != "varcopies-split") continue;
+    ++items;
+    const sim::EpisodeConfig& episode = item.config.episode;
+    ASSERT_EQ(episode.leaf_replication, 1u);
+    for (uint64_t seed = 1; seed <= 20; ++seed) {
+      sim::StrategyOptions options;
+      options.kind = sim::StrategyKind::kUniform;
+      options.seed = seed;
+      std::unique_ptr<net::ScheduleStrategy> strategy =
+          sim::MakeStrategy(options);
+      sim::EpisodeHooks hooks;
+      hooks.on_quiescent = [&](Cluster& cluster, uint32_t) {
+        EXPECT_GT(cluster.NetStats().ActionCount(ActionKind::kRelayedSplit),
+                  0u)
+            << "seed " << seed;
+      };
+      sim::EpisodeResult result =
+          sim::RunEpisodeUnder(episode, strategy.get(), nullptr, hooks);
+      EXPECT_TRUE(result.ok) << result.Signature();
+    }
+  }
+  EXPECT_EQ(items, 1u);
 }
 
 // The reductions must buy at least the required 5x over naive DFS on the

@@ -1,12 +1,16 @@
 // Transport tests: the paper's network assumption (reliable, exactly-once,
 // per-channel FIFO) on both implementations; sim determinism; quiescence
-// detection.
+// detection; the sim's latency mode delivering one processor's share of a
+// tick as one batch.
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <thread>
+#include <utility>
 
 #include "src/net/faults.h"
 #include "src/net/sim_network.h"
@@ -162,7 +166,7 @@ TEST(ThreadNetwork, ReentrantSendFromDeliver) {
   net.Stop();
 }
 
-TEST(NetworkStats, CountsRemoteLocalAndBytes) {
+TEST(NetworkStats, CountsRemoteAndLocal) {
   net::SimNetwork net(1);
   Recorder r0, r1;
   net.Register(0, &r0);
@@ -172,7 +176,7 @@ TEST(NetworkStats, CountsRemoteLocalAndBytes) {
   auto snap = net.stats().Snapshot();
   EXPECT_EQ(snap.remote_messages, 1u);
   EXPECT_EQ(snap.local_messages, 1u);
-  EXPECT_GT(snap.remote_bytes, 0u);
+  EXPECT_EQ(snap.remote_bytes, 0u) << "the sim counts no bytes";
   EXPECT_EQ(snap.ActionCount(ActionKind::kSearch), 2u);
   // Each send counts in its sender's shard.
   EXPECT_EQ(net.stats().Snapshot(0).remote_messages, 1u);
@@ -272,6 +276,225 @@ TEST(SimNetworkLatency, FaultPlanSparesSelfSendsAndReportsEveryFault) {
   EXPECT_EQ(tally.remote_dups, faults.duplicated());
   EXPECT_EQ(r1.SenderKeys(0).size(),
             kCount - faults.dropped() + faults.duplicated());
+}
+
+/// One delivery call as the receiver saw it: the destination and each
+/// message's (sender, first key), in batch order.
+struct Batch {
+  ProcessorId to = kInvalidProcessor;
+  std::vector<std::pair<ProcessorId, Key>> messages;
+  bool operator==(const Batch&) const = default;
+};
+
+/// Appends every DeliverBatch call of the receivers sharing `log` to it,
+/// then runs `on_batch` (if set) with the destination.
+class BatchLog : public net::Receiver {
+ public:
+  BatchLog(ProcessorId id, std::vector<Batch>* log) : id_(id), log_(log) {}
+
+  void Deliver(Message) override { ADD_FAILURE() << "latency mode batches"; }
+  void DeliverBatch(std::vector<Message>& batch) override {
+    Batch b{id_, {}};
+    for (const Message& m : batch) {
+      b.messages.emplace_back(m.from, m.actions.front().key);
+    }
+    log_->push_back(std::move(b));
+    if (on_batch) on_batch();
+  }
+
+  std::function<void()> on_batch;
+
+ private:
+  ProcessorId id_;
+  std::vector<Batch>* log_;
+};
+
+/// A latency-mode sim of `n` BatchLog receivers with fixed remote latency
+/// 10 µs (no jitter) and local latency 1 µs.
+struct TickFixture {
+  explicit TickFixture(ProcessorId n, uint64_t jitter_us = 0) : net(1) {
+    net.EnableLatency(/*base_us=*/10, jitter_us, /*local_us=*/1);
+    for (ProcessorId p = 0; p < n; ++p) {
+      sinks.push_back(std::make_unique<BatchLog>(p, &log));
+    }
+    for (ProcessorId p = 0; p < n; ++p) net.Register(p, sinks[p].get());
+  }
+  void Send(ProcessorId from, ProcessorId to, Key k) {
+    net.Send(Message(from, to, KeyedAction(k)));
+  }
+
+  net::SimNetwork net;
+  std::vector<Batch> log;
+  std::vector<std::unique_ptr<BatchLog>> sinks;
+};
+
+// All of a tick's arrivals at one processor form one batch in seq order,
+// whichever channel they came on; the tick's other destination waits for
+// the next Step.
+TEST(SimNetworkTick, SameTickArrivalsToOneProcessorFormOneBatch) {
+  TickFixture f(3);
+  f.Send(0, 2, 1);
+  f.Send(1, 2, 2);
+  f.Send(2, 1, 3);
+  f.Send(0, 2, 4);
+  ASSERT_TRUE(f.net.Step());
+  EXPECT_EQ(f.net.NowUs(), 10u);
+  ASSERT_EQ(f.log.size(), 1u);
+  EXPECT_EQ(f.log[0], (Batch{2, {{0, 1}, {1, 2}, {0, 4}}}));
+  EXPECT_EQ(f.net.Pending(), 1u);
+  ASSERT_TRUE(f.net.Step());
+  EXPECT_EQ(f.net.NowUs(), 10u) << "the tick's other destination";
+  EXPECT_EQ(f.log[1], (Batch{1, {{2, 3}}}));
+  EXPECT_FALSE(f.net.Step());
+  EXPECT_EQ(f.net.delivered(), 4u) << "delivered() counts messages";
+}
+
+// Ticks deliver in arrival order; within one, destinations go in the
+// order of their first message's seq.
+TEST(SimNetworkTick, OtherTicksAndDestinationsArriveInSeparateBatches) {
+  TickFixture f(3);
+  f.Send(0, 1, 1);  // remote: tick 10
+  f.Send(2, 2, 2);  // local: tick 1
+  f.Send(1, 1, 3);  // local: tick 1
+  f.Send(0, 2, 4);  // remote: tick 10
+  f.Send(2, 1, 5);  // remote: tick 10
+  ASSERT_TRUE(f.net.WaitQuiescent(std::chrono::milliseconds(1)));
+  const std::vector<Batch> expected = {
+      {2, {{2, 2}}},
+      {1, {{1, 3}}},
+      {1, {{0, 1}, {2, 5}}},
+      {2, {{0, 4}}},
+  };
+  EXPECT_EQ(f.log, expected);
+}
+
+// Per-channel FIFO holds through jitter and batching.
+TEST(SimNetworkTick, PerChannelFifoHoldsAcrossBatches) {
+  TickFixture f(4, /*jitter_us=*/5);
+  for (Key k = 0; k < 100; ++k) {
+    for (ProcessorId p = 0; p < 3; ++p) f.Send(p, 3, k);
+  }
+  ASSERT_TRUE(f.net.WaitQuiescent(std::chrono::milliseconds(1)));
+  std::map<ProcessorId, std::vector<Key>> at3;
+  size_t multi = 0;
+  for (const Batch& b : f.log) {
+    if (b.messages.size() > 1) ++multi;
+    for (const auto& [from, k] : b.messages) at3[from].push_back(k);
+  }
+  EXPECT_GT(multi, 0u) << "same-tick arrivals were batched";
+  std::vector<Key> sent;
+  for (Key k = 0; k < 100; ++k) sent.push_back(k);
+  for (ProcessorId p = 0; p < 3; ++p) EXPECT_EQ(at3[p], sent) << "p" << p;
+}
+
+// A delivery's own sends land in a later tick, even a self-send to the
+// processor whose batch is running.
+TEST(SimNetworkTick, SendsDuringABatchNeverJoinIt) {
+  TickFixture f(2);
+  bool replied = false;
+  f.sinks[1]->on_batch = [&] {
+    if (replied) return;
+    replied = true;
+    f.Send(1, 1, 7);
+    f.Send(0, 1, 8);
+  };
+  f.Send(0, 1, 1);
+  f.Send(0, 1, 2);
+  ASSERT_TRUE(f.net.WaitQuiescent(std::chrono::milliseconds(1)));
+  const std::vector<Batch> expected = {
+      {1, {{0, 1}, {0, 2}}},
+      {1, {{1, 7}}},  // tick 11
+      {1, {{0, 8}}},  // tick 20
+  };
+  EXPECT_EQ(f.log, expected);
+}
+
+/// Records every delivery decision the scheduler reports.
+class OutcomeLog : public net::DeliveryObserver {
+ public:
+  void OnDelivery(const Message& m, net::DeliveryOutcome outcome) override {
+    seen.emplace_back(m.actions.front().key, outcome);
+  }
+  void OnCrash(ProcessorId) override {}
+  void OnRestart(ProcessorId) override {}
+
+  std::vector<std::pair<Key, net::DeliveryOutcome>> seen;
+};
+
+// Each message's fate is its own: the observer sees every one, and a
+// duplicate is delivered twice, adjacent, inside its batch.
+TEST(SimNetworkTick, ObserverSeesEveryMessageAndDuplicatesDeliverTwice) {
+  net::FaultPlan plan;
+  plan.duplicate = 1.0;
+  net::FaultInjector faults(plan, /*processors=*/2);
+  OutcomeLog outcomes;
+  TickFixture f(2);
+  f.net.SetFaultInjector(&faults);
+  f.net.SetObserver(&outcomes);
+  f.Send(0, 1, 1);
+  f.Send(1, 1, 2);  // local: never faulted, an earlier tick
+  f.Send(0, 1, 3);
+  ASSERT_TRUE(f.net.WaitQuiescent(std::chrono::milliseconds(1)));
+  using net::DeliveryOutcome;
+  const std::vector<std::pair<Key, DeliveryOutcome>> expected_outcomes = {
+      {2, DeliveryOutcome::kDeliver},
+      {1, DeliveryOutcome::kDuplicate},
+      {3, DeliveryOutcome::kDuplicate},
+  };
+  EXPECT_EQ(outcomes.seen, expected_outcomes);
+  const std::vector<Batch> expected = {
+      {1, {{1, 2}}},
+      {1, {{0, 1}, {0, 1}, {0, 3}, {0, 3}}},
+  };
+  EXPECT_EQ(f.log, expected);
+  EXPECT_EQ(f.net.delivered(), 5u);
+}
+
+// A crashed destination's messages are dropped one by one as its batch
+// would be built, so a crash during an earlier Step of the same tick
+// still keeps them out.
+TEST(SimNetworkTick, CrashedDestinationMessagesNeverJoinABatch) {
+  OutcomeLog outcomes;
+  TickFixture f(3);
+  f.net.SetObserver(&outcomes);
+  f.net.Crash(2);
+  f.Send(0, 2, 1);
+  f.Send(0, 1, 2);
+  f.Send(1, 2, 3);
+  ASSERT_TRUE(f.net.Step());
+  EXPECT_TRUE(f.log.empty()) << "every message of p2's batch dropped";
+  ASSERT_TRUE(f.net.Step());
+  EXPECT_EQ(f.log, (std::vector<Batch>{{1, {{0, 2}}}}));
+
+  // p1's batch crashes p0, whose share of the tick comes next.
+  f.net.Restart(2);
+  f.sinks[1]->on_batch = [&f] { f.net.Crash(0); };
+  f.Send(2, 1, 4);
+  f.Send(2, 0, 5);
+  f.Send(1, 0, 6);
+  ASSERT_TRUE(f.net.WaitQuiescent(std::chrono::milliseconds(1)));
+  EXPECT_EQ(f.log.size(), 2u);
+  EXPECT_EQ(f.log.back(), (Batch{1, {{2, 4}}}));
+  using net::DeliveryOutcome;
+  const std::vector<std::pair<Key, DeliveryOutcome>> expected_outcomes = {
+      {1, DeliveryOutcome::kCrashDrop}, {3, DeliveryOutcome::kCrashDrop},
+      {2, DeliveryOutcome::kDeliver},   {4, DeliveryOutcome::kDeliver},
+      {5, DeliveryOutcome::kCrashDrop}, {6, DeliveryOutcome::kCrashDrop},
+  };
+  EXPECT_EQ(outcomes.seen, expected_outcomes);
+  EXPECT_EQ(f.net.delivered(), 2u);
+}
+
+// A tick of more than kMaxBatch messages to one processor is split.
+TEST(SimNetworkTick, OversizedTickSplitsAtMaxBatch) {
+  TickFixture f(2);
+  for (Key k = 0; k <= net::kMaxBatch; ++k) f.Send(0, 1, k);
+  ASSERT_TRUE(f.net.WaitQuiescent(std::chrono::milliseconds(1)));
+  ASSERT_EQ(f.log.size(), 2u);
+  EXPECT_EQ(f.log[0].messages.size(), net::kMaxBatch);
+  EXPECT_EQ(f.log[0].messages.front().second, 0u);
+  EXPECT_EQ(f.log[1], (Batch{1, {{0, net::kMaxBatch}}}));
+  EXPECT_EQ(f.net.NowUs(), 10u) << "both batches are one tick";
 }
 
 /// Keys delivered over link 0->1 of a fresh `Net` whose links follow

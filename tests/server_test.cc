@@ -258,5 +258,62 @@ TEST(Processor, InstallAndRemoveTrackHistory) {
   EXPECT_FALSE(log.Copies().begin()->second.live);
 }
 
+/// Forwards every action it handles to processor `dest`.
+class ForwardingHandler : public ProtocolHandler {
+ public:
+  ForwardingHandler(Processor* p, ProcessorId dest) : p_(p), dest_(dest) {}
+  void Handle(Action action) override {
+    p_->out().SendAction(dest_, std::move(action));
+  }
+
+ private:
+  Processor* p_;
+  ProcessorId dest_;
+};
+
+/// Counts the messages and actions delivered to it.
+class MessageCounter : public net::Receiver {
+ public:
+  void Deliver(Message m) override {
+    ++messages;
+    actions += m.actions.size();
+  }
+  size_t messages = 0;
+  size_t actions = 0;
+};
+
+// On the latency-mode sim a processor handles one tick's arrivals in one
+// outbox scope, as a threads worker handles one drained batch: two
+// messages arriving in one tick whose handlers both send to one peer
+// leave as one message. Arrivals in different ticks do not fuse.
+TEST(Processor, SameTickArrivalsSendToOnePeerAsOneMessage) {
+  net::SimNetwork net(1);
+  net.EnableLatency(/*base_us=*/10, /*jitter_us=*/0);
+  history::HistoryLog log(false);
+  TreeConfig config;
+  Processor p0(0, 3, &net, &log, config);
+  p0.SetHandler(std::make_unique<ForwardingHandler>(&p0, 2));
+  MessageCounter p1, p2;
+  net.Register(1, &p1);
+  net.Register(2, &p2);
+  Action a;
+  a.kind = ActionKind::kSearch;
+  net.Send(Message(1, 0, a));
+  net.Send(Message(2, 0, a));
+  ASSERT_TRUE(net.WaitQuiescent(std::chrono::milliseconds(1)));
+  EXPECT_EQ(p2.messages, 1u);
+  EXPECT_EQ(p2.actions, 2u);
+  EXPECT_EQ(net.stats().Snapshot(0).combined_actions, 1u);
+  EXPECT_EQ(net.stats().Snapshot(0).remote_messages, 1u);
+
+  net.Send(Message(1, 0, a));
+  ASSERT_TRUE(net.Step());
+  net.Send(Message(1, 0, a));  // sent one tick later, arrives one later
+  ASSERT_TRUE(net.WaitQuiescent(std::chrono::milliseconds(1)));
+  EXPECT_EQ(p2.messages, 3u);
+  EXPECT_EQ(p2.actions, 4u);
+  EXPECT_EQ(net.stats().Snapshot(0).combined_actions, 1u);
+}
+
 }  // namespace
 }  // namespace lazytree

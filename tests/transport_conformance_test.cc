@@ -17,7 +17,6 @@
 #include <thread>
 #include <vector>
 
-#include "src/msg/wire.h"
 #include "src/net/faults.h"
 #include "src/net/reliable.h"
 #include "src/net/sim_network.h"
@@ -280,7 +279,7 @@ TEST_P(TransportConformanceTest, SendDuringStopIsAccounted) {
       << "messages dropped at shutdown leaked inflight accounting";
 }
 
-TEST_P(TransportConformanceTest, StatsCountRemoteLocalAndBytes) {
+TEST_P(TransportConformanceTest, StatsCountRemoteAndLocal) {
   if (IsLossy(GetParam())) {
     GTEST_SKIP() << "lossy stack: retransmits and acks make exact message "
                     "counts fault-schedule-dependent (see "
@@ -291,16 +290,14 @@ TEST_P(TransportConformanceTest, StatsCountRemoteLocalAndBytes) {
   net->Register(0, &r0);
   net->Register(1, &r1);
   net->Start();
-  const Message remote(0, 1, KeyedAction(5));
-  const size_t remote_bytes = wire::EncodedSize(remote);
-  net->Send(remote);
+  net->Send(Message(0, 1, KeyedAction(5)));
   net->Send(Message(1, 1, KeyedAction(6)));  // self-send = local
   ASSERT_TRUE(net->WaitQuiescent(std::chrono::milliseconds(5000)));
   auto snap = net->stats().Snapshot();
   EXPECT_EQ(snap.remote_messages, 1u);
   EXPECT_EQ(snap.local_messages, 1u);
-  // The wire-model byte cost is the sim's; threads count no bytes.
-  EXPECT_EQ(snap.remote_bytes, IsThreaded(GetParam()) ? 0u : remote_bytes);
+  // No transport counts bytes; wire_test pins the encoded sizes.
+  EXPECT_EQ(snap.remote_bytes, 0u);
   EXPECT_EQ(snap.ActionCount(ActionKind::kSearch), 2u);
   net->Stop();
 }
